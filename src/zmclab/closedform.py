@@ -14,8 +14,10 @@ domain predicates that keep evaluation away from the singular cone boundary:
 
 Derivatives are hand-derived, hard-coded expressions -- never finite
 differences -- because the residual certification needs machine precision.
-The same expression tree evaluates in float or mpmath arithmetic, so the
-certification sweeps can run in extended precision.
+The same expression tree evaluates on scalars or whole arrays, in double
+precision (numpy ufuncs) or in mpmath (object arrays at EXTENDED_DPS
+digits), so one call serves a single point, an evolution grid or a whole
+extended-precision certification sweep.
 """
 from __future__ import annotations
 
@@ -24,11 +26,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 import mpmath
+import numpy as np
 
 from .errors import DomainError
 from .numerics import Jet2
 
-BOUNDARY_MARGIN_DEFAULT = 1e-8  # callers wanting near-boundary jets stay this far away
+EXTENDED_DPS = 40  # significant digits of the extended-precision jets
 
 
 class Family(Enum):
@@ -81,30 +84,13 @@ def domain_contains(domain: LightconeDomain, point) -> bool:
     raise DomainError(f"unknown domain kind {domain.kind!r}")
 
 
-class _FloatOps:
-    """Double-precision backend for the jet expressions."""
-
-    log = staticmethod(math.log)
-    sqrt = staticmethod(math.sqrt)
-    atan = staticmethod(math.atan)
-    asinh = staticmethod(math.asinh)
-
-    @staticmethod
-    def number(x):
-        return float(x)
-
-
-class _ExtendedOps:
-    """mpmath backend; precision is whatever mpmath.mp currently holds."""
-
-    log = staticmethod(mpmath.log)
-    sqrt = staticmethod(mpmath.sqrt)
-    atan = staticmethod(mpmath.atan)
-    asinh = staticmethod(mpmath.asinh)
-
-    @staticmethod
-    def number(x):
-        return mpmath.mpf(x)
+# backend functions (log, sqrt, atan, asinh): numpy ufuncs in double
+# precision, mpmath through object arrays in extended precision
+_DOUBLE_FUNCS = (np.log, np.sqrt, np.arctan, np.arcsinh)
+_EXTENDED_FUNCS = tuple(
+    np.frompyfunc(f, 1, 1) for f in (mpmath.log, mpmath.sqrt, mpmath.atan, mpmath.asinh)
+)
+_to_mpf = np.frompyfunc(mpmath.mpf, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -135,21 +121,11 @@ class ClosedFormSolution:
             return LightconeDomain(DomainKind.BACKWARD_LIGHTCONE, self.T)
         return LightconeDomain(DomainKind.HALF_PLANE, self.T)
 
-    def coordinate_names(self) -> tuple[str, str]:
-        if self.family is Family.BORN_INFELD_LOG:
-            return ("t", "x")
-        if self.family in (
-            Family.MEMBRANE_SPHERE_PLUS,
-            Family.MEMBRANE_SPHERE_MINUS,
-            Family.CONSTANT_PROFILE,
-        ):
-            return ("t", "r")
-        return ("x", "y")
 
-
-def _check_interior(sol: ClosedFormSolution, a: float, b: float) -> None:
-    """Raise DomainError naming the violated inequality unless (a, b) is
-    strictly inside sol's validity region.
+def _check_interior(sol: ClosedFormSolution, a: np.ndarray, b: np.ndarray) -> None:
+    """Raise DomainError naming the violated inequality unless every point
+    (a[i], b[i]) is strictly inside sol's validity region; the message
+    describes the first violating point.
 
     Validity regions for evaluation are the open sets on which the jets are
     finite; they admit t = 0 (the sphere caps and the log family are perfectly
@@ -157,36 +133,38 @@ def _check_interior(sol: ClosedFormSolution, a: float, b: float) -> None:
     """
     T = sol.T
     fam = sol.family
+    time_checks = [
+        (0.0 <= a, "0 <= t violated: t={a}"),
+        (a < T, "t < T violated: t={a}, T={T}"),
+    ]
     if fam is Family.BORN_INFELD_LOG:
-        if not (0.0 <= a):
-            raise DomainError(f"0 <= t violated: t={a}")
-        if not (a < T):
-            raise DomainError(f"t < T violated: t={a}, T={T}")
-        if not (abs(b) < T - a):
-            raise DomainError(f"|x| < T-t violated: |{b}| >= {T - a}")
+        checks = time_checks + [(abs(b) < T - a, "|x| < T-t violated: |{b}| >= {gap}")]
     elif fam in (Family.MEMBRANE_SPHERE_PLUS, Family.MEMBRANE_SPHERE_MINUS):
-        if not (0.0 <= a):
-            raise DomainError(f"0 <= t violated: t={a}")
-        if not (a < T):
-            raise DomainError(f"t < T violated: t={a}, T={T}")
-        if not (0.0 <= b):
-            raise DomainError(f"0 <= r violated: r={b}")
-        if not (b < T - a):
-            raise DomainError(f"r < T-t violated: r={b} >= {T - a}")
+        checks = time_checks + [
+            (0.0 <= b, "0 <= r violated: r={b}"),
+            (b < T - a, "r < T-t violated: r={b} >= {gap}"),
+        ]
     elif fam in (Family.SPACELIKE_LOG_CLAIMED, Family.SPACELIKE_ARCTAN_CORRECTED):
-        if not (a < T):
-            raise DomainError(f"x < T violated: x={a}, T={T}")
-    elif fam is Family.CONSTANT_PROFILE:
-        if not (a < T):
-            raise DomainError(f"t < T violated: t={a}, T={T}")
-    else:  # pragma: no cover - enum is exhaustive
-        raise DomainError(f"unknown family {fam!r}")
+        checks = [(a < T, "x < T violated: x={a}, T={T}")]
+    else:  # constant profile
+        checks = time_checks[1:]
+    inside = np.logical_and.reduce([ok for ok, _ in checks])
+    if not inside.all():
+        i = int(np.argmin(inside))
+        a_i, b_i = float(a[i]), float(b[i])
+        message = next(msg for ok, msg in checks if not ok[i])
+        raise DomainError(message.format(a=a_i, b=b_i, T=T, gap=T - a_i))
 
 
-def _jet_terms(sol: ClosedFormSolution, a, b, ops):
-    """(value, d_a, d_b, d_aa, d_ab, d_bb) in the backend's arithmetic."""
-    T = ops.number(sol.T)
-    k = ops.number(sol.k)
+def _jet_terms(sol: ClosedFormSolution, a, b, extended: bool):
+    """(value, d_a, d_b, d_aa, d_ab, d_bb) as 1-D arrays in the backend's
+    arithmetic. In extended precision a and b are object arrays of mpf, and
+    every constant is a one-element object array: an mpf scalar meeting an
+    ndarray makes mpmath format the whole array before deferring to numpy."""
+    log, sqrt, atan, asinh = _EXTENDED_FUNCS if extended else _DOUBLE_FUNCS
+    number = (lambda v: _to_mpf(np.array([v]))) if extended else float
+    T = number(sol.T)
+    k = number(sol.k)
     fam = sol.family
 
     if fam is Family.BORN_INFELD_LOG:
@@ -194,7 +172,7 @@ def _jet_terms(sol: ClosedFormSolution, a, b, ops):
         A = T - a
         x = b
         D = A * A - x * x
-        value = k * ops.log((A + x) / (A - x))
+        value = k * log((A + x) / (A - x))
         ut = 2 * k * x / D
         ux = 2 * k * A / D
         utt = 4 * k * A * x / (D * D)
@@ -204,10 +182,10 @@ def _jet_terms(sol: ClosedFormSolution, a, b, ops):
 
     if fam in (Family.MEMBRANE_SPHERE_PLUS, Family.MEMBRANE_SPHERE_MINUS):
         # u = s sqrt(A^2 - r^2), A = T-t
-        s = ops.number(1.0 if fam is Family.MEMBRANE_SPHERE_PLUS else -1.0)
+        s = number(1.0 if fam is Family.MEMBRANE_SPHERE_PLUS else -1.0)
         A = T - a
         r = b
-        S = ops.sqrt(A * A - r * r)
+        S = sqrt(A * A - r * r)
         S3 = S * S * S
         value = s * S
         ut = -s * A / S
@@ -221,9 +199,9 @@ def _jet_terms(sol: ClosedFormSolution, a, b, ops):
         # u = k asinh(y/B), B = T-x   (the printed family; not a solution)
         B = T - a
         y = b
-        Q = ops.sqrt(B * B + y * y)
+        Q = sqrt(B * B + y * y)
         Q3 = Q * Q * Q
-        value = k * ops.asinh(y / B)
+        value = k * asinh(y / B)
         ux = k * y / (B * Q)
         uy = k / Q
         uxx = k * y * (Q * Q + B * B) / (B * B * Q3)
@@ -237,7 +215,7 @@ def _jet_terms(sol: ClosedFormSolution, a, b, ops):
         y = b
         P = B * B + y * y
         P2 = P * P
-        value = k * ops.atan(y / B)
+        value = k * atan(y / B)
         ux = k * y / P
         uy = k * B / P
         uxx = 2 * k * B * y / P2
@@ -246,37 +224,48 @@ def _jet_terms(sol: ClosedFormSolution, a, b, ops):
         return value, ux, uy, uxx, uxy, uyy
 
     # constant profile u = c (T - t); k carries c
-    zero = ops.number(0.0)
-    return k * (T - a), -k, zero, zero, zero, zero
+    zero = number(0.0)
+    return (k * (T - a), np.full(a.shape, -k), *(np.full(a.shape, zero) for _ in range(4)))
 
 
-def evaluate_jet(sol: ClosedFormSolution, point) -> Jet2:
-    """Exact value and all first/second partials at a strict-interior point.
-
-    Boundary evaluation (|x| = T-t, r = T-t) is a DomainError; derivative
-    formulas are singular there.
-    """
-    a, b = float(point[0]), float(point[1])
+def _evaluate(sol: ClosedFormSolution, point, extended: bool) -> Jet2:
+    a, b = np.broadcast_arrays(
+        np.asarray(point[0], dtype=float), np.asarray(point[1], dtype=float)
+    )
+    shape = a.shape
+    a, b = a.ravel(), b.ravel()
     _check_interior(sol, a, b)
-    value, d_a, d_b, d_aa, d_ab, d_bb = _jet_terms(sol, a, b, _FloatOps)
+    if extended:
+        a, b = _to_mpf(a), _to_mpf(b)
+    terms = [t.reshape(shape) for t in _jet_terms(sol, a, b, extended)]
+    if not shape:
+        terms = [t.item() for t in terms]
+    value, d_a, d_b, d_aa, d_ab, d_bb = terms
     return Jet2(value=value, d1=(d_a, d_b), d2=(d_aa, d_ab, d_bb))
 
 
-def evaluate_jet_extended(sol: ClosedFormSolution, point, dps: int = 40) -> Jet2:
-    """Same jet, computed with mpmath at dps significant digits.
+def evaluate_jet(sol: ClosedFormSolution, point) -> Jet2:
+    """Exact value and all first/second partials at strict-interior points.
 
-    Entries of the returned Jet2 are mpmath.mpf values; plain arithmetic on
-    them stays in extended precision, which is how the certification sweeps
-    hold residuals of true solutions near the 10^-dps level instead of
-    accumulating double rounding.
+    point = (a, b) holds scalars or broadcastable arrays. Scalars give a Jet2
+    of floats; arrays give a Jet2 whose entries are arrays of the broadcast
+    shape. Boundary evaluation (|x| = T-t, r = T-t) is a DomainError;
+    derivative formulas are singular there.
     """
-    a, b = float(point[0]), float(point[1])
-    _check_interior(sol, a, b)
-    with mpmath.workdps(dps):
-        value, d_a, d_b, d_aa, d_ab, d_bb = _jet_terms(
-            sol, mpmath.mpf(a), mpmath.mpf(b), _ExtendedOps
-        )
-        return Jet2(value=value, d1=(d_a, d_b), d2=(d_aa, d_ab, d_bb))
+    return _evaluate(sol, point, extended=False)
+
+
+def evaluate_jet_extended(sol: ClosedFormSolution, point) -> Jet2:
+    """Same jet, computed with mpmath at EXTENDED_DPS significant digits.
+
+    Entries are mpmath.mpf values, or object arrays of them for array input;
+    arithmetic on them inside mpmath.workdps(EXTENDED_DPS) stays in extended
+    precision, which is how the certification sweeps hold residuals of true
+    solutions near the 10^-EXTENDED_DPS level instead of accumulating double
+    rounding.
+    """
+    with mpmath.workdps(EXTENDED_DPS):
+        return _evaluate(sol, point, extended=True)
 
 
 def derivative_blowup_amplitude(sol: ClosedFormSolution, t: float) -> float:

@@ -121,9 +121,7 @@ def measure_scaling_exponent(
         raise DomainError("window must be increasing")
 
     base_xs = np.linspace(lo, hi, n)
-    jets = [evaluate_jet(sol, (t0, float(x))) for x in base_xs]
-    p = np.array([j.d1[0] for j in jets])
-    q = np.array([j.d1[1] for j in jets])
+    p, q = evaluate_jet(sol, (t0, base_xs)).d1
 
     energies = []
     for lam in lambdas:

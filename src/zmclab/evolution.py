@@ -86,14 +86,9 @@ class EvolutionState:
 
 def initial_state_from_solution(sol: ClosedFormSolution, grid: Grid1D, t0=0.0):
     xs = grid.nodes()
-    jets = [evaluate_jet(sol, (t0, float(x))) for x in xs]
+    jet = evaluate_jet(sol, (t0, xs))
     return EvolutionState(
-        t=t0,
-        xs=xs,
-        u=np.array([j.value for j in jets]),
-        p=np.array([j.d1[0] for j in jets]),
-        q=np.array([j.d1[1] for j in jets]),
-        spacing=grid.spacing,
+        t=t0, xs=xs, u=jet.value, p=jet.d1[0], q=jet.d1[1], spacing=grid.spacing
     )
 
 
@@ -405,9 +400,7 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
 def sup_error_against(run: EvolutionRun, sol: ClosedFormSolution) -> float:
     """Sup norm of u - exact over the surviving nodes at the final time."""
     final = run.final
-    exact = np.array(
-        [evaluate_jet(sol, (final.t, float(x))).value for x in final.xs]
-    )
+    exact = evaluate_jet(sol, (final.t, final.xs)).value
     return float(np.max(np.abs(final.u - exact)))
 
 

@@ -10,7 +10,6 @@ them explicitly, otherwise evaluating at an array edge is an error.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +72,7 @@ class FitResult:
 @dataclass(frozen=True)
 class Jet2:
     """Value plus all first and second partials of a scalar field of two
-    variables at one point.
+    variables at one point or at each point of an array.
 
     d1 = (d/da, d/db) and d2 = (d2/daa, d2/dadb, d2/dbb) where (a, b) is the
     coordinate pair in the order the producer declares -- (t, x) for the
@@ -81,8 +80,8 @@ class Jet2:
     spacelike graph equation. Only one mixed partial is stored; symmetry is
     by construction.
 
-    Entries are usually Python floats but extended-precision values
-    (mpmath.mpf) are accepted too; finiteness is checked through float().
+    Entries are Python floats or extended-precision values (mpmath.mpf), or
+    arrays of either sharing one shape; finiteness is checked through float.
     """
 
     value: float
@@ -94,8 +93,10 @@ class Jet2:
         if len(self.d1) != 2 or len(self.d2) != 3:
             raise DomainError("Jet2 wants d1 of length 2 and d2 of length 3")
         for v in entries:
-            if not math.isfinite(float(v)):
-                raise NonFiniteError(f"non-finite jet entry {v!r}")
+            finite = np.isfinite(np.asarray(v, dtype=float))
+            if not finite.all():
+                bad = v if finite.ndim == 0 else v.flat[np.argmin(finite)]
+                raise NonFiniteError(f"non-finite jet entry {bad!r}")
 
 
 def _d1_weights(m: int, i: int, h: float, one_sided: bool):
@@ -319,28 +320,6 @@ def log_log_fit(abscissae, ordinates) -> FitResult:
         r_squared=r_squared,
         n_points=int(a.size),
     )
-
-
-def trapezoid_quadrature(samples, grid: Grid1D, weight=None) -> float:
-    """Composite trapezoid value of the integral of f(x)*weight(x) over the
-    grid. weight may be None (unit weight), a callable of x, or an array of
-    node values."""
-    f = np.asarray(samples, dtype=float)
-    if f.shape != (grid.n + 1,):
-        raise DomainError(
-            f"samples must cover the grid: expected {grid.n + 1} values, got {f.shape}"
-        )
-    if not np.all(np.isfinite(f)):
-        raise NonFiniteError("non-finite quadrature samples")
-    if weight is None:
-        w = 1.0
-    elif callable(weight):
-        w = np.asarray(weight(grid.nodes()), dtype=float)
-    else:
-        w = np.asarray(weight, dtype=float)
-        if w.shape != f.shape:
-            raise DomainError("weight array must match the sample count")
-    return float(_np_trapezoid(f * w, dx=grid.spacing))
 
 
 def trapezoid(values, xs) -> float:

@@ -136,18 +136,6 @@ def write_snapshot_csv(path, state) -> None:
     write_csv(path, SNAPSHOT_HEADER, rows)
 
 
-STEADY_ODE_HEADER = ("rho", "v_numeric", "v_closed_claimed", "v_closed_corrected")
-
-
-def write_steady_ode_csv(path, rhos, v_numeric, v_claimed, v_corrected) -> None:
-    rhos = np.asarray(rhos, dtype=float)
-    cols = (rhos, np.asarray(v_numeric, float), np.asarray(v_claimed, float),
-            np.asarray(v_corrected, float))
-    if any(c.shape != rhos.shape for c in cols):
-        raise ArityError("steady ODE columns must share one length")
-    write_csv(path, STEADY_ODE_HEADER, zip(*cols))
-
-
 PROFILE_HEADER = ("rho", "phi", "dphi", "degeneracy_gap")
 
 

@@ -1,4 +1,4 @@
-"""Pointwise PDE residual operators.
+"""PDE residual operators on 2-jets and residual sweeps.
 
 Each equation tag selects one residual formula, evaluated term-by-term in the
 expanded form. The divergence form is a separate operation because it divides
@@ -7,27 +7,27 @@ backgrounds (the sphere caps are exactly lightlike, so only the expanded form
 can certify them).
 
 Residual formulas are plain arithmetic on jet entries, so they work unchanged
-on double-precision jets and on extended-precision (mpmath) jets. The
-certification sweeps use the extended path: a true solution's residual then
-sits at the working-precision floor (~1e-35) instead of the double rounding
-floor, which for steep parameter choices is all that separates "solution"
-from "not obviously a solution".
+on double-precision and extended-precision (mpmath) jets, at one point or at
+each point of an array. A sweep evaluates one extended-precision jet over
+all of its sample points and the residual formula once over that jet: a true
+solution's residual then sits at the working-precision floor (~1e-35)
+instead of the double rounding floor, which for steep parameter choices is
+all that separates "solution" from "not obviously a solution".
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import mpmath
 import numpy as np
 
-from .closedform import ClosedFormSolution, evaluate_jet, evaluate_jet_extended
+from .closedform import EXTENDED_DPS, ClosedFormSolution, evaluate_jet_extended
 from .errors import DegeneracyError, DomainError, RegularityError, SingularPointError
 from .numerics import Jet2
 
 EPS_DEGENERATE = 1e-10
-EPS_BOUNDARY = 1e-8
 
 
 class EquationId(Enum):
@@ -47,7 +47,6 @@ class ResidualReport:
     max_abs: float
     rms: float
     worst_point: tuple[float, float]
-    per_point: list | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.rms > self.max_abs * (1 + 1e-12) + 1e-300:
@@ -69,7 +68,8 @@ def residual_at(eq: EquationId, jet: Jet2, point) -> float:
     Coordinate order inside the jet follows the producing family:
     (t, x) / (t, r) for the hyperbolic equations, (x, y) for the spacelike
     one. The radial membrane formula carries 1/r terms, so r = 0 is a
-    singular-point error there (use residual_at_axis).
+    singular-point error there (use residual_at_axis). point = (a, b) may
+    hold arrays matching the jet's entries.
     """
     da, db = jet.d1
     daa, dab, dbb = jet.d2
@@ -80,7 +80,7 @@ def residual_at(eq: EquationId, jet: Jet2, point) -> float:
 
     if eq is EquationId.RADIAL_MEMBRANE:
         r = point[1]
-        if r == 0:
+        if np.any(r == 0):
             raise SingularPointError(
                 "the radial membrane residual has 1/r terms; use residual_at_axis at r=0"
             )
@@ -206,51 +206,31 @@ def rectangle_points(a_range, b_range, n_a: int, n_b: int) -> np.ndarray:
     return np.column_stack([A.ravel(), B.ravel()])
 
 
-def sweep_residual(
-    eq: EquationId,
-    sol: ClosedFormSolution,
-    points: np.ndarray,
-    extended: bool = True,
-    dps: int = 40,
-    keep_per_point: bool = False,
-) -> ResidualReport:
+def sweep_residual(eq: EquationId, sol: ClosedFormSolution, points: np.ndarray) -> ResidualReport:
     """Evaluate residual_at over every sample point and aggregate.
 
-    extended=True (the default for certification) computes jets and residual
-    arithmetic in mpmath at dps digits; the aggregate magnitudes are returned
-    as doubles. Domain errors from evaluation propagate to the caller: the
-    sampler is responsible for staying inside the validity region.
+    Jets and residual arithmetic run in mpmath at EXTENDED_DPS digits; the
+    aggregate magnitudes are returned as doubles, and worst_point is the
+    first point attaining max_abs. Domain errors from evaluation propagate to
+    the caller: the sampler is responsible for staying inside the validity
+    region.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] == 0:
         raise DomainError("points must be a non-empty (N, 2) array")
-    max_abs = -1.0
-    worst = (float("nan"), float("nan"))
-    sq_sum = 0.0
-    per_point = [] if keep_per_point else None
-    for a, b in points:
-        if extended:
-            # the residual arithmetic must run inside the precision context,
-            # not just the jet construction, or it rounds back to ~double
-            with mpmath.workdps(dps):
-                jet = evaluate_jet_extended(sol, (a, b), dps=dps)
-                r = float(residual_at(eq, jet, (a, b)))
-        else:
-            jet = evaluate_jet(sol, (a, b))
-            r = float(residual_at(eq, jet, (a, b)))
-        mag = abs(r)
-        sq_sum += mag * mag
-        if mag > max_abs:
-            max_abs = mag
-            worst = (float(a), float(b))
-        if per_point is not None:
-            per_point.append(((float(a), float(b)), r))
+    a, b = points[:, 0], points[:, 1]
+    # the residual arithmetic must run inside the precision context, not just
+    # the jet construction, or it rounds back to ~double
+    with mpmath.workdps(EXTENDED_DPS):
+        jet = evaluate_jet_extended(sol, (a, b))
+        mag = np.abs(residual_at(eq, jet, (a, b)).astype(float))
+    worst = int(np.argmax(mag))
     n = points.shape[0]
     return ResidualReport(
         equation=eq.value,
         n_points=int(n),
-        max_abs=max_abs,
-        rms=math.sqrt(sq_sum / n),
-        worst_point=worst,
-        per_point=per_point,
+        max_abs=float(mag[worst]),
+        # summed in point order: a pairwise sum would move the last digit
+        rms=math.sqrt(np.cumsum(mag * mag)[-1] / n),
+        worst_point=(float(a[worst]), float(b[worst])),
     )

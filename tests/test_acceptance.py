@@ -152,7 +152,7 @@ def test_criterion_05_mode_roots_and_classification():
         and report.classification.startswith("unstable")
         and report.matches_claim is False
         and audit_claim.verdict == "mismatch"
-        and "one growing" in audit_claim.note or "unstable" in audit_claim.note
+        and ("one growing" in audit_claim.note or "unstable" in audit_claim.note)
     )
     verdict(5, "mode-analysis", ok,
             f"roots {report.roots}, {report.classification}")

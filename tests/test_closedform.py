@@ -95,6 +95,14 @@ def test_evaluate_rejects_boundary_and_exterior():
         evaluate_jet(
             ClosedFormSolution(Family.SPACELIKE_LOG_CLAIMED, T=1.0, k=1.0), (1.5, 0.0)
         )
+    # an array is refused as a whole, naming the first violating point
+    t = np.array([0.1, 0.2, 0.5, 0.3, 1.0])
+    x = np.array([0.0, 0.1, 0.5, 0.2, 0.0])
+    for evaluate in (evaluate_jet, evaluate_jet_extended):
+        with pytest.raises(DomainError, match=r"^\|x\| < T-t violated: \|0\.5\| >= 0\.5$"):
+            evaluate(sol, (t, x))
+        with pytest.raises(DomainError, match=r"^r < T-t violated: r=0\.5 >= 0\.5$"):
+            evaluate(sphere(), (t[:4], x[:4]))
 
 
 def test_blowup_amplitudes():
@@ -183,6 +191,22 @@ def test_jet_against_finite_differences(sol, point):
     assert np.all(orders >= 1.9), (errs, orders)
 
 
+def _entries(jet):
+    return (jet.value, *jet.d1, *jet.d2)
+
+
+def _interior_points(sol, rng, n=30):
+    """Seeded points strictly inside sol's validity region."""
+    t = rng.uniform(0.0, 0.9, n)
+    if sol.family is Family.BORN_INFELD_LOG:
+        return t, rng.uniform(-0.9, 0.9, n) * (1.0 - t)
+    if sol.family in (Family.MEMBRANE_SPHERE_PLUS, Family.MEMBRANE_SPHERE_MINUS):
+        return t, rng.uniform(0.0, 0.9, n) * (1.0 - t)
+    if sol.family in (Family.SPACELIKE_LOG_CLAIMED, Family.SPACELIKE_ARCTAN_CORRECTED):
+        return rng.uniform(-1.0, 0.9, n), rng.uniform(-2.0, 2.0, n)
+    return t, rng.uniform(-2.0, 2.0, n)
+
+
 def test_extended_precision_agrees_with_double():
     sol = bi(k=-3.0)
     jd = evaluate_jet(sol, (0.4, 0.3))
@@ -193,6 +217,28 @@ def test_extended_precision_agrees_with_double():
     for i in range(3):
         assert abs(float(je.d2[i]) - jd.d2[i]) <= 1e-11 * max(1.0, abs(jd.d2[i]))
 
+    # one array call equals the per-point scalar calls exactly, for every
+    # family in both precisions
+    rng = np.random.default_rng(11)
+    families = [
+        bi(k=-3.0),
+        sphere(+1),
+        sphere(-1),
+        ClosedFormSolution(Family.SPACELIKE_LOG_CLAIMED, T=1.0, k=0.7),
+        ClosedFormSolution(Family.SPACELIKE_ARCTAN_CORRECTED, T=1.0, k=-1.3),
+        ClosedFormSolution(Family.CONSTANT_PROFILE, T=1.0, k=0.3),
+    ]
+    assert {s.family for s in families} == set(Family)
+    for sol in families:
+        a, b = _interior_points(sol, rng)
+        for evaluate in (evaluate_jet, evaluate_jet_extended):
+            arrays = _entries(evaluate(sol, (a, b)))
+            for entry in arrays:
+                assert entry.shape == a.shape
+            for i in range(a.size):
+                scalars = _entries(evaluate(sol, (a[i], b[i])))
+                assert [e[i] for e in arrays] == list(scalars), (sol.family, evaluate, i)
+
 
 def test_constant_profile_jet():
     sol = ClosedFormSolution(Family.CONSTANT_PROFILE, T=1.0, k=0.3)
@@ -200,6 +246,14 @@ def test_constant_profile_jet():
     assert abs(jet.value - 0.3 * 0.75) < 1e-15
     assert jet.d1 == (-0.3, 0.0)
     assert jet.d2 == (0.0, 0.0, 0.0)
+    # a scalar time against an array of radii still gives full-shape entries
+    xs = np.linspace(0.0, 2.0, 7)
+    for evaluate in (evaluate_jet, evaluate_jet_extended):
+        jet = evaluate(sol, (0.25, xs))
+        for entry in _entries(jet):
+            assert entry.shape == xs.shape
+        assert [float(v) for v in jet.value] == [0.3 * 0.75] * 7
+        assert [float(v) for v in jet.d1[0]] == [-0.3] * 7
 
 
 def test_domains_per_family():

@@ -14,7 +14,6 @@ from zmclab.numerics import (
     rk4_adaptive_step,
     rk4_integrate,
     rk4_step,
-    trapezoid_quadrature,
 )
 
 # frozen reference values, evaluated once in extended precision
@@ -221,18 +220,6 @@ def test_log_log_fit_errors():
         log_log_fit([1.0, 2.0], [0.0, 4.0])
     with pytest.raises(ArityError):
         log_log_fit([1.0], [2.0])
-
-
-def test_trapezoid_weighted_and_plain():
-    g = Grid1D(0.0, 1.0, 200)
-    assert abs(trapezoid_quadrature(np.ones(201), g, weight=lambda x: x) - 0.5) < 1e-10
-    assert abs(trapezoid_quadrature(g.nodes(), g) - 0.5) < 1e-10
-
-
-def test_trapezoid_sine():
-    g = Grid1D(0.0, math.pi, 10_000)
-    val = trapezoid_quadrature(np.sin(g.nodes()), g)
-    assert abs(val - 2.0) <= 1e-6
 
 
 @pytest.mark.parametrize("spacing", [0.1, 0.05, 0.01])

@@ -20,7 +20,6 @@ from zmclab.reporting import (
     write_diagnostics_csv,
     write_profile_csv,
     write_snapshot_csv,
-    write_steady_ode_csv,
 )
 from zmclab.profiles import shoot_profile
 
@@ -113,11 +112,6 @@ def test_snapshot_csv_round_trip(tmp_path):
     assert len(rows) == 22
     xs = np.array([float(r[0]) for r in rows[1:]])
     assert np.array_equal(xs, state.xs)
-
-
-def test_steady_ode_csv_guards_length(tmp_path):
-    with pytest.raises(ArityError):
-        write_steady_ode_csv(tmp_path / "s.csv", [0.0, 0.1], [1.0], [1.0, 2.0], [1.0, 2.0])
 
 
 def test_profile_csv_gap_column(tmp_path):

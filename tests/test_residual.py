@@ -1,9 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet
+from zmclab.closedform import (
+    EXTENDED_DPS,
+    ClosedFormSolution,
+    Family,
+    evaluate_jet,
+    evaluate_jet_extended,
+)
 from zmclab.errors import DegeneracyError, DomainError, RegularityError, SingularPointError
 from zmclab.numerics import Jet2, central_diff_jet2, observed_orders
 from zmclab.residuals import (
@@ -123,15 +130,36 @@ def test_sweep_flags_non_solution():
     worst = rep.worst_point
     jet = evaluate_jet(sol, worst)
     assert abs(abs(residual_at(EquationId.SPACELIKE_GRAPH, jet, worst)) - rep.max_abs) < 1e-9
+    # the array sweep reproduces a point-by-point loop bit for bit
+    mags = []
+    with mpmath.workdps(EXTENDED_DPS):
+        for a, b in pts:
+            jet = evaluate_jet_extended(sol, (a, b))
+            mags.append(abs(float(residual_at(EquationId.SPACELIKE_GRAPH, jet, (a, b)))))
+    assert rep.max_abs == max(mags)
+    assert rep.worst_point == tuple(pts[mags.index(max(mags))])
+    assert rep.rms == math.sqrt(sum(m * m for m in mags) / len(mags))
 
 
 def test_sweep_report_serializes():
     sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=0.2)
     pts = lightcone_interior_points(1.0, 5, 5, margin=0.05)
-    rep = sweep_residual(EquationId.BORN_INFELD, sol, pts, keep_per_point=True)
+    rep = sweep_residual(EquationId.BORN_INFELD, sol, pts)
     d = rep.to_json_dict()
     assert set(d) == {"equation", "n_points", "max_abs", "rms", "worst_point"}
-    assert len(rep.per_point) == 25
+
+
+def test_sweep_reports_first_of_tied_worst_points():
+    sol = ClosedFormSolution(Family.SPACELIKE_LOG_CLAIMED, T=1.0, k=1.0)
+    eq = EquationId.SPACELIKE_GRAPH
+    pts = np.array([[0.0, 0.1], [0.0, -0.5], [0.0, 0.2], [0.0, 0.5]])
+    # the residual is odd in y, so the mirrored points tie exactly
+    tie = sweep_residual(eq, sol, pts[1:2]).max_abs
+    assert sweep_residual(eq, sol, pts[3:]).max_abs == tie
+    rep = sweep_residual(eq, sol, pts)
+    assert rep.max_abs == tie
+    assert rep.worst_point == (0.0, -0.5)
+    assert sweep_residual(eq, sol, pts[::-1]).worst_point == (0.0, 0.5)
 
 
 def test_report_rejects_rms_above_max():
