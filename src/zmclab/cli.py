@@ -188,16 +188,14 @@ def cmd_stability(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    lambdas = tuple(float(s) for s in args.lambdas.split(","))
     weight = (
         QuadratureWeight.COORDINATE
         if args.weight == "coordinate"
         else QuadratureWeight.UNWEIGHTED
     )
     sol = ClosedFormSolution(family=Family.BORN_INFELD_LOG, T=args.T, k=args.k)
-    lo, hi = (float(s) for s in args.window.split(","))
     m = measure_scaling_exponent(
-        sol, t0=args.t0, window=(lo, hi), lambdas=lambdas, weight=weight
+        sol, t0=args.t0, window=args.window, lambdas=args.lambdas, weight=weight
     )
     _emit(args, m.to_json_dict())
     return EXIT_OK
@@ -241,43 +239,47 @@ CONFIG_SCHEMA = {
 }
 
 
+def _config_entry(raw: str, where: str):
+    """(key, value) of one config line or override, or None if it is blank.
+
+    A ConfigError message starts with where.
+    """
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return None
+    if "=" not in line:
+        raise ConfigError(f"{where}: expected key=value, got {raw!r}")
+    key, _, value = line.partition("=")
+    key = key.strip()
+    if key not in CONFIG_SCHEMA:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    parser, _ = CONFIG_SCHEMA[key]
+    try:
+        return key, parser(value.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+
+
 def parse_config_text(text: str) -> dict:
     """Flat key=value lines; '#' starts a comment; blank lines skipped.
 
     Raises ConfigError naming the offending line number.
     """
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        parser, _ = CONFIG_SCHEMA[key]
-        try:
-            values[key] = parser(value)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    return values
+    entries = (
+        _config_entry(raw, f"line {lineno}")
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+    )
+    return dict(entry for entry in entries if entry is not None)
 
 
 def _apply_overrides(values: dict, overrides) -> None:
+    """--set KEY=VALUE flags, read like config lines; blank ones are refused."""
     for item in overrides or ():
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, _, value = item.partition("=")
-        if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"override names unknown key {key!r}")
-        parser, _ = CONFIG_SCHEMA[key]
-        try:
-            values[key] = parser(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad override value for {key}: {exc}") from exc
+        entry = _config_entry(item, f"override {item!r}")
+        if entry is None:
+            raise ConfigError(f"override {item!r}: expected key=value")
+        key, value = entry
+        values[key] = value
 
 
 def _build_initial_state(cfgv) -> EvolutionState:
@@ -370,6 +372,34 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _comma_floats(count: int, exact: bool = False):
+    """argparse type: comma-separated floats, at least (or exactly) count."""
+
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(float(s) for s in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if len(values) < count or (exact and len(values) != count):
+            need = f"{count}" if exact else f"at least {count}"
+            raise argparse.ArgumentTypeError(
+                f"need {need} comma-separated numbers, got {len(values)}"
+            )
+        return values
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zmclab",
@@ -383,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=sorted(FAMILY_BY_NAME))
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=400,
+    p.add_argument("--samples", type=_positive_int, default=400,
                    help="approximate total sample count")
     p.add_argument("--margin", type=float, default=0.02)
     p.add_argument("--rho-max", type=float, default=0.95, dest="rho_max")
@@ -412,11 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_stability)
 
     p = sub.add_parser("scaling", help="measure the energy scaling exponent")
-    p.add_argument("--lambdas", default="0.5,1,2,4")
+    p.add_argument("--lambdas", type=_comma_floats(3), default="0.5,1,2,4")
     p.add_argument("--k", type=float, default=0.3)
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--t0", type=float, default=0.5)
-    p.add_argument("--window", default="-0.2,0.3")
+    p.add_argument("--window", type=_comma_floats(2, exact=True), default="-0.2,0.3")
     p.add_argument("--weight", choices=("unweighted", "coordinate"),
                    default="unweighted")
     p.add_argument("--json")
@@ -437,10 +467,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except (ConfigError, DegenerateStartError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except DomainError as exc:
+    except (ConfigError, DegenerateStartError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except LabError as exc:

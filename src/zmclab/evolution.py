@@ -41,6 +41,11 @@ from .residuals import EquationId
 # smallest window the edge ghosts can still close over
 MIN_ACTIVE_NODES = 3
 
+# ghost weights of the polynomial through the last m nodes, m = 3, 4, 5
+_GHOST_TAILS = {
+    m: tuple((-1) ** i * math.comb(m, i + 1) for i in range(m)) for m in (3, 4, 5)
+}
+
 
 class RunStatus(enum.Enum):
     COMPLETED = "completed"
@@ -130,11 +135,6 @@ def characteristic_speeds(p, q, min_disc_floor=1e-6):
     return (-p * q - root) / denom, (-p * q + root) / denom
 
 
-def _mirrored(arr, parity):
-    """Prepend two ghost nodes reflected across r = 0."""
-    return np.concatenate([parity * arr[2:0:-1], arr])
-
-
 def _ghosted(f, parity_left):
     """Extend by one ghost per side: parity mirror or quartic extrapolation.
 
@@ -146,16 +146,10 @@ def _ghosted(f, parity_left):
     extrapolation degree.  Low-degree ghosts make it large enough to drag
     the excision edges measurably inward, so spend the extra degree.
     """
-    if f.size >= 5:
-        tail = (5.0, -10.0, 10.0, -5.0, 1.0)
-    elif f.size == 4:
-        tail = (4.0, -6.0, 4.0, -1.0)
-    else:
-        tail = (3.0, -3.0, 1.0)
-    gl = sum(c * f[i] for i, c in enumerate(tail))
+    tail = _GHOST_TAILS[min(f.size, 5)]
+    gl, gr = (sum(c * e[i] for i, c in enumerate(tail)) for e in (f, f[::-1]))
     if parity_left is not None:
         gl = parity_left * f[1]
-    gr = sum(c * f[-1 - i] for i, c in enumerate(tail))
     return np.concatenate([[gl], f, [gr]])
 
 
@@ -182,19 +176,15 @@ def _rhs(equation, xs, u, p, q, h, sigma):
     if sigma > 0.0 and u.size >= 5:
         scale = sigma / (16.0 * h)
         for f, fdot, parity in ((p, pdot, 1.0), (q, qdot, -1.0)):
-            delta4 = f[:-4] - 4.0 * f[1:-3] + 6.0 * f[2:-2] - 4.0 * f[3:-1] + f[4:]
-            fdot[2:-2] -= scale * delta4
-            # the excision edges need damping most: close the stencil with
-            # the end-anchored difference, or ghosts across the axis
-            if axis:
-                fe = _mirrored(f, parity)
-                fdot[0] -= scale * (fe[0] - 4 * fe[1] + 6 * fe[2] - 4 * fe[3] + fe[4])
-                fdot[1] -= scale * (fe[1] - 4 * fe[2] + 6 * fe[3] - 4 * fe[4] + fe[5])
-            else:
-                fdot[0] -= scale * delta4[0]
-                fdot[1] -= scale * delta4[0]
-            fdot[-1] -= scale * delta4[-1]
-            fdot[-2] -= scale * delta4[-1]
+            # ghosts across the axis let the stencil reach the axis nodes
+            fe = np.concatenate([parity * f[2:0:-1], f]) if axis else f
+            delta4 = fe[:-4] - 4.0 * fe[1:-3] + 6.0 * fe[2:-2] - 4.0 * fe[3:-1] + fe[4:]
+            # the excision edges need damping most: the nodes the stencil
+            # cannot centre on take its end values
+            inner = slice(-2 - delta4.size, -2)
+            fdot[inner] -= scale * delta4
+            fdot[: inner.start] -= scale * delta4[0]
+            fdot[-2:] -= scale * delta4[-1]
     return udot, pdot, qdot
 
 
@@ -214,7 +204,7 @@ def _edge_offset(n_nodes):
     return max(0, min(3, (n_nodes - 6) // 2))
 
 
-def _incoming_left(lo_speed, hi_speed, xs, x_edge, h):
+def _incoming_speed(speeds, xs, x_edge, h):
     """Rightward speed of exterior information at the left float edge.
 
     The speeds live on the nodes; the edge sits up to one spacing outside
@@ -224,17 +214,19 @@ def _incoming_left(lo_speed, hi_speed, xs, x_edge, h):
     """
     k = _edge_offset(xs.size)
     d = (xs[k] - x_edge) / h
-    lo = _quadratic_tail(lo_speed[k], lo_speed[k + 1], lo_speed[k + 2], d)
-    hi = _quadratic_tail(hi_speed[k], hi_speed[k + 1], hi_speed[k + 2], d)
-    return max(0.0, float(lo), float(hi))
+    lo, hi = (_quadratic_tail(*s[k:k + 3].tolist(), d) for s in speeds)
+    return max(0.0, lo, hi)
 
 
-def _incoming_right(lo_speed, hi_speed, xs, x_edge, h):
-    k = _edge_offset(xs.size) + 1
-    d = (x_edge - xs[-k]) / h
-    lo = _quadratic_tail(lo_speed[-k], lo_speed[-k - 1], lo_speed[-k - 2], d)
-    hi = _quadratic_tail(hi_speed[-k], hi_speed[-k - 1], hi_speed[-k - 2], d)
-    return min(0.0, float(lo), float(hi))
+def _advance_edge(speeds, speeds_new, xs, x_edge, h, dt):
+    """Heun step of the left float edge at the incoming characteristic speed.
+
+    The right edge takes the same step on the mirrored window, which is
+    exact in floating point: negation commutes with every operation here.
+    """
+    v0 = _incoming_speed(speeds, xs, x_edge, h)
+    v1 = _incoming_speed(speeds_new, xs, x_edge + dt * v0, h)
+    return x_edge + 0.5 * dt * (v0 + v1)
 
 
 def _center_series_value(equation, xs, q, h):
@@ -275,75 +267,72 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
     )
 
     t = state.t
-    xs, u, p, q = state.xs, state.u.copy(), state.p.copy(), state.q.copy()
-    h = state.spacing
+    xs, y, h = state.xs, np.stack([state.u, state.p, state.q]), state.spacing
     left_edge = float(xs[0])
     right_edge = float(xs[-1])
-
-    times = [t]
-    sups = [float(np.max(np.abs(q)))]
-    center = [_center_series_value(config.equation, xs, q, h)]
-    min_discs = [float(np.min(1.0 - p * p + q * q))]
-    counts = [xs.size]
+    # per-node quantities are computed once, on the full post-step arrays,
+    # and their kept slices serve as the next step's old values
+    speeds = characteristic_speeds(state.p, state.q, config.min_disc_floor)
+    if track_momentum:
+        flux = momentum_flux(state.p, state.q)
+        m = momentum_density(state.p, state.q)
+        mass_scale = float(trapezoid(np.abs(m), xs))
+        momentum = float(trapezoid(m, xs))
+    else:
+        mass_scale = momentum = 0.0
     flux_acc = 0.0
     strip_acc = 0.0
-    if track_momentum:
-        m0 = momentum_density(p, q)
-        mass_scale = float(trapezoid(np.abs(m0), xs))
-        momenta = [float(trapezoid(m0, xs))]
-        invariants = [momenta[0]]
-    else:
-        mass_scale = 0.0
-        momenta = [0.0]
-        invariants = [0.0]
     n_steps = 0
     status = RunStatus.COMPLETED
+    rows = []
+
+    def record(t, xs, y, momentum, invariant):
+        # one value per diagnostics field of EvolutionRun, in field order
+        _, p, q = y
+        rows.append((
+            t,
+            float(np.max(np.abs(q))),
+            _center_series_value(config.equation, xs, q, h),
+            momentum,
+            invariant,
+            float(np.min(1.0 - p * p + q * q)),
+            xs.size,
+        ))
 
     def rhs(_, y):
         uu, pp, qq = y
         du, dp, dq = _rhs(config.equation, xs, uu, pp, qq, h, config.dissipation)
         return np.stack([du, dp, dq])
 
+    record(t, xs, y, momentum, momentum)
     while t < config.t_end - 1e-13:
-        try:
-            lo_speed, hi_speed = characteristic_speeds(p, q, config.min_disc_floor)
-        except DegeneracyError:
-            status = RunStatus.DEGENERACY_FLOOR
-            break
-        fastest = max(float(np.max(np.abs(lo_speed))), float(np.max(np.abs(hi_speed))))
+        fastest = max(float(np.max(np.abs(s))) for s in speeds)
         dt = config.cfl * h / max(fastest, 1e-30)
         if dt < config.dt_floor:
             raise StepFloorError(f"time step {dt:.3e} below floor at t = {t:.6f}")
         dt = min(dt, config.t_end - t)
 
-        y_new = rk4_step(np.stack([u, p, q]), rhs, t, dt)
-        u_new, p_new, q_new = y_new
-        t_new = t + dt
+        y_new = rk4_step(y, rhs, t, dt)
+        _, p_new, q_new = y_new
         try:
-            lo_new, hi_new = characteristic_speeds(p_new, q_new, config.min_disc_floor)
+            speeds_new = characteristic_speeds(p_new, q_new, config.min_disc_floor)
         except DegeneracyError:
             status = RunStatus.DEGENERACY_FLOOR
             break
 
         if track_momentum:
-            f_old = momentum_flux(p, q)
-            f_new = momentum_flux(p_new, q_new)
+            flux_new = momentum_flux(p_new, q_new)
             flux_acc += 0.5 * dt * (
-                float(f_old[-1] - f_old[0]) + float(f_new[-1] - f_new[0])
+                float(flux[-1] - flux[0]) + float(flux_new[-1] - flux_new[0])
             )
-            m_new = momentum_density(p_new, q_new)
+            m = momentum_density(p_new, q_new)
 
         # advance the excision edges at the local incoming characteristic
         # speed (Heun in time): exterior data can never reach a kept node
         if not axis_pinned:
-            v0 = _incoming_left(lo_speed, hi_speed, xs, left_edge, h)
-            pred = left_edge + dt * v0
-            v1 = _incoming_left(lo_new, hi_new, xs, pred, h)
-            left_edge += 0.5 * dt * (v0 + v1)
-        v0 = _incoming_right(lo_speed, hi_speed, xs, right_edge, h)
-        pred = right_edge + dt * v0
-        v1 = _incoming_right(lo_new, hi_new, xs, pred, h)
-        right_edge += 0.5 * dt * (v0 + v1)
+            left_edge = _advance_edge(speeds, speeds_new, xs, left_edge, h, dt)
+        mirrored = [(-hi[::-1], -lo[::-1]) for lo, hi in (speeds, speeds_new)]
+        right_edge = -_advance_edge(*mirrored, -xs[::-1], -right_edge, h, dt)
 
         keep = (xs >= left_edge - 1e-12) & (xs <= right_edge + 1e-12)
         kept = int(np.sum(keep))
@@ -354,47 +343,28 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
         hi = xs.size - int(np.argmax(keep[::-1]))  # one past the last kept node
         if track_momentum:
             if lo > 0:
-                strip_acc += float(trapezoid(m_new[: lo + 1], xs[: lo + 1]))
+                strip_acc += float(trapezoid(m[: lo + 1], xs[: lo + 1]))
             if hi < xs.size:
-                strip_acc += float(trapezoid(m_new[hi - 1:], xs[hi - 1:]))
+                strip_acc += float(trapezoid(m[hi - 1:], xs[hi - 1:]))
+            flux = flux_new[lo:hi]
+            momentum = float(trapezoid(m[lo:hi], xs[lo:hi]))
 
-        t = t_new
+        t += dt
         xs = xs[lo:hi]
-        u, p, q = u_new[lo:hi], p_new[lo:hi], q_new[lo:hi]
+        y = y_new[:, lo:hi]
+        speeds = tuple(s[lo:hi] for s in speeds_new)
         n_steps += 1
+        record(t, xs, y, momentum, momentum + strip_acc - flux_acc)
 
-        times.append(t)
-        sups.append(float(np.max(np.abs(q))))
-        center.append(_center_series_value(config.equation, xs, q, h))
-        min_discs.append(float(np.min(1.0 - p * p + q * q)))
-        counts.append(xs.size)
-        if track_momentum:
-            mom = float(trapezoid(momentum_density(p, q), xs))
-            momenta.append(mom)
-            invariants.append(mom + strip_acc - flux_acc)
-        else:
-            momenta.append(0.0)
-            invariants.append(0.0)
-
-        if config.max_gradient is not None and sups[-1] >= config.max_gradient:
+        sup_slope = rows[-1][1]
+        if config.max_gradient is not None and sup_slope >= config.max_gradient:
             status = RunStatus.GRADIENT_STOP
             break
 
+    u, p, q = y
     final = EvolutionState(t=t, xs=xs, u=u, p=p, q=q, spacing=h)
-    return EvolutionRun(
-        config=config,
-        status=status,
-        times=np.array(times),
-        sup_slope=np.array(sups),
-        center_series=np.array(center),
-        momentum=np.array(momenta),
-        invariant=np.array(invariants),
-        min_disc=np.array(min_discs),
-        active_nodes=np.array(counts),
-        mass_scale=mass_scale,
-        final=final,
-        n_steps=n_steps,
-    )
+    series = map(np.array, zip(*rows))
+    return EvolutionRun(config, status, *series, mass_scale, final, n_steps)
 
 
 def sup_error_against(run: EvolutionRun, sol: ClosedFormSolution) -> float:

@@ -164,14 +164,10 @@ def lightcone_interior_points(
     each carrying n_space points spanning |x| <= T - t - margin."""
     if margin <= 0 or T - 2 * margin <= 0:
         raise DomainError(f"margin {margin} leaves no room inside T={T}")
-    pts = np.empty((n_time * n_space, 2))
     tg = np.linspace(0.0, T - 2 * margin, n_time)
-    for j, t in enumerate(tg):
-        half = T - t - margin
-        xs = np.linspace(-half, half, n_space)
-        pts[j * n_space : (j + 1) * n_space, 0] = t
-        pts[j * n_space : (j + 1) * n_space, 1] = xs
-    return pts
+    half = T - tg - margin
+    xs = np.linspace(-half, half, n_space, axis=1)
+    return np.column_stack([np.repeat(tg, n_space), xs.ravel()])
 
 
 def backward_cone_points(
@@ -189,13 +185,9 @@ def backward_cone_points(
         raise DomainError(f"need 0 < rho_min < rho_max < 1, got [{rho_min}, {rho_max}]")
     if margin <= 0 or T - 2 * margin <= margin:
         raise DomainError(f"margin {margin} leaves no room inside T={T}")
-    pts = np.empty((n_time * n_space, 2))
     tg = np.linspace(margin, T - 2 * margin, n_time)
     rhog = np.linspace(rho_min, rho_max, n_space)
-    for j, t in enumerate(tg):
-        pts[j * n_space : (j + 1) * n_space, 0] = t
-        pts[j * n_space : (j + 1) * n_space, 1] = rhog * (T - t)
-    return pts
+    return np.column_stack([np.repeat(tg, n_space), np.outer(T - tg, rhog).ravel()])
 
 
 def rectangle_points(a_range, b_range, n_a: int, n_b: int) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Each test prints a single PASS/FAIL line for its criterion before asserting,
 so a verbose run reads as a checklist. Shared evolution runs live in a
-session fixture; everything else is computed inline.
+session fixture, and criteria 5 and 10 read the shared audit report from
+conftest.py; everything else is computed inline.
 
 Criterion 7 starts its runs from the window |x| <= 0.8, whose exact domain
 of dependence still holds the t = 0.8 slice; its docstring gives the
@@ -15,7 +16,6 @@ import time
 import numpy as np
 import pytest
 
-from zmclab.audit import run_audit
 from zmclab.cli import main
 from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet
 from zmclab.conserved import QuadratureWeight, measure_scaling_exponent
@@ -142,10 +142,10 @@ def test_criterion_04_steady_ode_reproduction():
             f"asinh gap {gap_asinh:.3f} >= {0.09 * k:.3f}")
 
 
-def test_criterion_05_mode_roots_and_classification():
+def test_criterion_05_mode_roots_and_classification(audit_report):
     report = solve_mode_quadratic()
     audit_claim = next(
-        c for c in run_audit().claims if c.id == "separable-mode-roots"
+        c for c in audit_report.claims if c.id == "separable-mode-roots"
     )
     ok = (
         set(report.roots) == {1.0, -4.0}
@@ -235,7 +235,7 @@ def test_criterion_09_momentum_conservation(excised_runs):
             f"flux-corrected relative drift {drift:.2e}")
 
 
-def test_criterion_10_linearization_consistency():
+def test_criterion_10_linearization_consistency(audit_report):
     zero = (lambda r: 0.0, lambda r: 0.0, lambda r: 0.0)
 
     def s(rho):
@@ -249,7 +249,7 @@ def test_criterion_10_linearization_consistency():
     check = directional_linearization_check(
         zero, bump, 1e-6, np.linspace(0.15, 0.85, 50)
     )
-    branch = run_audit().measurements["branch_linearization"]
+    branch = audit_report.measurements["branch_linearization"]
     ok = check.max_abs_difference <= 1e-5 and "max_abs_difference" in branch
     verdict(10, "linearization-consistency", ok,
             f"zero-base mismatch {check.max_abs_difference:.2e}; branch "

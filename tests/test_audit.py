@@ -30,16 +30,14 @@ EXPECTED_VERDICTS = (
 )
 
 
-def test_audit_runs_the_fixed_claim_list_in_order():
-    report = run_audit()
-    assert tuple(c.id for c in report.claims) == EXPECTED_IDS
-    assert tuple(c.verdict for c in report.claims) == EXPECTED_VERDICTS
-    assert report.all_as_expected
+def test_audit_runs_the_fixed_claim_list_in_order(audit_report):
+    assert tuple(c.id for c in audit_report.claims) == EXPECTED_IDS
+    assert tuple(c.verdict for c in audit_report.claims) == EXPECTED_VERDICTS
+    assert audit_report.all_as_expected
 
 
-def test_audit_claims_carry_both_sides_of_each_comparison():
-    report = run_audit()
-    for claim in report.claims:
+def test_audit_claims_carry_both_sides_of_each_comparison(audit_report):
+    for claim in audit_report.claims:
         assert claim.claimed
         assert claim.computed
         assert claim.source_location
@@ -47,16 +45,16 @@ def test_audit_claims_carry_both_sides_of_each_comparison():
                                  "measured-no-claim")
 
 
-def test_gradient_amplitude_claim_shows_the_factor_two():
-    claim = next(c for c in run_audit().claims
+def test_gradient_amplitude_claim_shows_the_factor_two(audit_report):
+    claim = next(c for c in audit_report.claims
                  if c.id == "gradient-blowup-amplitude")
     assert "4.000000e+00" in claim.computed
     assert "2.0" in claim.claimed
     assert "factor 2" in claim.note
 
 
-def test_mode_roots_claim_reports_swapped_pair():
-    claim = next(c for c in run_audit().claims if c.id == "separable-mode-roots")
+def test_mode_roots_claim_reports_swapped_pair(audit_report):
+    claim = next(c for c in audit_report.claims if c.id == "separable-mode-roots")
     assert "{1, -4}" in claim.computed
     assert "{4, -1}" in claim.claimed
     assert "one growing" in claim.computed or "unstable" in claim.computed
@@ -69,8 +67,8 @@ def test_audit_is_byte_deterministic():
     assert "NaN" not in a
 
 
-def test_audit_json_shape():
-    doc = json.loads(dumps_json(run_audit().to_json_dict()))
+def test_audit_json_shape(audit_report):
+    doc = json.loads(dumps_json(audit_report.to_json_dict()))
     assert doc["n_claims"] == 9
     assert doc["all_as_expected"] is True
     assert doc["verdict_counts"]["match"] == 3
@@ -81,10 +79,10 @@ def test_audit_json_shape():
         assert claim["as_expected"] is True
 
 
-def test_branch_linearization_measurement_is_reported():
+def test_branch_linearization_measurement_is_reported(audit_report):
     """The branch-profile linearization has no stated value to audit against,
     so the report carries the raw measurement and an inconsistency flag."""
-    m = run_audit().measurements["branch_linearization"]
+    m = audit_report.measurements["branch_linearization"]
     assert m["n_samples"] == 50
     assert m["max_abs_difference"] <= 1e-8
     assert m["flagged_inconsistent"] is False

@@ -125,7 +125,7 @@ def test_evolve_flag_overrides_win(tmp_path, capsys):
     diag = tmp_path / "short.csv"
     code, out, _ = run_cli(
         capsys, "evolve", str(cfg),
-        "--set", "t_end=0.1", "--set", "fit=false",
+        "--set", "t_end = 0.1", "--set", "fit=false",
         "--set", f"diagnostics_csv={diag}",
     )
     assert code == 0
@@ -207,6 +207,19 @@ def test_scaling_measurement(capsys):
     assert abs(doc["exponent"] + 1.0) <= 1e-8
     assert doc["matches_claim"] is False
     assert len(doc["energies"]) == 4
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("scaling", "--lambdas", "0.5,abc"), "--lambdas"),
+    (("scaling", "--window", "0.3"), "--window"),
+    (("scaling", "--lambdas", "1,2"), "--lambdas"),
+    (("verify", "--equation", "born-infeld", "--family", "log", "--samples", "-5"),
+     "--samples"),
+])
+def test_malformed_flag_exits_two_naming_the_flag(capsys, argv, flag):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert f"argument {flag}:" in err
 
 
 def test_usage_error_from_argparse_maps_to_two(capsys):

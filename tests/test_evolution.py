@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import zmclab.evolution
 from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet
 from zmclab.errors import ArityError, ConsistencyError, DegeneracyError, DomainError
 from zmclab.evolution import (
@@ -145,6 +146,22 @@ def test_window_exhausts_at_dependence_collapse():
     # the surviving nodes are still tracking the closed form
     assert sup_error_against(run, STRING_LOG) <= 1e-6
     assert np.all(np.diff(run.active_nodes) <= 0)
+
+
+def test_speeds_and_fluxes_are_computed_once_per_step(monkeypatch):
+    """Each step's post-step speeds and fluxes serve as the next step's old
+    values, so neither is recomputed on the same nodes."""
+    calls = {"characteristic_speeds": 0, "momentum_flux": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(zmclab.evolution, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(zmclab.evolution, name, counted)
+    run = run_evolution(string_state(200), EvolutionConfig(blowup_time=1.0, t_end=0.8))
+    assert run.status is RunStatus.DOMAIN_EXHAUSTED
+    assert run.n_steps >= 100
+    for name, count in calls.items():
+        assert run.n_steps < count <= run.n_steps + 2, name
 
 
 def test_parity_preserved_by_symmetric_run():

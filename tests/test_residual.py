@@ -162,6 +162,20 @@ def test_sweep_reports_first_of_tied_worst_points():
     assert sweep_residual(eq, sol, pts[::-1]).worst_point == (0.0, 0.5)
 
 
+@pytest.mark.parametrize("T, n_time, n_space, margin", [
+    (0.7, 3, 7, 0.01), (1.0, 20, 20, 0.02), (2.5, 17, 5, 0.1),
+])
+def test_cone_samplers_match_per_slice_loop(T, n_time, n_space, margin):
+    """The whole-array samplers give the points of one linspace per slice."""
+    rhog = np.linspace(0.01, 0.95, n_space)
+    light = [(t, x) for t in np.linspace(0.0, T - 2 * margin, n_time)
+             for x in np.linspace(-(T - t - margin), T - t - margin, n_space)]
+    cone = [(t, x) for t in np.linspace(margin, T - 2 * margin, n_time)
+            for x in rhog * (T - t)]
+    assert np.array_equal(lightcone_interior_points(T, n_time, n_space, margin), light)
+    assert np.array_equal(backward_cone_points(T, n_time, n_space, margin), cone)
+
+
 def test_report_rejects_rms_above_max():
     with pytest.raises(DomainError):
         ResidualReport("born-infeld", 4, max_abs=1.0, rms=2.0, worst_point=(0.0, 0.0))
