@@ -207,7 +207,6 @@ def cmd_audit(args) -> int:
     return EXIT_OK if report.all_as_expected else EXIT_TOLERANCE
 
 
-# evolve config schema: key -> (parser, default); None means "must be given"
 def _parse_bool(text: str) -> bool:
     if text in ("true", "yes", "1"):
         return True
@@ -216,6 +215,10 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# evolve config schema: key -> (parser, default). The required equation and
+# the EvolutionConfig settings have no default here; a setting the config
+# leaves out keeps EvolutionConfig's default.
+EVOLUTION_SETTINGS = ("cfl", "dissipation", "max_gradient", "min_disc_floor", "dt_floor")
 CONFIG_SCHEMA = {
     "equation": (str, None),
     "family": (str, "zero"),
@@ -226,11 +229,7 @@ CONFIG_SCHEMA = {
     "lo": (float, -0.5),
     "hi": (float, 0.5),
     "n": (int, 400),
-    "cfl": (float, 0.5),
-    "dissipation": (float, 0.01),
-    "max_gradient": (float, None),
-    "min_disc_floor": (float, 1e-6),
-    "dt_floor": (float, 1e-12),
+    **{key: (float, None) for key in EVOLUTION_SETTINGS},
     "diagnostics_csv": (str, "diagnostics.csv"),
     "snapshots_csv": (str, ""),
     "fit": (_parse_bool, False),
@@ -309,7 +308,8 @@ def cmd_evolve(args) -> int:
     if "equation" not in values:
         raise ConfigError("config is missing the required key 'equation'")
     for key, (_, default) in CONFIG_SCHEMA.items():
-        values.setdefault(key, default)
+        if default is not None:
+            values.setdefault(key, default)
     equation = EQUATION_BY_NAME.get(values["equation"])
     if equation is None:
         raise ConfigError(f"unknown equation {values['equation']!r}")
@@ -325,11 +325,7 @@ def cmd_evolve(args) -> int:
         blowup_time=values["T"],
         t_end=values["t_end"],
         equation=equation,
-        cfl=values["cfl"],
-        dissipation=values["dissipation"],
-        max_gradient=values["max_gradient"],
-        min_disc_floor=values["min_disc_floor"],
-        dt_floor=values["dt_floor"],
+        **{key: values[key] for key in EVOLUTION_SETTINGS if key in values},
     )
 
     try:
@@ -372,14 +368,20 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _positive(kind):
+    """argparse type: a value of kind (int or float) greater than zero."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not value > 0:
+            what = "integer" if kind is int else "number"
+            raise argparse.ArgumentTypeError(f"must be a positive {what}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _comma_floats(count: int, exact: bool = False):
@@ -413,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=sorted(FAMILY_BY_NAME))
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--samples", type=_positive_int, default=400,
+    p.add_argument("--samples", type=_positive(int), default=400,
                    help="approximate total sample count")
     p.add_argument("--margin", type=float, default=0.02)
     p.add_argument("--rho-max", type=float, default=0.95, dest="rho_max")
@@ -423,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="shoot the profile equation from the axis")
     p.add_argument("--a", type=float, required=True, help="axis height phi(0)")
     p.add_argument("--rho-max", type=float, default=0.9, dest="rho_max")
-    p.add_argument("--drho", type=float, default=1e-3)
+    p.add_argument("--drho", type=_positive(float), default=1e-3)
     p.add_argument("--tolerance", type=float, default=None,
                    help="enable adaptive stepping at this local tolerance")
     p.add_argument("--csv", default="profile.csv")

@@ -1,7 +1,7 @@
 """Explicit solution families and their analytic 2-jets.
 
 Four closed forms, one catastrophically simple regression anchor, and the
-domain predicates that keep evaluation away from the singular cone boundary:
+domain check that keeps evaluation away from the singular cone boundary:
 
 * a logarithmic blow-up family for the timelike string (Born-Infeld)
   equation, u = k*log((T-t+x)/(T-t-x)) on the interior lightcone;
@@ -50,40 +50,6 @@ _K_REQUIRED = {
 }
 
 
-class DomainKind(Enum):
-    INTERIOR_LIGHTCONE = "interior-lightcone"  # |x| < T-t and 0 <= t < T
-    BACKWARD_LIGHTCONE = "backward-lightcone"  # 0 <= r <= T-t and 0 < t < T
-    HALF_PLANE = "half-plane"  # first coordinate < T
-
-
-@dataclass(frozen=True)
-class LightconeDomain:
-    kind: DomainKind
-    T: float
-
-    def __post_init__(self) -> None:
-        if not (self.T > 0):
-            raise DomainError(f"domain parameter T must be positive, got {self.T}")
-
-
-def domain_contains(domain: LightconeDomain, point) -> bool:
-    """Strict membership test, exactly as the sets are defined.
-
-    The backward lightcone is closed on its outgoing edge (r = T-t allowed)
-    and open in time; the interior lightcone is open in space and half-open
-    in time.
-    """
-    a, b = float(point[0]), float(point[1])
-    T = domain.T
-    if domain.kind is DomainKind.INTERIOR_LIGHTCONE:
-        return (0.0 <= a < T) and (abs(b) < T - a)
-    if domain.kind is DomainKind.BACKWARD_LIGHTCONE:
-        return (0.0 < a < T) and (0.0 <= b <= T - a)
-    if domain.kind is DomainKind.HALF_PLANE:
-        return a < T
-    raise DomainError(f"unknown domain kind {domain.kind!r}")
-
-
 # backend functions (log, sqrt, atan, asinh): numpy ufuncs in double
 # precision, mpmath through object arrays in extended precision
 _DOUBLE_FUNCS = (np.log, np.sqrt, np.arctan, np.arcsinh)
@@ -113,13 +79,6 @@ class ClosedFormSolution:
             raise DomainError("solution parameters must be finite")
         if self.family in _K_REQUIRED and self.k == 0.0:
             raise DomainError(f"family {self.family.value} needs k != 0")
-
-    def domain(self) -> LightconeDomain:
-        if self.family is Family.BORN_INFELD_LOG:
-            return LightconeDomain(DomainKind.INTERIOR_LIGHTCONE, self.T)
-        if self.family in (Family.MEMBRANE_SPHERE_PLUS, Family.MEMBRANE_SPHERE_MINUS):
-            return LightconeDomain(DomainKind.BACKWARD_LIGHTCONE, self.T)
-        return LightconeDomain(DomainKind.HALF_PLANE, self.T)
 
 
 def _check_interior(sol: ClosedFormSolution, a: np.ndarray, b: np.ndarray) -> None:

@@ -22,6 +22,7 @@ from .numerics import log_log_fit, trapezoid
 from .residuals import EPS_DEGENERATE
 
 CLAIMED_ENERGY_SCALING_EXPONENT = 1.0
+SCALING_NODES = 2001  # window nodes of each energy quadrature
 
 
 class QuadratureWeight(enum.Enum):
@@ -29,29 +30,29 @@ class QuadratureWeight(enum.Enum):
     COORDINATE = "coordinate"
 
 
-def lorentz_root(p, q, eps_degenerate=EPS_DEGENERATE):
+def lorentz_root(p, q):
     """W = sqrt(1 - p^2 + q^2), elementwise, refusing degenerate slopes."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     disc = 1.0 - p * p + q * q
     worst = float(np.min(disc))
-    if worst <= eps_degenerate:
+    if worst <= EPS_DEGENERATE:
         raise DegeneracyError(
             f"Lorentz root degenerates: min(1 - p^2 + q^2) = {worst:.3e}"
         )
     return np.sqrt(disc)
 
 
-def momentum_density(p, q, eps_degenerate=EPS_DEGENERATE):
-    return np.asarray(p, dtype=float) / lorentz_root(p, q, eps_degenerate)
+def momentum_density(p, q):
+    return np.asarray(p, dtype=float) / lorentz_root(p, q)
 
 
-def momentum_flux(p, q, eps_degenerate=EPS_DEGENERATE):
-    return np.asarray(q, dtype=float) / lorentz_root(p, q, eps_degenerate)
+def momentum_flux(p, q):
+    return np.asarray(q, dtype=float) / lorentz_root(p, q)
 
 
-def total_momentum(p, q, xs, eps_degenerate=EPS_DEGENERATE):
-    return trapezoid(momentum_density(p, q, eps_degenerate), xs)
+def total_momentum(p, q, xs):
+    return trapezoid(momentum_density(p, q), xs)
 
 
 def quadratic_energy(p, q, xs, weight=QuadratureWeight.UNWEIGHTED):
@@ -99,7 +100,6 @@ def measure_scaling_exponent(
     t0: float,
     window,
     lambdas=(0.5, 1.0, 2.0, 4.0),
-    n: int = 2001,
     weight: QuadratureWeight = QuadratureWeight.UNWEIGHTED,
 ) -> ScalingMeasurement:
     """Measure how the windowed quadratic energy of the rescaled family scales.
@@ -120,7 +120,7 @@ def measure_scaling_exponent(
     if not lo < hi:
         raise DomainError("window must be increasing")
 
-    base_xs = np.linspace(lo, hi, n)
+    base_xs = np.linspace(lo, hi, SCALING_NODES)
     p, q = evaluate_jet(sol, (t0, base_xs)).d1
 
     energies = []

@@ -204,28 +204,28 @@ def _edge_offset(n_nodes):
     return max(0, min(3, (n_nodes - 6) // 2))
 
 
-def _incoming_speed(speeds, xs, x_edge, h):
+def _incoming_speed(speeds, x_node, x_edge, h):
     """Rightward speed of exterior information at the left float edge.
 
-    The speeds live on the nodes; the edge sits up to one spacing outside
-    the outermost retained node.  Extrapolate quadratically from just
-    inside the edge error layer: the tail must carry the curvature of the
-    speed profile, a linear one biases the edge measurably.
+    speeds holds both characteristic speeds on the three nodes from x_node
+    inward, just inside the edge error layer; the edge sits up to one
+    spacing outside the outermost retained node.  Extrapolate
+    quadratically: the tail must carry the curvature of the speed profile,
+    a linear one biases the edge measurably.
     """
-    k = _edge_offset(xs.size)
-    d = (xs[k] - x_edge) / h
-    lo, hi = (_quadratic_tail(*s[k:k + 3].tolist(), d) for s in speeds)
+    d = (x_node - x_edge) / h
+    lo, hi = (_quadratic_tail(*s.tolist(), d) for s in speeds)
     return max(0.0, lo, hi)
 
 
-def _advance_edge(speeds, speeds_new, xs, x_edge, h, dt):
+def _advance_edge(speeds, speeds_new, x_node, x_edge, h, dt):
     """Heun step of the left float edge at the incoming characteristic speed.
 
-    The right edge takes the same step on the mirrored window, which is
+    The right edge takes the same step on the mirrored nodes, which is
     exact in floating point: negation commutes with every operation here.
     """
-    v0 = _incoming_speed(speeds, xs, x_edge, h)
-    v1 = _incoming_speed(speeds_new, xs, x_edge + dt * v0, h)
+    v0 = _incoming_speed(speeds, x_node, x_edge, h)
+    v1 = _incoming_speed(speeds_new, x_node, x_edge + dt * v0, h)
     return x_edge + 0.5 * dt * (v0 + v1)
 
 
@@ -329,10 +329,13 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
 
         # advance the excision edges at the local incoming characteristic
         # speed (Heun in time): exterior data can never reach a kept node
+        k = _edge_offset(xs.size)
         if not axis_pinned:
-            left_edge = _advance_edge(speeds, speeds_new, xs, left_edge, h, dt)
-        mirrored = [(-hi[::-1], -lo[::-1]) for lo, hi in (speeds, speeds_new)]
-        right_edge = -_advance_edge(*mirrored, -xs[::-1], -right_edge, h, dt)
+            near = [[s[k:k + 3] for s in pair] for pair in (speeds, speeds_new)]
+            left_edge = _advance_edge(*near, xs[k], left_edge, h, dt)
+        far = slice(xs.size - 3 - k, xs.size - k)
+        mirrored = [(-hi[far][::-1], -lo[far][::-1]) for lo, hi in (speeds, speeds_new)]
+        right_edge = -_advance_edge(*mirrored, -xs[-1 - k], -right_edge, h, dt)
 
         keep = (xs >= left_edge - 1e-12) & (xs <= right_edge + 1e-12)
         kept = int(np.sum(keep))

@@ -4,9 +4,8 @@ Uniform 1D grids, second-order finite-difference stencils, the classical
 RK4 integrator (fixed step and a step-halving adaptive wrapper), composite
 trapezoid quadrature, and least-squares fits in log-log coordinates.
 
-All arithmetic is IEEE double precision. Stencils are central everywhere;
-one-sided second-order variants exist but only fire when a caller asks for
-them explicitly, otherwise evaluating at an array edge is an error.
+All arithmetic is IEEE double precision. Stencils are central, so
+evaluating one at an array edge is an error.
 """
 from __future__ import annotations
 
@@ -26,6 +25,8 @@ from .errors import (
 _np_trapezoid = getattr(np, "trapezoid", None)
 if _np_trapezoid is None:  # pragma: no cover - depends on numpy version
     _np_trapezoid = np.trapz
+
+DT_MIN = 1e-12  # floor of the adaptive RK4 step
 
 
 @dataclass(frozen=True)
@@ -99,42 +100,16 @@ class Jet2:
                 raise NonFiniteError(f"non-finite jet entry {bad!r}")
 
 
-def _d1_weights(m: int, i: int, h: float, one_sided: bool):
-    """Offsets and coefficients of a second-order first-derivative stencil
-    at index i of an array of length m."""
-    if 1 <= i <= m - 2:
-        return (-1, 1), (-0.5 / h, 0.5 / h)
-    if not one_sided:
+def _central_weights(m: int, i: int, h: float):
+    """Offsets and coefficients of the second-order central first- and
+    second-derivative stencils at index i of an array of length m."""
+    if not 1 <= i <= m - 2:
         raise BoundaryError(
-            f"index {i} is at the edge of {m} samples; one-sided stencils "
-            "must be requested explicitly"
+            f"index {i} is at the edge of {m} samples; central stencils need "
+            "a sample on each side"
         )
-    if m < 3:
-        raise BoundaryError("one-sided first derivative needs at least 3 samples")
-    if i == 0:
-        return (0, 1, 2), (-1.5 / h, 2.0 / h, -0.5 / h)
-    if i == m - 1:
-        return (0, -1, -2), (1.5 / h, -2.0 / h, 0.5 / h)
-    raise BoundaryError(f"index {i} outside array of length {m}")
-
-
-def _d2_weights(m: int, i: int, h: float, one_sided: bool):
-    """Offsets and coefficients of a second-order second-derivative stencil."""
     h2 = h * h
-    if 1 <= i <= m - 2:
-        return (-1, 0, 1), (1.0 / h2, -2.0 / h2, 1.0 / h2)
-    if not one_sided:
-        raise BoundaryError(
-            f"index {i} is at the edge of {m} samples; one-sided stencils "
-            "must be requested explicitly"
-        )
-    if m < 4:
-        raise BoundaryError("one-sided second derivative needs at least 4 samples")
-    if i == 0:
-        return (0, 1, 2, 3), (2.0 / h2, -5.0 / h2, 4.0 / h2, -1.0 / h2)
-    if i == m - 1:
-        return (0, -1, -2, -3), (2.0 / h2, -5.0 / h2, 4.0 / h2, -1.0 / h2)
-    raise BoundaryError(f"index {i} outside array of length {m}")
+    return ((-1, 1), (-0.5 / h, 0.5 / h)), ((-1, 0, 1), (1.0 / h2, -2.0 / h2, 1.0 / h2))
 
 
 def central_diff_jet2(
@@ -143,15 +118,13 @@ def central_diff_jet2(
     spacing: float,
     time_index: int | None = None,
     time_spacing: float | None = None,
-    one_sided: bool = False,
 ) -> Jet2:
     """Second-order finite-difference 2-jet of a sampled field.
 
     field may be 1D (a single spatial level; the leading variable is then
     treated as frozen and its derivative entries are zero) or 2D with shape
-    (time levels, nodes). Central stencils require the index to be at least
-    one node/level away from every boundary; pass one_sided=True to allow
-    second-order one-sided stencils at edges instead of the boundary error.
+    (time levels, nodes). The central stencils require the index to be at
+    least one node/level away from every boundary.
     """
     field = np.asarray(field, dtype=float)
     if spacing <= 0:
@@ -159,8 +132,7 @@ def central_diff_jet2(
 
     if field.ndim == 1:
         m = field.shape[0]
-        off1, w1 = _d1_weights(m, node_index, spacing, one_sided)
-        off2, w2 = _d2_weights(m, node_index, spacing, one_sided)
+        (off1, w1), (off2, w2) = _central_weights(m, node_index, spacing)
         fx = sum(w * field[node_index + o] for o, w in zip(off1, w1))
         fxx = sum(w * field[node_index + o] for o, w in zip(off2, w2))
         return Jet2(
@@ -177,10 +149,8 @@ def central_diff_jet2(
         raise DomainError(f"time spacing must be positive, got {time_spacing}")
 
     levels, m = field.shape
-    t_off1, t_w1 = _d1_weights(levels, time_index, time_spacing, one_sided)
-    t_off2, t_w2 = _d2_weights(levels, time_index, time_spacing, one_sided)
-    x_off1, x_w1 = _d1_weights(m, node_index, spacing, one_sided)
-    x_off2, x_w2 = _d2_weights(m, node_index, spacing, one_sided)
+    (t_off1, t_w1), (t_off2, t_w2) = _central_weights(levels, time_index, time_spacing)
+    (x_off1, x_w1), (x_off2, x_w2) = _central_weights(m, node_index, spacing)
 
     j, i = time_index, node_index
     ft = sum(w * field[j + o, i] for o, w in zip(t_off1, t_w1))
@@ -227,12 +197,9 @@ def rk4_step(state, derivative, t: float, dt: float):
     _check_stage_finite(k3, "stage 3", t + 0.5 * dt)
     k4 = derivative(t + dt, state + dt * np.asarray(k3))
     _check_stage_finite(k4, "stage 4", t + dt)
-    out = state + (dt / 6.0) * (
+    return state + (dt / 6.0) * (
         np.asarray(k1) + 2.0 * np.asarray(k2) + 2.0 * np.asarray(k3) + np.asarray(k4)
     )
-    if np.isscalar(state) or np.asarray(state).ndim == 0:
-        return float(out)
-    return out
 
 
 def rk4_integrate(derivative, t0: float, state0, t_end: float, dt: float):
@@ -261,12 +228,11 @@ def rk4_adaptive_step(
     state,
     dt: float,
     abs_tol: float = 1e-10,
-    dt_min: float = 1e-12,
 ):
     """One accepted RK4 step with step-doubling error control.
 
     Compares a full step against two half steps; halves dt until the
-    discrepancy is within abs_tol, raising StepFloorError at dt_min. Returns
+    discrepancy is within abs_tol, raising StepFloorError below DT_MIN. Returns
     (t_new, state_new, dt_used, dt_next) where state_new is the two-half-step
     result and dt_next grows by 2 when the error was far below tolerance.
 
@@ -275,8 +241,8 @@ def rk4_adaptive_step(
     if abs_tol <= 0:
         raise DomainError(f"abs_tol must be positive, got {abs_tol}")
     while True:
-        if dt < dt_min:
-            raise StepFloorError(f"step size {dt} fell below the floor {dt_min} at t={t}")
+        if dt < DT_MIN:
+            raise StepFloorError(f"step size {dt} fell below the floor {DT_MIN} at t={t}")
         full = rk4_step(state, derivative, t, dt)
         half = rk4_step(state, derivative, t, 0.5 * dt)
         half2 = rk4_step(half, derivative, t + 0.5 * dt, 0.5 * dt)

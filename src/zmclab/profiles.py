@@ -31,7 +31,7 @@ from .errors import (
     SingularPointError,
     StepFloorError,
 )
-from .numerics import rk4_adaptive_step, rk4_step
+from .numerics import DT_MIN, rk4_adaptive_step, rk4_step
 from .residuals import ResidualReport
 
 # A shoot is declared degenerate once 1 - rho^2 - phi^2 drops below this.
@@ -40,8 +40,6 @@ EPS_DEGENERATE_GAP = 1e-8
 # Axis starts are offset to rho = RHO_START_FACTOR * drho; the constant
 # continuation from the axis makes the offset exact rather than approximate.
 RHO_START_FACTOR = 10.0
-
-DRHO_MIN_DEFAULT = 1e-12
 
 
 class Termination(enum.Enum):
@@ -122,16 +120,16 @@ def first_order_branch_residual(phi, dphi, rho):
     )
 
 
-def phi_second_derivative(phi, dphi, rho, eps_degenerate=EPS_DEGENERATE_GAP):
+def phi_second_derivative(phi, dphi, rho):
     """Solve the regrouped equation for phi''.
 
     Raises SingularPointError on the axis and DegeneracyError once the
-    leading-coefficient gap 1 - rho^2 - phi^2 falls to eps_degenerate.
+    leading-coefficient gap 1 - rho^2 - phi^2 falls to EPS_DEGENERATE_GAP.
     """
     if rho <= 0.0:
         raise SingularPointError("profile equation is singular on the axis rho = 0")
     gap = 1.0 - rho * rho - phi * phi
-    if gap <= eps_degenerate:
+    if gap <= EPS_DEGENERATE_GAP:
         raise DegeneracyError(
             f"leading coefficient degenerates: 1 - rho^2 - phi^2 = {gap:.3e} "
             f"at rho = {rho:.6f}"
@@ -157,15 +155,13 @@ def integrate_profile(
     rho_max: float,
     drho: float,
     tolerance: float | None = None,
-    eps_degenerate: float = EPS_DEGENERATE_GAP,
-    drho_min: float = DRHO_MIN_DEFAULT,
 ) -> ProfileRun:
     """March the profile equation outward from state0 to rho_max.
 
     Fixed RK4 steps of size drho when tolerance is None; otherwise
     step-doubling adaptive RK4 with drho as the first trial step.  The
     run stops early if the leading coefficient degenerates, a state goes
-    non-finite, or the adaptive step shrinks below drho_min.
+    non-finite, or the adaptive step shrinks below DT_MIN.
     """
     if rho_max <= state0.rho:
         raise DomainError("rho_max must exceed the starting rho")
@@ -173,9 +169,7 @@ def integrate_profile(
         raise DomainError("drho must be positive")
 
     def slope(r, s):
-        return np.array(
-            [s[1], phi_second_derivative(s[0], s[1], r, eps_degenerate)]
-        )
+        return np.array([s[1], phi_second_derivative(s[0], s[1], r)])
 
     rhos = [state0.rho]
     phis = [state0.phi]
@@ -194,10 +188,10 @@ def integrate_profile(
                 rho_new = rho + step
             else:
                 rho_new, y_new, _, trial = rk4_adaptive_step(
-                    slope, rho, y, step, abs_tol=tolerance, dt_min=drho_min
+                    slope, rho, y, step, abs_tol=tolerance
                 )
         except DegeneracyError:
-            if tolerance is not None and step * 0.5 >= drho_min:
+            if tolerance is not None and step * 0.5 >= DT_MIN:
                 # shrink toward the circle instead of stopping a step early
                 trial = step * 0.5
                 continue
@@ -214,7 +208,7 @@ def integrate_profile(
         rhos.append(rho)
         phis.append(float(y[0]))
         dphis.append(float(y[1]))
-        if 1.0 - rho * rho - y[0] * y[0] <= eps_degenerate:
+        if 1.0 - rho * rho - y[0] * y[0] <= EPS_DEGENERATE_GAP:
             termination = Termination.DEGENERACY_HIT
             degeneracy_location = rho
             break
@@ -230,7 +224,6 @@ def shoot_profile(
     rho_max: float,
     drho: float,
     tolerance: float | None = None,
-    eps_degenerate: float = EPS_DEGENERATE_GAP,
 ) -> ProfileRun:
     """Launch an axis-regular shoot with phi = height and zero slope.
 
@@ -239,14 +232,12 @@ def shoot_profile(
     """
     if not math.isfinite(height):
         raise DomainError("height must be finite")
-    if 1.0 - height * height <= eps_degenerate:
+    if 1.0 - height * height <= EPS_DEGENERATE_GAP:
         raise DegenerateStartError(
             f"height {height!r} starts on or outside the degenerate circle"
         )
     start = ProfileState(rho=RHO_START_FACTOR * drho, phi=height, dphi=0.0)
-    return integrate_profile(
-        start, rho_max, drho, tolerance=tolerance, eps_degenerate=eps_degenerate
-    )
+    return integrate_profile(start, rho_max, drho, tolerance=tolerance)
 
 
 def verify_branch(sign=1, n_samples=1000, rho_range=(0.01, 0.99)) -> ResidualReport:

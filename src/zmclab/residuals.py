@@ -28,6 +28,7 @@ from .errors import DegeneracyError, DomainError, RegularityError, SingularPoint
 from .numerics import Jet2
 
 EPS_DEGENERATE = 1e-10
+RHO_MIN = 0.01  # innermost similarity radius of the backward-cone sampler
 
 
 class EquationId(Enum):
@@ -128,7 +129,7 @@ def residual_at_axis(jet: Jet2) -> float:
     return utt - 2 * urr * (1 - ut * ut)
 
 
-def divergence_form_residual(jet: Jet2, point=None, eps_degenerate: float = EPS_DEGENERATE) -> float:
+def divergence_form_residual(jet: Jet2) -> float:
     """Residual of the conservation-law form d/dt(u_t/W) - d/dx(u_x/W) with
     W = sqrt(1 - u_t^2 + u_x^2).
 
@@ -141,9 +142,9 @@ def divergence_form_residual(jet: Jet2, point=None, eps_degenerate: float = EPS_
     ut, ux = jet.d1
     utt, utx, uxx = jet.d2
     disc = 1 - ut * ut + ux * ux
-    if disc <= eps_degenerate:
+    if disc <= EPS_DEGENERATE:
         raise DegeneracyError(
-            f"discriminant 1 - u_t^2 + u_x^2 = {float(disc)} <= {eps_degenerate}; "
+            f"discriminant 1 - u_t^2 + u_x^2 = {float(disc)} <= {EPS_DEGENERATE}; "
             "the divergence form degenerates on lightlike backgrounds"
         )
     W = math.sqrt(disc) if isinstance(disc, float) else disc**0.5
@@ -175,18 +176,17 @@ def backward_cone_points(
     n_time: int,
     n_space: int,
     margin: float,
-    rho_min: float = 0.01,
     rho_max: float = 0.95,
 ) -> np.ndarray:
     """Sampling of the backward lightcone at similarity radii
-    rho = r/(T-t) in [rho_min, rho_max]; rho_min stays off the axis because
+    rho = r/(T-t) in [RHO_MIN, rho_max]; RHO_MIN stays off the axis because
     the expanded membrane residual has 1/r terms."""
-    if not (0 < rho_min < rho_max < 1):
-        raise DomainError(f"need 0 < rho_min < rho_max < 1, got [{rho_min}, {rho_max}]")
+    if not (RHO_MIN < rho_max < 1):
+        raise DomainError(f"need {RHO_MIN} < rho_max < 1, got {rho_max}")
     if margin <= 0 or T - 2 * margin <= margin:
         raise DomainError(f"margin {margin} leaves no room inside T={T}")
     tg = np.linspace(margin, T - 2 * margin, n_time)
-    rhog = np.linspace(rho_min, rho_max, n_space)
+    rhog = np.linspace(RHO_MIN, rho_max, n_space)
     return np.column_stack([np.repeat(tg, n_space), np.outer(T - tg, rhog).ravel()])
 
 

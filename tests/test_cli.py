@@ -215,6 +215,8 @@ def test_scaling_measurement(capsys):
     (("scaling", "--lambdas", "1,2"), "--lambdas"),
     (("verify", "--equation", "born-infeld", "--family", "log", "--samples", "-5"),
      "--samples"),
+    (("profile", "--a", "0.5", "--drho", "0"), "--drho"),
+    (("profile", "--a", "0.5", "--drho", "-1"), "--drho"),
 ])
 def test_malformed_flag_exits_two_naming_the_flag(capsys, argv, flag):
     code, _, err = run_cli(capsys, *argv)

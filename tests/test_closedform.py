@@ -5,11 +5,8 @@ import pytest
 
 from zmclab.closedform import (
     ClosedFormSolution,
-    DomainKind,
     Family,
-    LightconeDomain,
     derivative_blowup_amplitude,
-    domain_contains,
     evaluate_jet,
     evaluate_jet_extended,
 )
@@ -65,20 +62,6 @@ def test_claimed_log_family_value():
     sol = ClosedFormSolution(Family.SPACELIKE_LOG_CLAIMED, T=1.0, k=1.0)
     jet = evaluate_jet(sol, (0.0, 0.5))
     assert abs(jet.value - math.asinh(0.5)) < 1e-14
-
-
-def test_domain_contains():
-    L1 = LightconeDomain(DomainKind.INTERIOR_LIGHTCONE, 1.0)
-    assert domain_contains(L1, (0.5, 0.4))
-    assert not domain_contains(L1, (0.5, 0.5))  # on the cone boundary
-    assert not domain_contains(L1, (-0.1, 0.0))
-    B1 = LightconeDomain(DomainKind.BACKWARD_LIGHTCONE, 1.0)
-    assert not domain_contains(B1, (0.9, 0.2))  # r exceeds T - t
-    assert domain_contains(B1, (0.5, 0.5))  # closed edge r = T - t belongs
-    assert not domain_contains(B1, (0.0, 0.1))  # open in time at t = 0
-    H = LightconeDomain(DomainKind.HALF_PLANE, 1.0)
-    assert domain_contains(H, (0.3, 99.0))
-    assert not domain_contains(H, (1.0, 0.0))
 
 
 def test_evaluate_rejects_boundary_and_exterior():
@@ -254,12 +237,3 @@ def test_constant_profile_jet():
             assert entry.shape == xs.shape
         assert [float(v) for v in jet.value] == [0.3 * 0.75] * 7
         assert [float(v) for v in jet.d1[0]] == [-0.3] * 7
-
-
-def test_domains_per_family():
-    assert bi().domain().kind is DomainKind.INTERIOR_LIGHTCONE
-    assert sphere().domain().kind is DomainKind.BACKWARD_LIGHTCONE
-    assert (
-        ClosedFormSolution(Family.SPACELIKE_ARCTAN_CORRECTED, T=1.0, k=1.0).domain().kind
-        is DomainKind.HALF_PLANE
-    )

@@ -173,6 +173,29 @@ def test_parity_preserved_by_symmetric_run():
     assert np.max(np.abs(f.q - f.q[::-1])) <= 1e-10
 
 
+def test_mirrored_window_is_mirror_image():
+    """x -> -x maps the string equation to itself, so a run from mirrored
+    data must be the mirror image of the original run. An off-center window
+    makes the two edges move differently, so each edge update is compared
+    with the other's."""
+    state = string_state(200, lo=-0.3, hi=0.5)
+    mirror = EvolutionState(
+        t=state.t, xs=-state.xs[::-1], u=state.u[::-1].copy(), p=state.p[::-1].copy(),
+        q=-state.q[::-1], spacing=state.spacing,
+    )
+    config = EvolutionConfig(blowup_time=1.0, t_end=0.8)
+    run, run_m = run_evolution(state, config), run_evolution(mirror, config)
+    assert run_m.status is run.status
+    assert run_m.n_steps == run.n_steps
+    assert np.array_equal(run_m.active_nodes, run.active_nodes)
+    assert np.max(np.abs(run_m.times - run.times)) <= 1e-15
+    f, g = run.final, run_m.final
+    assert np.array_equal(g.xs, -f.xs[::-1])
+    assert np.max(np.abs(g.u - f.u[::-1])) <= 1e-12
+    assert np.max(np.abs(g.p - f.p[::-1])) <= 1e-12
+    assert np.max(np.abs(g.q + f.q[::-1])) <= 1e-12
+
+
 def test_momentum_invariant_on_asymmetric_window():
     """Flux-corrected momentum stays put while the raw integral moves.
 

@@ -91,15 +91,6 @@ def test_central_diff_boundary_errors():
         central_diff_jet2(f, 11, 0.1)
 
 
-def test_one_sided_when_requested():
-    # one-sided second-order stencils are opt-in at edges
-    g = Grid1D(0.0, 1.0, 20)
-    f = g.nodes() ** 2
-    jet = central_diff_jet2(f, 0, g.spacing, one_sided=True)
-    assert abs(jet.d1[1] - 0.0) < 1e-10
-    assert abs(jet.d2[2] - 2.0) < 1e-9
-
-
 def test_two_variable_jet_with_mixed_partial():
     """f(t,x) = t^2 x + 3 t x^2 has an exact FD 2-jet up to cubic truncation."""
     dt, dx = 0.01, 0.02
