@@ -111,7 +111,7 @@ def _emit(args, payload: dict) -> None:
         write_json(resolve_output(json_path), payload)
 
 
-def _sample_points(equation, family, T, side, margin, rho_max):
+def _sample_points(family, T, side, margin, rho_max):
     if family is Family.BORN_INFELD_LOG:
         return lightcone_interior_points(T, side, side, margin)
     if family in (
@@ -138,7 +138,7 @@ def cmd_verify(args) -> int:
 
     sol = ClosedFormSolution(family=family, T=args.T, k=args.k)
     side = max(2, int(args.samples**0.5))
-    points = _sample_points(equation, family, args.T, side, args.margin, args.rho_max)
+    points = _sample_points(family, args.T, side, args.margin, args.rho_max)
     report = sweep_residual(equation, sol, points)
 
     if expectation is SOLUTION:
@@ -369,15 +369,15 @@ def cmd_evolve(args) -> int:
 
 
 def _positive(kind):
-    """argparse type: a value of kind (int or float) greater than zero."""
+    """argparse type: a finite value of kind (int or float) greater than zero."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = 0
-        if not value > 0:
-            what = "integer" if kind is int else "number"
+        if not (value > 0 and np.isfinite(value)):
+            what = "integer" if kind is int else "finite number"
             raise argparse.ArgumentTypeError(f"must be a positive {what}, got {text!r}")
         return value
 
@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True, help="axis height phi(0)")
     p.add_argument("--rho-max", type=float, default=0.9, dest="rho_max")
     p.add_argument("--drho", type=_positive(float), default=1e-3)
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=_positive(float), default=None,
                    help="enable adaptive stepping at this local tolerance")
     p.add_argument("--csv", default="profile.csv")
     p.add_argument("--json")

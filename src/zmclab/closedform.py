@@ -15,7 +15,7 @@ domain check that keeps evaluation away from the singular cone boundary:
 Derivatives are hand-derived, hard-coded expressions -- never finite
 differences -- because the residual certification needs machine precision.
 The same expression tree evaluates on scalars or whole arrays, in double
-precision (numpy ufuncs) or in mpmath (object arrays at EXTENDED_DPS
+precision or in double-double arithmetic (DoubleDouble, about 32 significant
 digits), so one call serves a single point, an evolution grid or a whole
 extended-precision certification sweep.
 """
@@ -25,13 +25,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import mpmath
 import numpy as np
 
 from .errors import DomainError
 from .numerics import Jet2
-
-EXTENDED_DPS = 40  # significant digits of the extended-precision jets
 
 
 class Family(Enum):
@@ -50,13 +47,111 @@ _K_REQUIRED = {
 }
 
 
+_SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a 53-bit significand
+
+
+def two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _quick_two_sum(a, b):
+    """two_sum for |a| >= |b|, in three operations (Dekker)."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def two_prod(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly (Dekker) for |a|, |b|
+    below 2^996, each factor split into two 26-bit halves (Veltkamp)."""
+    p = a * b
+    t, u = _SPLITTER * a, _SPLITTER * b
+    a_hi, b_hi = t - (t - a), u - (u - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+class DoubleDouble:
+    """The unevaluated sum hi + lo of two doubles, or of two arrays of them,
+    with |lo| <= ulp(hi)/2: about 32 significant digits (the algorithms of
+    Hida, Li and Bailey, ARITH-15, 2001). Other operands are exact doubles."""
+
+    __slots__ = ("hi", "lo")
+    # numpy ufuncs refuse the type, so ndarray and numpy-scalar operands fall
+    # back to its reflected operators instead of building object arrays
+    __array_ufunc__ = None
+
+    def __init__(self, hi, lo):
+        self.hi, self.lo = hi, lo
+
+    def reshape(self, shape):
+        return DoubleDouble(self.hi.reshape(shape), self.lo.reshape(shape))
+
+    def item(self):
+        return DoubleDouble(self.hi.item(), self.lo.item())
+
+    def __float__(self):
+        return float(self.hi + self.lo)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.hi + self.lo, dtype=dtype)
+
+    def __neg__(self):
+        return DoubleDouble(-self.hi, -self.lo)
+
+    def __add__(self, other):
+        if isinstance(other, DoubleDouble):
+            s, e = two_sum(self.hi, other.hi)
+            t, f = two_sum(self.lo, other.lo)
+            s, e = _quick_two_sum(s, e + t)
+            return DoubleDouble(*_quick_two_sum(s, e + f))
+        s, e = two_sum(self.hi, other)
+        return DoubleDouble(*_quick_two_sum(s, e + self.lo))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, DoubleDouble):
+            other = DoubleDouble(other, 0.0)
+        p, e = two_prod(self.hi, other.hi)
+        return DoubleDouble(*_quick_two_sum(p, e + (self.hi * other.lo + self.lo * other.hi)))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        # the double quotient, corrected by the exact remainder it leaves
+        if not isinstance(other, DoubleDouble):
+            other = DoubleDouble(other, 0.0)
+        q = self.hi / other.hi
+        r = self - other * q
+        return DoubleDouble(*_quick_two_sum(q, r.hi / other.hi))
+
+    def sqrt(self):
+        # one Newton correction of the double root: (x - s^2) / (2 s)
+        s = np.sqrt(self.hi)
+        p, e = two_prod(s, s)
+        return DoubleDouble(*_quick_two_sum(s, ((self.hi - p) - e + self.lo) / (2.0 * s)))
+
+
+def _in_double(f):
+    return lambda v: DoubleDouble(f(v.hi), np.zeros_like(v.hi))
+
+
 # backend functions (log, sqrt, atan, asinh): numpy ufuncs in double
-# precision, mpmath through object arrays in extended precision
+# precision. In double-double only sqrt keeps the extra digits; the others
+# serve the value term alone, which no residual reads
 _DOUBLE_FUNCS = (np.log, np.sqrt, np.arctan, np.arcsinh)
-_EXTENDED_FUNCS = tuple(
-    np.frompyfunc(f, 1, 1) for f in (mpmath.log, mpmath.sqrt, mpmath.atan, mpmath.asinh)
+_DOUBLE_DOUBLE_FUNCS = (
+    _in_double(np.log), DoubleDouble.sqrt, _in_double(np.arctan), _in_double(np.arcsinh)
 )
-_to_mpf = np.frompyfunc(mpmath.mpf, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -117,11 +212,9 @@ def _check_interior(sol: ClosedFormSolution, a: np.ndarray, b: np.ndarray) -> No
 
 def _jet_terms(sol: ClosedFormSolution, a, b, extended: bool):
     """(value, d_a, d_b, d_aa, d_ab, d_bb) as 1-D arrays in the backend's
-    arithmetic. In extended precision a and b are object arrays of mpf, and
-    every constant is a one-element object array: an mpf scalar meeting an
-    ndarray makes mpmath format the whole array before deferring to numpy."""
-    log, sqrt, atan, asinh = _EXTENDED_FUNCS if extended else _DOUBLE_FUNCS
-    number = (lambda v: _to_mpf(np.array([v]))) if extended else float
+    arithmetic; in extended precision a and b are DoubleDouble arrays."""
+    log, sqrt, atan, asinh = _DOUBLE_DOUBLE_FUNCS if extended else _DOUBLE_FUNCS
+    number = (lambda v: DoubleDouble(float(v), 0.0)) if extended else float
     T = number(sol.T)
     k = number(sol.k)
     fam = sol.family
@@ -183,8 +276,8 @@ def _jet_terms(sol: ClosedFormSolution, a, b, extended: bool):
         return value, ux, uy, uxx, uxy, uyy
 
     # constant profile u = c (T - t); k carries c
-    zero = number(0.0)
-    return (k * (T - a), np.full(a.shape, -k), *(np.full(a.shape, zero) for _ in range(4)))
+    ones = 0 * a + 1  # full-shape ones in either arithmetic
+    return (k * (T - a), -k * ones, *(number(0.0) * ones for _ in range(4)))
 
 
 def _evaluate(sol: ClosedFormSolution, point, extended: bool) -> Jet2:
@@ -195,7 +288,7 @@ def _evaluate(sol: ClosedFormSolution, point, extended: bool) -> Jet2:
     a, b = a.ravel(), b.ravel()
     _check_interior(sol, a, b)
     if extended:
-        a, b = _to_mpf(a), _to_mpf(b)
+        a, b = DoubleDouble(a, np.zeros_like(a)), DoubleDouble(b, np.zeros_like(b))
     terms = [t.reshape(shape) for t in _jet_terms(sol, a, b, extended)]
     if not shape:
         terms = [t.item() for t in terms]
@@ -215,16 +308,15 @@ def evaluate_jet(sol: ClosedFormSolution, point) -> Jet2:
 
 
 def evaluate_jet_extended(sol: ClosedFormSolution, point) -> Jet2:
-    """Same jet, computed with mpmath at EXTENDED_DPS significant digits.
+    """Same jet, computed in double-double arithmetic.
 
-    Entries are mpmath.mpf values, or object arrays of them for array input;
-    arithmetic on them inside mpmath.workdps(EXTENDED_DPS) stays in extended
-    precision, which is how the certification sweeps hold residuals of true
-    solutions near the 10^-EXTENDED_DPS level instead of accumulating double
-    rounding.
+    Entries are DoubleDouble scalars, or DoubleDouble arrays for array input.
+    Arithmetic on them stays in double-double, which is how the certification
+    sweeps hold residuals of true solutions some 16 digits below the double
+    rounding floor. The value entry alone is only double-accurate: it is the
+    one term that needs log, atan or asinh, and no residual reads it.
     """
-    with mpmath.workdps(EXTENDED_DPS):
-        return _evaluate(sol, point, extended=True)
+    return _evaluate(sol, point, extended=True)
 
 
 def derivative_blowup_amplitude(sol: ClosedFormSolution, t: float) -> float:

@@ -18,10 +18,6 @@ class DomainError(LabError, ValueError):
     """
 
 
-class BoundaryError(LabError, IndexError):
-    """A finite-difference stencil was requested too close to an array edge."""
-
-
 class ArityError(LabError, ValueError):
     """Too few data points for the requested operation (fits, windows)."""
 

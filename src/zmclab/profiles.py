@@ -41,6 +41,8 @@ EPS_DEGENERATE_GAP = 1e-8
 # continuation from the axis makes the offset exact rather than approximate.
 RHO_START_FACTOR = 10.0
 
+BRANCH_RHO_RANGE = (0.01, 0.99)  # radii verify_branch samples the circle on
+
 
 class Termination(enum.Enum):
     """How an integration of the profile equation ended."""
@@ -240,12 +242,9 @@ def shoot_profile(
     return integrate_profile(start, rho_max, drho, tolerance=tolerance)
 
 
-def verify_branch(sign=1, n_samples=1000, rho_range=(0.01, 0.99)) -> ResidualReport:
-    """Sample the circle profile and report the six-term residual on it."""
-    lo, hi = rho_range
-    if not (0.0 <= lo < hi < 1.0):
-        raise DomainError("rho_range must satisfy 0 <= lo < hi < 1")
-    rhos = np.linspace(lo, hi, n_samples)
+def verify_branch(sign=1, n_samples=1000) -> ResidualReport:
+    """Report the six-term residual on the circle profile over BRANCH_RHO_RANGE."""
+    rhos = np.linspace(*BRANCH_RHO_RANGE, n_samples)
     worst = (float(rhos[0]), 0.0)
     max_abs = -1.0
     total_sq = 0.0

@@ -7,12 +7,12 @@ backgrounds (the sphere caps are exactly lightlike, so only the expanded form
 can certify them).
 
 Residual formulas are plain arithmetic on jet entries, so they work unchanged
-on double-precision and extended-precision (mpmath) jets, at one point or at
-each point of an array. A sweep evaluates one extended-precision jet over
-all of its sample points and the residual formula once over that jet: a true
-solution's residual then sits at the working-precision floor (~1e-35)
-instead of the double rounding floor, which for steep parameter choices is
-all that separates "solution" from "not obviously a solution".
+on double-precision and double-double jets, at one point or at each point of
+an array. A sweep evaluates one double-double jet over all of its sample
+points and the residual formula once over that jet: a true solution's
+residual then sits near 1e-32 times its largest term (1e-23 for the steepest
+log family) instead of the double rounding floor, which for steep parameter
+choices is all that separates "solution" from "not obviously a solution".
 """
 from __future__ import annotations
 
@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import mpmath
 import numpy as np
 
-from .closedform import EXTENDED_DPS, ClosedFormSolution, evaluate_jet_extended
+from .closedform import ClosedFormSolution, evaluate_jet_extended
 from .errors import DegeneracyError, DomainError, RegularityError, SingularPointError
 from .numerics import Jet2
 
@@ -147,7 +146,7 @@ def divergence_form_residual(jet: Jet2) -> float:
             f"discriminant 1 - u_t^2 + u_x^2 = {float(disc)} <= {EPS_DEGENERATE}; "
             "the divergence form degenerates on lightlike backgrounds"
         )
-    W = math.sqrt(disc) if isinstance(disc, float) else disc**0.5
+    W = math.sqrt(disc)
     W3 = W * disc
     dt_part = utt / W - ut * (-ut * utt + ux * utx) / W3
     dx_part = uxx / W - ux * (-ut * utx + ux * uxx) / W3
@@ -201,8 +200,8 @@ def rectangle_points(a_range, b_range, n_a: int, n_b: int) -> np.ndarray:
 def sweep_residual(eq: EquationId, sol: ClosedFormSolution, points: np.ndarray) -> ResidualReport:
     """Evaluate residual_at over every sample point and aggregate.
 
-    Jets and residual arithmetic run in mpmath at EXTENDED_DPS digits; the
-    aggregate magnitudes are returned as doubles, and worst_point is the
+    Jets and residual arithmetic run in double-double; the aggregate
+    magnitudes are returned as doubles, and worst_point is the
     first point attaining max_abs. Domain errors from evaluation propagate to
     the caller: the sampler is responsible for staying inside the validity
     region.
@@ -211,11 +210,8 @@ def sweep_residual(eq: EquationId, sol: ClosedFormSolution, points: np.ndarray) 
     if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] == 0:
         raise DomainError("points must be a non-empty (N, 2) array")
     a, b = points[:, 0], points[:, 1]
-    # the residual arithmetic must run inside the precision context, not just
-    # the jet construction, or it rounds back to ~double
-    with mpmath.workdps(EXTENDED_DPS):
-        jet = evaluate_jet_extended(sol, (a, b))
-        mag = np.abs(residual_at(eq, jet, (a, b)).astype(float))
+    jet = evaluate_jet_extended(sol, (a, b))
+    mag = np.abs(np.asarray(residual_at(eq, jet, (a, b)), dtype=float))
     worst = int(np.argmax(mag))
     n = points.shape[0]
     return ResidualReport(

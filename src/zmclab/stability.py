@@ -143,6 +143,9 @@ class ModeReport:
 
 CLAIMED_MODE_ROOTS = (4.0, -1.0)
 
+PROBE_TAU_END = 6.0  # mode_growth_probe integrates over tau in [0, 6]
+PROBE_DT = 1e-3
+
 
 def solve_mode_quadratic() -> ModeReport:
     """Roots of the axis pencil, computed exactly, against the claimed pair."""
@@ -172,7 +175,7 @@ def solve_mode_quadratic() -> ModeReport:
     )
 
 
-def mode_growth_probe(tau_end=6.0, dt=1e-3):
+def mode_growth_probe():
     """Integrate the axis pencil as an ODE and fit the late-time growth rate.
 
     Returns the fitted exponent, which should land on the larger root.
@@ -182,8 +185,8 @@ def mode_growth_probe(tau_end=6.0, dt=1e-3):
     def slope(_, s):
         return np.array([s[1], -(b * s[1] + c * s[0]) / a])
 
-    taus, states = rk4_integrate(slope, 0.0, np.array([1.0, 0.0]), tau_end, dt)
+    taus, states = rk4_integrate(slope, 0.0, np.array([1.0, 0.0]), PROBE_TAU_END, PROBE_DT)
     w = states[:, 0]
-    tail = taus >= 0.5 * tau_end
+    tail = taus >= 0.5 * PROBE_TAU_END
     coeffs = np.polyfit(taus[tail], np.log(np.abs(w[tail])), 1)
     return float(coeffs[0])

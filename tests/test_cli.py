@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zmclab
 from zmclab.cli import main
 
 REFERENCE_CONFIG = """\
@@ -217,11 +222,33 @@ def test_scaling_measurement(capsys):
      "--samples"),
     (("profile", "--a", "0.5", "--drho", "0"), "--drho"),
     (("profile", "--a", "0.5", "--drho", "-1"), "--drho"),
+    (("profile", "--a", "0.5", "--drho", "inf"), "--drho"),
+    (("profile", "--a", "0.5", "--tolerance", "0"), "--tolerance"),
+    (("profile", "--a", "0.5", "--tolerance", "-1"), "--tolerance"),
+    (("profile", "--a", "0.5", "--tolerance", "nan"), "--tolerance"),
 ])
 def test_malformed_flag_exits_two_naming_the_flag(capsys, argv, flag):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert f"argument {flag}:" in err
+
+
+def test_audit_and_verify_run_without_mpmath(tmp_path):
+    """numpy is the only runtime dependency: with mpmath unimportable, the
+    audit and a certification sweep still exit 0."""
+    script = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from zmclab.cli import main\n"
+        "codes = (main(['audit']),\n"
+        "         main(['verify', '--equation', 'born-infeld', '--family', 'log']))\n"
+        "sys.exit(max(codes))\n"
+    )
+    src = str(Path(zmclab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_usage_error_from_argparse_maps_to_two(capsys):

@@ -1,17 +1,21 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fd_oracles import central_diff_jet2, observed_orders
 from zmclab.closedform import (
     ClosedFormSolution,
+    DoubleDouble,
     Family,
     derivative_blowup_amplitude,
     evaluate_jet,
     evaluate_jet_extended,
+    two_prod,
+    two_sum,
 )
 from zmclab.errors import DomainError
-from zmclab.numerics import central_diff_jet2, observed_orders
 
 LN3 = 1.0986122886681098
 
@@ -178,6 +182,11 @@ def _entries(jet):
     return (jet.value, *jet.d1, *jet.d2)
 
 
+# each evaluator with the float parts of one jet entry: double-double entries
+# are compared on both hi and lo
+BACKENDS = ((evaluate_jet, lambda e: (e,)), (evaluate_jet_extended, lambda e: (e.hi, e.lo)))
+
+
 def _interior_points(sol, rng, n=30):
     """Seeded points strictly inside sol's validity region."""
     t = rng.uniform(0.0, 0.9, n)
@@ -214,13 +223,46 @@ def test_extended_precision_agrees_with_double():
     assert {s.family for s in families} == set(Family)
     for sol in families:
         a, b = _interior_points(sol, rng)
-        for evaluate in (evaluate_jet, evaluate_jet_extended):
-            arrays = _entries(evaluate(sol, (a, b)))
-            for entry in arrays:
-                assert entry.shape == a.shape
+        for evaluate, parts in BACKENDS:
+            arrays = [p for e in _entries(evaluate(sol, (a, b))) for p in parts(e)]
+            for part in arrays:
+                assert part.shape == a.shape
             for i in range(a.size):
-                scalars = _entries(evaluate(sol, (a[i], b[i])))
-                assert [e[i] for e in arrays] == list(scalars), (sol.family, evaluate, i)
+                scalars = [p for e in _entries(evaluate(sol, (a[i], b[i]))) for p in parts(e)]
+                assert all(isinstance(p, float) for p in scalars)
+                assert [p[i] for p in arrays] == scalars, (sol.family, evaluate, i)
+
+
+def test_error_free_transformations_are_exact():
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-1.0, 1.0, 200) * 10.0 ** rng.integers(-8, 8, 200)
+    b = rng.uniform(-1.0, 1.0, 200) * 10.0 ** rng.integers(-8, 8, 200)
+    for (s, e), exact in ((two_sum(a, b), Fraction.__add__), (two_prod(a, b), Fraction.__mul__)):
+        for i in range(a.size):
+            assert Fraction(s[i]) + Fraction(e[i]) == exact(Fraction(a[i]), Fraction(b[i]))
+            assert s[i] + e[i] == s[i]  # s is the rounded result, e what it lost
+
+
+def test_double_double_arithmetic_keeps_about_32_digits():
+    rng = np.random.default_rng(6)
+    x = DoubleDouble(*two_sum(rng.uniform(0.5, 2.0, 50), rng.uniform(-1e-17, 1e-17, 50)))
+    y = DoubleDouble(*two_sum(rng.uniform(0.5, 2.0, 50), rng.uniform(-1e-17, 1e-17, 50)))
+    results = {
+        "add": (x + y, Fraction.__add__),
+        "sub": (x - y, Fraction.__sub__),
+        "mul": (x * y, Fraction.__mul__),
+        "div": (x / y, Fraction.__truediv__),
+    }
+    for name, (got, op) in results.items():
+        for i in range(50):
+            want = op(Fraction(x.hi[i]) + Fraction(x.lo[i]), Fraction(y.hi[i]) + Fraction(y.lo[i]))
+            err = abs(Fraction(got.hi[i]) + Fraction(got.lo[i]) - want)
+            assert err <= 1e-30 * abs(want), (name, i, float(err / abs(want)))
+    root = x.sqrt()
+    for i in range(50):
+        square = (Fraction(root.hi[i]) + Fraction(root.lo[i])) ** 2
+        want = Fraction(x.hi[i]) + Fraction(x.lo[i])
+        assert abs(square - want) <= 1e-30 * want
 
 
 def test_constant_profile_jet():
@@ -231,9 +273,9 @@ def test_constant_profile_jet():
     assert jet.d2 == (0.0, 0.0, 0.0)
     # a scalar time against an array of radii still gives full-shape entries
     xs = np.linspace(0.0, 2.0, 7)
-    for evaluate in (evaluate_jet, evaluate_jet_extended):
+    for evaluate, parts in BACKENDS:
         jet = evaluate(sol, (0.25, xs))
         for entry in _entries(jet):
-            assert entry.shape == xs.shape
-        assert [float(v) for v in jet.value] == [0.3 * 0.75] * 7
-        assert [float(v) for v in jet.d1[0]] == [-0.3] * 7
+            assert all(part.shape == xs.shape for part in parts(entry))
+        assert np.asarray(jet.value, dtype=float).tolist() == [0.3 * 0.75] * 7
+        assert np.asarray(jet.d1[0], dtype=float).tolist() == [-0.3] * 7

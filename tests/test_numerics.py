@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from zmclab.errors import ArityError, BoundaryError, DomainError, NonFiniteError
+from fd_oracles import BoundaryError, central_diff_jet2, observed_orders
+from zmclab.errors import ArityError, DomainError, NonFiniteError
 from zmclab.numerics import (
     FitResult,
     Grid1D,
     Jet2,
-    central_diff_jet2,
     log_log_fit,
-    observed_orders,
     rk4_adaptive_step,
     rk4_integrate,
     rk4_step,

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from fd_oracles import observed_orders
 from zmclab.errors import (
     DegeneracyError,
     DegenerateStartError,
     DomainError,
     SingularPointError,
 )
-from zmclab.numerics import observed_orders
 from zmclab.profiles import (
     ProfileState,
     Termination,

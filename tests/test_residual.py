@@ -1,18 +1,27 @@
+import functools
 import math
 
 import mpmath
 import numpy as np
 import pytest
+import sympy
 
+from fd_oracles import central_diff_jet2, observed_orders
+from zmclab.cli import (
+    EQUATION_BY_NAME,
+    FAMILY_BY_NAME,
+    VERIFY_PAIRINGS,
+    _sample_points,
+    build_parser,
+)
 from zmclab.closedform import (
-    EXTENDED_DPS,
     ClosedFormSolution,
     Family,
     evaluate_jet,
     evaluate_jet_extended,
 )
 from zmclab.errors import DegeneracyError, DomainError, RegularityError, SingularPointError
-from zmclab.numerics import Jet2, central_diff_jet2, observed_orders
+from zmclab.numerics import Jet2
 from zmclab.residuals import (
     EquationId,
     ResidualReport,
@@ -132,10 +141,9 @@ def test_sweep_flags_non_solution():
     assert abs(abs(residual_at(EquationId.SPACELIKE_GRAPH, jet, worst)) - rep.max_abs) < 1e-9
     # the array sweep reproduces a point-by-point loop bit for bit
     mags = []
-    with mpmath.workdps(EXTENDED_DPS):
-        for a, b in pts:
-            jet = evaluate_jet_extended(sol, (a, b))
-            mags.append(abs(float(residual_at(EquationId.SPACELIKE_GRAPH, jet, (a, b)))))
+    for a, b in pts:
+        jet = evaluate_jet_extended(sol, (a, b))
+        mags.append(abs(float(residual_at(EquationId.SPACELIKE_GRAPH, jet, (a, b)))))
     assert rep.max_abs == max(mags)
     assert rep.worst_point == tuple(pts[mags.index(max(mags))])
     assert rep.rms == math.sqrt(sum(m * m for m in mags) / len(mags))
@@ -160,6 +168,69 @@ def test_sweep_reports_first_of_tied_worst_points():
     assert rep.max_abs == tie
     assert rep.worst_point == (0.0, -0.5)
     assert sweep_residual(eq, sol, pts[::-1]).worst_point == (0.0, 0.5)
+
+
+# --- double-double against a 40-digit oracle ----------------------------------
+
+ORACLE_DPS = 40
+_a, _b, _T, _k = sympy.symbols("a b T k", real=True)
+# the closed forms, differentiated by sympy and evaluated in mpmath: independent
+# of both the hand-derived jets and the double-double arithmetic
+ORACLE_FIELDS = {
+    Family.BORN_INFELD_LOG: _k * sympy.log((_T - _a + _b) / (_T - _a - _b)),
+    Family.MEMBRANE_SPHERE_PLUS: sympy.sqrt((_T - _a) ** 2 - _b**2),
+    Family.MEMBRANE_SPHERE_MINUS: -sympy.sqrt((_T - _a) ** 2 - _b**2),
+    Family.SPACELIKE_LOG_CLAIMED: _k * sympy.asinh(_b / (_T - _a)),
+    Family.SPACELIKE_ARCTAN_CORRECTED: _k * sympy.atan(_b / (_T - _a)),
+    Family.CONSTANT_PROFILE: _k * (_T - _a),
+}
+
+
+@functools.cache
+def _oracle_jet(family):
+    """The six jet entries of family as mpmath functions of (a, b, T, k)."""
+    u = ORACLE_FIELDS[family]
+    entries = (u, u.diff(_a), u.diff(_b), u.diff(_a, 2), u.diff(_a, _b), u.diff(_b, 2))
+    return [sympy.lambdify((_a, _b, _T, _k), e, "mpmath") for e in entries]
+
+
+def _certification_sweeps():
+    """(label, equation, solution, points) of every certification sweep: each
+    verify pairing at the verify defaults, and the audit's log family."""
+    parser = build_parser()
+    eq_names = {eq: name for name, eq in EQUATION_BY_NAME.items()}
+    fam_names = {fam: name for name, fam in FAMILY_BY_NAME.items()}
+    for eq, fam in VERIFY_PAIRINGS:
+        argv = ["verify", "--equation", eq_names[eq], "--family", fam_names[fam]]
+        args = parser.parse_args(argv)
+        side = max(2, int(args.samples**0.5))
+        points = _sample_points(fam, args.T, side, args.margin, args.rho_max)
+        yield " ".join(argv), eq, ClosedFormSolution(fam, T=args.T, k=args.k), points
+    for k in (0.2, 1.0, -3.0):
+        sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=k)
+        points = lightcone_interior_points(sol.T, 20, 25, margin=0.02)
+        yield f"audit log k={k}", EquationId.BORN_INFELD, sol, points
+
+
+def test_double_double_sweeps_match_mpmath_oracle():
+    """Per point, the double-double residual of every certification sweep
+    agrees with a 40-digit evaluation far below the 1e-9 and 1e-12 bounds."""
+    rng = np.random.default_rng(20261018)
+    for label, eq, sol, points in _certification_sweeps():
+        pick = points[np.sort(rng.choice(len(points), size=200, replace=False))]
+        a, b = pick[:, 0], pick[:, 1]
+        dd = residual_at(eq, evaluate_jet_extended(sol, (a, b)), (a, b))
+        jet = _oracle_jet(sol.family)
+        with mpmath.workdps(ORACLE_DPS):
+            for i in range(len(pick)):
+                point = (mpmath.mpf(a[i]), mpmath.mpf(b[i]))
+                value, da, db, daa, dab, dbb = (f(*point, sol.T, sol.k) for f in jet)
+                exact = residual_at(eq, Jet2(value, (da, db), (daa, dab, dbb)), point)
+                error = abs(mpmath.mpf(dd.hi[i]) + mpmath.mpf(dd.lo[i]) - exact)
+                if sol.family is Family.SPACELIKE_LOG_CLAIMED:
+                    assert error <= 1e-25 * abs(exact), (label, pick[i], error, exact)
+                else:
+                    assert error <= 1e-20, (label, pick[i], error)
 
 
 @pytest.mark.parametrize("T, n_time, n_space, margin", [

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from fd_oracles import central_diff_jet2, observed_orders
 from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet
 from zmclab.errors import DomainError, SingularPointError
-from zmclab.numerics import Jet2, central_diff_jet2, observed_orders
+from zmclab.numerics import Jet2
 from zmclab.residuals import EquationId, residual_at
 from zmclab.similarity import (
     FrameScaling,
