@@ -57,6 +57,9 @@ EXIT_TOLERANCE = 1
 EXIT_USAGE = 2
 
 OUTPUT_DIR_ENV = "ZMCLAB_OUTPUT_DIR"
+# verify's sample cap: a sample point costs about 270 B of peak memory, so
+# 10**6 points stay near 0.3 GB
+MAX_SAMPLES = 10**6
 
 FAMILY_BY_NAME = {
     "log": Family.BORN_INFELD_LOG,
@@ -368,8 +371,9 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _positive(kind):
-    """argparse type: a finite value of kind (int or float) greater than zero."""
+def _positive(kind, most=None):
+    """argparse type: a finite value of kind (int or float) greater than zero
+    and, when most is given, no larger than most."""
 
     def parse(text: str):
         try:
@@ -379,6 +383,8 @@ def _positive(kind):
         if not (value > 0 and np.isfinite(value)):
             what = "integer" if kind is int else "finite number"
             raise argparse.ArgumentTypeError(f"must be a positive {what}, got {text!r}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {text!r}")
         return value
 
     return parse
@@ -415,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=sorted(FAMILY_BY_NAME))
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--samples", type=_positive(int), default=400,
-                   help="approximate total sample count")
+    p.add_argument("--samples", type=_positive(int, MAX_SAMPLES), default=400,
+                   help=f"approximate total sample count, at most {MAX_SAMPLES}")
     p.add_argument("--margin", type=float, default=0.02)
     p.add_argument("--rho-max", type=float, default=0.95, dest="rho_max")
     p.add_argument("--json", help="also write the report to this path")

@@ -224,13 +224,13 @@ def _jet_terms(sol: ClosedFormSolution, a, b, extended: bool):
         A = T - a
         x = b
         D = A * A - x * x
+        D2 = D * D
         value = k * log((A + x) / (A - x))
         ut = 2 * k * x / D
         ux = 2 * k * A / D
-        utt = 4 * k * A * x / (D * D)
-        utx = 2 * k * (A * A + x * x) / (D * D)
-        uxx = 4 * k * A * x / (D * D)
-        return value, ut, ux, utt, utx, uxx
+        utt = 4 * k * A * x / D2
+        utx = 2 * k * (A * A + x * x) / D2
+        return value, ut, ux, utt, utx, utt  # u_xx = u_tt on this family
 
     if fam in (Family.MEMBRANE_SPHERE_PLUS, Family.MEMBRANE_SPHERE_MINUS):
         # u = s sqrt(A^2 - r^2), A = T-t

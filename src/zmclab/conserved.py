@@ -51,10 +51,6 @@ def momentum_flux(p, q):
     return np.asarray(q, dtype=float) / lorentz_root(p, q)
 
 
-def total_momentum(p, q, xs):
-    return trapezoid(momentum_density(p, q), xs)
-
-
 def quadratic_energy(p, q, xs, weight=QuadratureWeight.UNWEIGHTED):
     """Trapezoid integral of (p^2 + q^2)/2, optionally weighted by |x|."""
     p = np.asarray(p, dtype=float)

@@ -4,10 +4,13 @@ Uniform 1D grids, the 2-jet container, the classical RK4 integrator
 (fixed step and a step-halving adaptive wrapper), trapezoid quadrature, and
 least-squares fits in log-log coordinates.
 
-All arithmetic here is IEEE double precision.
+All arithmetic here is IEEE double precision. RK4 steps a tuple of floats
+in Python floats (the two-component ODEs, where numpy's per-call overhead
+would dominate) and a float or an ndarray in numpy (the evolution state).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +99,8 @@ class Jet2:
 
 
 def _check_stage_finite(value, stage: str, t: float):
+    if isinstance(value, tuple) and all(map(math.isfinite, value)):
+        return
     arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)):
         if arr.ndim == 0:
@@ -109,12 +114,18 @@ def _check_stage_finite(value, stage: str, t: float):
 def rk4_step(state, derivative, t: float, dt: float):
     """One classical fourth-order Runge-Kutta step.
 
-    state may be a float or an ndarray; derivative is called as
-    derivative(t, state). Local error is O(dt^5) on smooth systems. A
-    non-finite stage value raises NonFiniteError naming the stage.
+    derivative(t, state) returns the same kind of state. A tuple of floats
+    (the two-component profile, growth-probe and steady ODEs) is stepped
+    in Python floats, where numpy's per-call overhead would be most of the
+    cost; a float or an ndarray (the (3, n) evolution state) is stepped in
+    numpy. Both do the same operations in the same order, so they agree
+    bit for bit. Local error is O(dt^5) on smooth systems. A non-finite
+    stage value raises NonFiniteError naming the stage and component.
     """
     if dt <= 0:
         raise DomainError(f"rk4_step needs dt > 0, got {dt}")
+    if isinstance(state, tuple):
+        return _rk4_step_floats(state, derivative, t, dt)
     k1 = derivative(t, state)
     _check_stage_finite(k1, "stage 1", t)
     k2 = derivative(t + 0.5 * dt, state + 0.5 * dt * np.asarray(k1))
@@ -128,24 +139,40 @@ def rk4_step(state, derivative, t: float, dt: float):
     )
 
 
+def _rk4_step_floats(y, derivative, t: float, dt: float):
+    """rk4_step on a tuple of floats, component by component."""
+    half = 0.5 * dt
+    k1 = derivative(t, y)
+    _check_stage_finite(k1, "stage 1", t)
+    k2 = derivative(t + half, tuple([a + half * k for a, k in zip(y, k1)]))
+    _check_stage_finite(k2, "stage 2", t + half)
+    k3 = derivative(t + half, tuple([a + half * k for a, k in zip(y, k2)]))
+    _check_stage_finite(k3, "stage 3", t + half)
+    k4 = derivative(t + dt, tuple([a + dt * k for a, k in zip(y, k3)]))
+    _check_stage_finite(k4, "stage 4", t + dt)
+    return tuple([a + (dt / 6.0) * (p + 2.0 * q + 2.0 * r + s)
+                  for a, p, q, r, s in zip(y, k1, k2, k3, k4)])
+
+
 def rk4_integrate(derivative, t0: float, state0, t_end: float, dt: float):
     """Fixed-step RK4 from t0 to t_end; the final step is clipped to land
-    exactly on t_end. Returns (times, states) with the initial point first."""
+    exactly on t_end. Returns (times, states) with the initial point first;
+    a tuple state0 is carried as tuples of floats (see rk4_step)."""
     if dt <= 0:
         raise DomainError(f"rk4_integrate needs dt > 0, got {dt}")
     if t_end < t0:
         raise DomainError(f"t_end={t_end} must be >= t0={t0}")
     ts = [t0]
-    states = [np.asarray(state0, dtype=float).copy()]
     t = t0
-    y = np.asarray(state0, dtype=float)
+    y = state0 if isinstance(state0, tuple) else np.array(state0, dtype=float)
+    states = [y]
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         h = min(dt, t_end - t)
         y = rk4_step(y, derivative, t, h)
         t = t + h
         ts.append(t)
-        states.append(np.asarray(y, dtype=float).copy())
-    return np.asarray(ts), np.asarray(states)
+        states.append(y)
+    return np.asarray(ts), np.asarray(states, dtype=float)
 
 
 def rk4_adaptive_step(
@@ -172,7 +199,7 @@ def rk4_adaptive_step(
         full = rk4_step(state, derivative, t, dt)
         half = rk4_step(state, derivative, t, 0.5 * dt)
         half2 = rk4_step(half, derivative, t + 0.5 * dt, 0.5 * dt)
-        err = float(np.max(np.abs(np.asarray(full) - np.asarray(half2))))
+        err = float(np.max(np.abs(np.subtract(full, half2))))
         if err <= abs_tol:
             dt_next = 2.0 * dt if err <= abs_tol / 64.0 else dt
             return t + dt, half2, dt, dt_next

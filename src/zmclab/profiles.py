@@ -32,7 +32,6 @@ from .errors import (
     StepFloorError,
 )
 from .numerics import DT_MIN, rk4_adaptive_step, rk4_step
-from .residuals import ResidualReport
 
 # A shoot is declared degenerate once 1 - rho^2 - phi^2 drops below this.
 EPS_DEGENERATE_GAP = 1e-8
@@ -40,8 +39,6 @@ EPS_DEGENERATE_GAP = 1e-8
 # Axis starts are offset to rho = RHO_START_FACTOR * drho; the constant
 # continuation from the axis makes the offset exact rather than approximate.
 RHO_START_FACTOR = 10.0
-
-BRANCH_RHO_RANGE = (0.01, 0.99)  # radii verify_branch samples the circle on
 
 
 class Termination(enum.Enum):
@@ -91,20 +88,6 @@ def profile_residual(phi, dphi, d2phi, rho):
         - dphi * phi * phi
         + 2.0 * rho * phi * dphi * dphi
         - rho * d2phi * phi * phi
-        + (1.0 - rho * rho) * dphi ** 3
-    )
-
-
-def profile_residual_regrouped(phi, dphi, d2phi, rho):
-    """Same equation with the second-derivative terms collected.
-
-    Algebraically identical to :func:`profile_residual`; keeping both
-    lets the grouping itself be checked numerically.
-    """
-    return (
-        rho * (1.0 - rho * rho - phi * phi) * d2phi
-        + dphi * (1.0 - phi * phi)
-        + 2.0 * rho * phi * dphi * dphi
         + (1.0 - rho * rho) * dphi ** 3
     )
 
@@ -171,13 +154,13 @@ def integrate_profile(
         raise DomainError("drho must be positive")
 
     def slope(r, s):
-        return np.array([s[1], phi_second_derivative(s[0], s[1], r)])
+        return (s[1], phi_second_derivative(s[0], s[1], r))
 
     rhos = [state0.rho]
     phis = [state0.phi]
     dphis = [state0.dphi]
     rho = state0.rho
-    y = np.array([state0.phi, state0.dphi], dtype=float)
+    y = (state0.phi, state0.dphi)
     termination = Termination.REACHED_END
     degeneracy_location = None
     trial = drho
@@ -208,8 +191,8 @@ def integrate_profile(
             break
         rho, y = rho_new, y_new
         rhos.append(rho)
-        phis.append(float(y[0]))
-        dphis.append(float(y[1]))
+        phis.append(y[0])
+        dphis.append(y[1])
         if 1.0 - rho * rho - y[0] * y[0] <= EPS_DEGENERATE_GAP:
             termination = Termination.DEGENERACY_HIT
             degeneracy_location = rho
@@ -240,25 +223,3 @@ def shoot_profile(
         )
     start = ProfileState(rho=RHO_START_FACTOR * drho, phi=height, dphi=0.0)
     return integrate_profile(start, rho_max, drho, tolerance=tolerance)
-
-
-def verify_branch(sign=1, n_samples=1000) -> ResidualReport:
-    """Report the six-term residual on the circle profile over BRANCH_RHO_RANGE."""
-    rhos = np.linspace(*BRANCH_RHO_RANGE, n_samples)
-    worst = (float(rhos[0]), 0.0)
-    max_abs = -1.0
-    total_sq = 0.0
-    for rho in rhos:
-        phi, dphi, d2phi = degenerate_branch(sign, float(rho))
-        r = abs(profile_residual(phi, dphi, d2phi, float(rho)))
-        total_sq += r * r
-        if r > max_abs:
-            max_abs = r
-            worst = (float(rho), phi)
-    return ResidualReport(
-        equation="profile-ode",
-        n_points=n_samples,
-        max_abs=max_abs,
-        rms=math.sqrt(total_sq / n_samples),
-        worst_point=worst,
-    )

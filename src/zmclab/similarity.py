@@ -198,12 +198,12 @@ def steady_ode_integrate(
             )
 
         def f(rho, s):
-            return np.array([s[1], 2.0 * rho * s[1] / (1.0 - rho * rho)])
+            return (s[1], 2.0 * rho * s[1] / (1.0 - rho * rho))
 
     elif ode is SteadyOdeId.SPACELIKE_STEADY:
 
         def f(rho, s):
-            return np.array([s[1], -2.0 * rho * s[1] / (1.0 + rho * rho)])
+            return (s[1], -2.0 * rho * s[1] / (1.0 + rho * rho))
 
     else:
         raise DomainError(
@@ -211,7 +211,7 @@ def steady_ode_integrate(
             "handles the nonlinear membrane reduction"
         )
 
-    ts, states = rk4_integrate(f, rho0, np.asarray(initial, dtype=float), rho1, drho)
+    ts, states = rk4_integrate(f, rho0, tuple(map(float, initial)), rho1, drho)
     return SteadyOdeSolution(rhos=ts, v=states[:, 0], vp=states[:, 1])
 
 

@@ -183,9 +183,9 @@ def mode_growth_probe():
     a, b, c = mode_quadratic_at_axis()
 
     def slope(_, s):
-        return np.array([s[1], -(b * s[1] + c * s[0]) / a])
+        return (s[1], -(b * s[1] + c * s[0]) / a)
 
-    taus, states = rk4_integrate(slope, 0.0, np.array([1.0, 0.0]), PROBE_TAU_END, PROBE_DT)
+    taus, states = rk4_integrate(slope, 0.0, (1.0, 0.0), PROBE_TAU_END, PROBE_DT)
     w = states[:, 0]
     tail = taus >= 0.5 * PROBE_TAU_END
     coeffs = np.polyfit(taus[tail], np.log(np.abs(w[tail])), 1)

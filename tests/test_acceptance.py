@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from profile_forms import profile_residual_regrouped
 from zmclab.cli import main
 from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet
 from zmclab.conserved import QuadratureWeight, measure_scaling_exponent
@@ -32,7 +33,6 @@ from zmclab.profiles import (
     degenerate_branch,
     first_order_branch_residual,
     profile_residual,
-    profile_residual_regrouped,
 )
 from zmclab.reporting import dumps_json
 from zmclab.residuals import (

@@ -226,6 +226,10 @@ def test_scaling_measurement(capsys):
     (("profile", "--a", "0.5", "--tolerance", "0"), "--tolerance"),
     (("profile", "--a", "0.5", "--tolerance", "-1"), "--tolerance"),
     (("profile", "--a", "0.5", "--tolerance", "nan"), "--tolerance"),
+    (("verify", "--equation", "born-infeld", "--family", "log", "--samples", "1000001"),
+     "--samples"),
+    (("verify", "--equation", "born-infeld", "--family", "log",
+      "--samples", "1000000000000000000"), "--samples"),
 ])
 def test_malformed_flag_exits_two_naming_the_flag(capsys, argv, flag):
     code, _, err = run_cli(capsys, *argv)

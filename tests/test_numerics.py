@@ -14,6 +14,9 @@ from zmclab.numerics import (
     rk4_integrate,
     rk4_step,
 )
+from zmclab.profiles import phi_second_derivative
+from zmclab.similarity import SteadyOdeId, steady_ode_integrate
+from zmclab.stability import mode_quadratic_at_axis
 
 # frozen reference values, evaluated once in extended precision
 EXP_0P1 = 1.1051709180756477
@@ -170,11 +173,123 @@ def test_rk4_nonfinite_stage_reported():
     with pytest.raises(NonFiniteError, match="stage 1"):
         rk4_step(1.0, bad, 0.0, 0.1)
 
+    def bad_after_start(t, s):
+        return (s[1], math.inf if t > 0.0 else 0.0)
+
+    # a tuple state is checked in Python floats and names the component too
+    with pytest.raises(NonFiniteError, match=r"stage 2, .*component\(s\) \[1\]"):
+        rk4_step((1.0, 0.0), bad_after_start, 0.0, 0.1)
+
 
 def test_rk4_adaptive_step_matches_reference():
     t, y, used, nxt = rk4_adaptive_step(lambda t, y: y, 0.0, 1.0, 0.5, abs_tol=1e-12)
     assert abs(y - math.exp(t)) < 1e-10
     assert used <= 0.5 and nxt >= used
+
+
+# --- RK4 on tuples of floats -------------------------------------------------
+# The two-component ODEs step tuples of floats; the array path is the
+# reference, and both must produce the same bits.
+
+PENCIL = mode_quadratic_at_axis()
+
+
+def profile_slope(r, s):
+    return (s[1], phi_second_derivative(s[0], s[1], r))
+
+
+def pencil_slope(_, s):
+    a, b, c = PENCIL
+    return (s[1], -(b * s[1] + c * s[0]) / a)
+
+
+def born_infeld_steady_slope(rho, s):
+    return (s[1], 2.0 * rho * s[1] / (1.0 - rho * rho))
+
+
+def spacelike_steady_slope(rho, s):
+    return (s[1], -2.0 * rho * s[1] / (1.0 + rho * rho))
+
+
+# slope, start time, start state; the profile starts at height a = 0.6 with
+# a small slope, where 1 - rho^2 - phi^2 = 0.0775, and fifty steps of 1e-3
+# bring that gap down to 8e-4
+TUPLE_CASES = {
+    "profile-near-circle": (profile_slope, 0.75, (0.6, -0.02)),
+    "axis-pencil": (pencil_slope, 0.0, (1.0, 0.0)),
+    "born-infeld-steady": (born_infeld_steady_slope, 0.0, (0.0, 1.4)),
+    "spacelike-steady": (spacelike_steady_slope, 0.0, (0.0, 0.7)),
+}
+
+
+def array_slope(slope):
+    return lambda t, s: np.array(slope(t, s))
+
+
+def same_bits(floats, array):
+    return np.asarray(floats, dtype=float).tobytes() == np.asarray(array, dtype=float).tobytes()
+
+
+def is_float_tuple(state):
+    return type(state) is tuple and all(type(v) is float for v in state)
+
+
+@pytest.mark.parametrize("case", sorted(TUPLE_CASES))
+def test_rk4_step_on_tuples_matches_array_path(case):
+    slope, t, y = TUPLE_CASES[case]
+    ref = np.array(y)
+    dt = 1e-3
+    for _ in range(50):
+        y = rk4_step(y, slope, t, dt)
+        ref = rk4_step(ref, array_slope(slope), t, dt)
+        assert is_float_tuple(y)
+        assert same_bits(y, ref)
+        t += dt
+
+
+@pytest.mark.parametrize("case", sorted(TUPLE_CASES))
+def test_rk4_integrate_on_tuples_matches_array_path(case):
+    slope, t0, y0 = TUPLE_CASES[case]
+    seen = []
+
+    def recording(t, s):
+        seen.append(type(s))
+        return slope(t, s)
+
+    # 0.0495 is not a whole number of steps, so the last step is clipped
+    ts, states = rk4_integrate(recording, t0, y0, t0 + 0.0495, 1e-3)
+    ref_ts, ref_states = rk4_integrate(array_slope(slope), t0, np.array(y0), t0 + 0.0495, 1e-3)
+    assert set(seen) == {tuple}
+    assert states.shape == ref_states.shape == (51, 2)
+    assert states.dtype == ref_states.dtype
+    assert same_bits(ts, ref_ts) and same_bits(states, ref_states)
+
+
+@pytest.mark.parametrize("case", sorted(TUPLE_CASES))
+def test_rk4_adaptive_step_on_tuples_matches_array_path(case):
+    slope, t, y = TUPLE_CASES[case]
+    ref_t, ref = t, np.array(y)
+    dt = ref_dt = 0.05  # wide enough that the profile case halves its step
+    for _ in range(6):
+        t, y, used, dt = rk4_adaptive_step(slope, t, y, dt, abs_tol=1e-10)
+        ref_t, ref, ref_used, ref_dt = rk4_adaptive_step(
+            array_slope(slope), ref_t, ref, ref_dt, abs_tol=1e-10
+        )
+        assert is_float_tuple(y)
+        assert same_bits(y, ref)
+        assert (t, used, dt) == (ref_t, ref_used, ref_dt)
+
+
+@pytest.mark.parametrize("ode, slope, initial, rho_range", [
+    (SteadyOdeId.BORN_INFELD_STEADY, born_infeld_steady_slope, (0.0, 1.4), (0.0, 0.9)),
+    (SteadyOdeId.SPACELIKE_STEADY, spacelike_steady_slope, (0.0, 0.7), (0.0, 2.0)),
+], ids=["born-infeld", "spacelike"])
+def test_steady_ode_integrate_matches_array_path(ode, slope, initial, rho_range):
+    sol = steady_ode_integrate(ode, initial, rho_range, 1e-3)
+    ts, states = rk4_integrate(array_slope(slope), rho_range[0], np.array(initial),
+                               rho_range[1], 1e-3)
+    assert same_bits(sol.rhos, ts)
+    assert same_bits(sol.v, states[:, 0]) and same_bits(sol.vp, states[:, 1])
 
 
 # --- fits and quadrature -----------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fd_oracles import observed_orders
+from profile_forms import profile_residual_regrouped, verify_branch
 from zmclab.errors import (
     DegeneracyError,
     DegenerateStartError,
@@ -18,9 +19,7 @@ from zmclab.profiles import (
     integrate_profile,
     phi_second_derivative,
     profile_residual,
-    profile_residual_regrouped,
     shoot_profile,
-    verify_branch,
 )
 from zmclab.similarity import SteadyOdeId, steady_ode_residual
 
