@@ -19,7 +19,6 @@ import pytest
 from profile_forms import profile_residual_regrouped
 from zmclab.cli import main
 from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet
-from zmclab.conserved import QuadratureWeight, measure_scaling_exponent
 from zmclab.evolution import (
     EvolutionConfig,
     RunStatus,
@@ -34,7 +33,6 @@ from zmclab.profiles import (
     first_order_branch_residual,
     profile_residual,
 )
-from zmclab.reporting import dumps_json
 from zmclab.residuals import (
     EquationId,
     backward_cone_points,
@@ -43,7 +41,7 @@ from zmclab.residuals import (
     residual_at,
     sweep_residual,
 )
-from zmclab.similarity import SteadyOdeId, steady_ode_closed_form, steady_ode_integrate
+from zmclab.similarity import SteadyOdeId, steady_ode_integrate
 from zmclab.stability import (
     directional_linearization_check,
     linearized_coefficients,

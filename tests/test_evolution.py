@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from rhs_reference import reference_rhs
 
 import zmclab.evolution
 from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet
@@ -26,6 +27,7 @@ from zmclab.evolution import (
     initial_state_from_solution,
     run_evolution,
     sup_error_against,
+    _ghosts,
     _rhs,
 )
 from zmclab.numerics import Grid1D
@@ -44,12 +46,13 @@ def string_state(n, lo=-0.5, hi=0.5, t0=0.0):
 
 
 def test_characteristic_speeds_frozen_values():
-    lo, hi = characteristic_speeds(np.array([0.6]), np.array([0.8]))
+    lo, hi, disc = characteristic_speeds(np.array([0.6]), np.array([0.8]))
     assert math.isclose(lo[0], SPEED_LO_AT_0P6_0P8, rel_tol=0, abs_tol=1e-15)
     assert math.isclose(hi[0], SPEED_HI_AT_0P6_0P8, rel_tol=0, abs_tol=1e-15)
+    assert disc[0] == 1.0 - 0.6 * 0.6 + 0.8 * 0.8
     # flat state: unit lightcone
-    lo, hi = characteristic_speeds(np.zeros(3), np.zeros(3))
-    assert np.all(lo == -1.0) and np.all(hi == 1.0)
+    lo, hi, disc = characteristic_speeds(np.zeros(3), np.zeros(3))
+    assert np.all(lo == -1.0) and np.all(hi == 1.0) and np.all(disc == 1.0)
 
 
 def test_characteristic_speeds_never_exceed_background_cone():
@@ -61,7 +64,7 @@ def test_characteristic_speeds_never_exceed_background_cone():
     rng = np.random.default_rng(20260817)
     p = rng.uniform(-0.99, 0.99, size=2000)
     q = rng.uniform(-3.0, 3.0, size=2000)
-    lo, hi = characteristic_speeds(p, q)
+    lo, hi, _ = characteristic_speeds(p, q)
     assert np.all(lo < 0) and np.all(hi > 0)
     assert np.max(np.abs(lo)) <= 1.0 + 1e-12
     assert np.max(np.abs(hi)) <= 1.0 + 1e-12
@@ -88,6 +91,50 @@ def test_rhs_matches_exact_time_derivatives():
     assert worst[0.005] <= 5e-4
     order = math.log2(worst[0.005] / worst[0.00125]) / 2.0
     assert order >= 1.8
+
+
+RHS_WINDOWS = {
+    "string": (EquationId.BORN_INFELD, -0.3),
+    "membrane-axis": (EquationId.RADIAL_MEMBRANE, 0.0),
+    "membrane-off-axis": (EquationId.RADIAL_MEMBRANE, 0.1),
+}
+
+
+@pytest.mark.parametrize("size", (3, 4, 5, 6, 201))
+@pytest.mark.parametrize("sigma", (0.0, 0.01))
+@pytest.mark.parametrize("window", sorted(RHS_WINDOWS))
+def test_rhs_matches_reference_bit_for_bit(window, sigma, size):
+    """Sizes 3, 4 and 5 take the quadratic, cubic and quartic ghost tails;
+    dissipation runs from 5 on, at 5 and 6 with nearly every node taking a
+    stencil end value, and 201 is a full window."""
+    equation, x0 = RHS_WINDOWS[window]
+    rng = np.random.default_rng(size)
+    h = 0.002
+    xs = x0 + h * np.arange(size)
+    amp, freq = rng.uniform(0.1, 0.4, size=3), rng.uniform(1.0, 4.0, size=3)
+    u = amp[0] * np.cos(freq[0] * xs)
+    p = amp[1] * np.cos(freq[1] * xs) - 0.1
+    q = amp[2] * np.sin(freq[2] * xs)  # odd: exactly zero on the axis
+    got = _rhs(equation, xs, u, p, q, h, sigma)
+    want = np.stack(reference_rhs(equation, xs, u, p, q, h, sigma))
+    assert got.shape == want.shape == (3, size)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("size", (3, 4, 5, 9))
+def test_ghosts_extrapolate_polynomials_exactly(size):
+    """Through the m = min(size, 5) nodes at each end, the ghost weights
+    continue any polynomial of degree m - 1; on integer data, exactly."""
+    m = min(size, 5)
+    poly = np.polynomial.Polynomial(np.random.default_rng(size).integers(-9, 10, m))
+    f = poly(np.arange(size, dtype=float))
+    left, right = _ghosts(f, None)
+    assert left == poly(-1.0)
+    assert right == poly(float(size))
+    # the axis ghost mirrors the first node off the axis instead
+    for parity in (1.0, -1.0):
+        assert _ghosts(f, parity) == (parity * f[1], right)
 
 
 def test_rhs_constant_slopes_are_stationary():
@@ -119,7 +166,7 @@ def test_zero_data_stays_zero_and_takes_unit_cfl_steps():
 
 def test_single_step_tracks_closed_form():
     state = string_state(200)
-    lo, hi = characteristic_speeds(state.p, state.q)
+    lo, hi, _ = characteristic_speeds(state.p, state.q)
     dt = 0.5 * state.spacing / max(np.max(np.abs(lo)), np.max(np.abs(hi)))
     run = run_evolution(state, EvolutionConfig(blowup_time=1.0, t_end=float(0.999 * dt)))
     assert run.n_steps == 1

@@ -13,6 +13,7 @@ from zmclab.numerics import (
     rk4_adaptive_step,
     rk4_integrate,
     rk4_step,
+    trapezoid,
 )
 from zmclab.profiles import phi_second_derivative
 from zmclab.similarity import SteadyOdeId, steady_ode_integrate
@@ -293,6 +294,17 @@ def test_steady_ode_integrate_matches_array_path(ode, slope, initial, rho_range)
 
 
 # --- fits and quadrature -----------------------------------------------------
+
+
+def test_trapezoid_matches_numpy_bit_for_bit():
+    """trapezoid writes out numpy's own rule, so the two agree exactly."""
+    numpy_rule = getattr(np, "trapezoid", None) or np.trapz
+    rng = np.random.default_rng(8)
+    for size in (1, 2, 3, 17, 801):
+        xs = np.sort(rng.uniform(-1.0, 1.0, size))
+        ys = rng.normal(size=size)
+        assert trapezoid(ys, xs) == float(numpy_rule(ys, xs))
+    assert trapezoid([0.0, 1.0, 4.0], [0.0, 1.0, 2.0]) == 3.0
 
 
 def test_log_log_fit_exact_square():
