@@ -43,13 +43,7 @@ from .reporting import (
     write_profile_csv,
     write_snapshot_csv,
 )
-from .residuals import (
-    EquationId,
-    backward_cone_points,
-    lightcone_interior_points,
-    rectangle_points,
-    sweep_residual,
-)
+from .residuals import MARGIN, RHO_MAX, VERIFY_PAIRINGS, EquationId, certify
 from .stability import mode_growth_probe, solve_mode_quadratic
 
 EXIT_OK = 0
@@ -77,23 +71,6 @@ EQUATION_BY_NAME = {
     "eikonal": EquationId.EIKONAL,
 }
 
-SOLUTION = "solution"
-NON_SOLUTION = "non-solution"
-
-# every pairing `verify` accepts, with what to expect of the residual:
-# a solution must sweep below the tolerance, a flagged non-solution must
-# stay above the floor (that it fails loudly is itself the finding)
-VERIFY_PAIRINGS = {
-    (EquationId.BORN_INFELD, Family.BORN_INFELD_LOG): (SOLUTION, 1e-9),
-    (EquationId.RADIAL_MEMBRANE, Family.MEMBRANE_SPHERE_PLUS): (SOLUTION, 1e-9),
-    (EquationId.RADIAL_MEMBRANE, Family.MEMBRANE_SPHERE_MINUS): (SOLUTION, 1e-9),
-    (EquationId.RADIAL_MEMBRANE, Family.CONSTANT_PROFILE): (SOLUTION, 1e-9),
-    (EquationId.EIKONAL, Family.MEMBRANE_SPHERE_PLUS): (SOLUTION, 1e-12),
-    (EquationId.EIKONAL, Family.MEMBRANE_SPHERE_MINUS): (SOLUTION, 1e-12),
-    (EquationId.SPACELIKE_GRAPH, Family.SPACELIKE_LOG_CLAIMED): (NON_SOLUTION, 0.1),
-    (EquationId.SPACELIKE_GRAPH, Family.SPACELIKE_ARCTAN_CORRECTED): (SOLUTION, 1e-9),
-}
-
 
 def resolve_output(path: str) -> str:
     """Relative output paths land in $ZMCLAB_OUTPUT_DIR when it is set."""
@@ -114,19 +91,6 @@ def _emit(args, payload: dict) -> None:
         write_json(resolve_output(json_path), payload)
 
 
-def _sample_points(family, T, side, margin, rho_max):
-    if family is Family.BORN_INFELD_LOG:
-        return lightcone_interior_points(T, side, side, margin)
-    if family in (
-        Family.MEMBRANE_SPHERE_PLUS,
-        Family.MEMBRANE_SPHERE_MINUS,
-        Family.CONSTANT_PROFILE,
-    ):
-        return backward_cone_points(T, side, side, margin, rho_max=rho_max)
-    # spacelike families live on a half plane; sample the square [0, T/2]^2
-    return rectangle_points((0.0, T / 2), (0.0, T / 2), side, side)
-
-
 def cmd_verify(args) -> int:
     equation = EQUATION_BY_NAME[args.equation]
     family = FAMILY_BY_NAME[args.family]
@@ -141,13 +105,7 @@ def cmd_verify(args) -> int:
 
     sol = ClosedFormSolution(family=family, T=args.T, k=args.k)
     side = max(2, int(args.samples**0.5))
-    points = _sample_points(family, args.T, side, args.margin, args.rho_max)
-    report = sweep_residual(equation, sol, points)
-
-    if expectation is SOLUTION:
-        within = report.max_abs <= threshold
-    else:
-        within = report.max_abs >= threshold
+    report, within = certify(equation, sol, side, side, args.margin, args.rho_max)
     payload = {
         "equation": args.equation,
         "family": args.family,
@@ -423,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--samples", type=_positive(int, MAX_SAMPLES), default=400,
                    help=f"approximate total sample count, at most {MAX_SAMPLES}")
-    p.add_argument("--margin", type=float, default=0.02)
-    p.add_argument("--rho-max", type=float, default=0.95, dest="rho_max")
+    p.add_argument("--margin", type=float, default=MARGIN)
+    p.add_argument("--rho-max", type=float, default=RHO_MAX, dest="rho_max")
     p.add_argument("--json", help="also write the report to this path")
     p.set_defaults(handler=cmd_verify)
 

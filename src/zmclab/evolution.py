@@ -74,8 +74,14 @@ class EvolutionConfig:
             raise DomainError("need 0 < t_end < blowup_time")
         if not 0.0 < self.cfl <= 1.0:
             raise DomainError("cfl must lie in (0, 1]")
-        if self.dissipation < 0.0:
-            raise DomainError("dissipation must be nonnegative")
+        for name in ("dissipation", "min_disc_floor", "dt_floor"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise DomainError(f"{name} must be finite and nonnegative, got {value}")
+        if self.max_gradient is not None and not 0.0 < self.max_gradient < math.inf:
+            raise DomainError(
+                f"max_gradient must be finite and positive, got {self.max_gradient}"
+            )
 
 
 @dataclass

@@ -36,8 +36,8 @@ class Grid1D:
             raise DomainError(f"cell count must be an integer, got {self.n!r}")
         if self.n < 8:
             raise DomainError(f"cell count must satisfy n >= 8, got n={self.n}")
-        if not (self.lo < self.hi):
-            raise DomainError(f"grid needs lo < hi, got lo={self.lo}, hi={self.hi}")
+        if not (-math.inf < self.lo < self.hi < math.inf):
+            raise DomainError(f"grid needs finite lo < hi, got lo={self.lo}, hi={self.hi}")
 
     @property
     def spacing(self) -> float:

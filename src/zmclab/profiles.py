@@ -148,10 +148,10 @@ def integrate_profile(
     run stops early if the leading coefficient degenerates, a state goes
     non-finite, or the adaptive step shrinks below DT_MIN.
     """
-    if rho_max <= state0.rho:
-        raise DomainError("rho_max must exceed the starting rho")
-    if drho <= 0.0:
-        raise DomainError("drho must be positive")
+    if not state0.rho < rho_max < math.inf:
+        raise DomainError("rho_max must be finite and exceed the starting rho")
+    if not 0.0 < drho < math.inf:
+        raise DomainError("drho must be finite and positive")
 
     def slope(r, s):
         return (s[1], phi_second_derivative(s[0], s[1], r))

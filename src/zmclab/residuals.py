@@ -13,6 +13,10 @@ points and the residual formula once over that jet: a true solution's
 residual then sits near 1e-32 times its largest term (1e-23 for the steepest
 log family) instead of the double rounding floor, which for steep parameter
 choices is all that separates "solution" from "not obviously a solution".
+
+The certification policy lives here too: certify sweeps a family over its
+sample set and judges it by its (equation, family) pairing, for `zmclab
+verify`, the audit and the acceptance gate alike, each at its own grid size.
 """
 from __future__ import annotations
 
@@ -22,12 +26,16 @@ from enum import Enum
 
 import numpy as np
 
-from .closedform import ClosedFormSolution, evaluate_jet_extended
+from .closedform import ClosedFormSolution, Family, evaluate_jet_extended
 from .errors import DegeneracyError, DomainError, RegularityError, SingularPointError
 from .numerics import Jet2
 
 EPS_DEGENERATE = 1e-10
 RHO_MIN = 0.01  # innermost similarity radius of the backward-cone sampler
+# the cone samplers' margin and outermost similarity radius in the audit and
+# at verify's defaults
+MARGIN = 0.02
+RHO_MAX = 0.95
 
 
 class EquationId(Enum):
@@ -36,7 +44,6 @@ class EquationId(Enum):
     BORN_INFELD = "born-infeld"
     RADIAL_MEMBRANE = "radial-membrane"
     SPACELIKE_GRAPH = "spacelike-graph"
-    DIVERGENCE_FORM = "divergence-form"
     EIKONAL = "eikonal"
 
 
@@ -104,11 +111,6 @@ def residual_at(eq: EquationId, jet: Jet2, point) -> float:
         # first coordinate treated as time: 1 - u_t^2 + u_spatial^2
         return 1 - da * da + db * db
 
-    if eq is EquationId.DIVERGENCE_FORM:
-        raise DomainError(
-            "the divergence form divides by the discriminant; call "
-            "divergence_form_residual, which checks degeneracy"
-        )
     raise DomainError(f"unknown equation id {eq!r}")
 
 
@@ -162,7 +164,7 @@ def lightcone_interior_points(
 ) -> np.ndarray:
     """Tensor-style sampling of the interior lightcone: n_time time slices,
     each carrying n_space points spanning |x| <= T - t - margin."""
-    if margin <= 0 or T - 2 * margin <= 0:
+    if not (margin > 0 and T - 2 * margin > 0):
         raise DomainError(f"margin {margin} leaves no room inside T={T}")
     tg = np.linspace(0.0, T - 2 * margin, n_time)
     half = T - tg - margin
@@ -171,18 +173,14 @@ def lightcone_interior_points(
 
 
 def backward_cone_points(
-    T: float,
-    n_time: int,
-    n_space: int,
-    margin: float,
-    rho_max: float = 0.95,
+    T: float, n_time: int, n_space: int, margin: float, rho_max: float
 ) -> np.ndarray:
     """Sampling of the backward lightcone at similarity radii
     rho = r/(T-t) in [RHO_MIN, rho_max]; RHO_MIN stays off the axis because
     the expanded membrane residual has 1/r terms."""
     if not (RHO_MIN < rho_max < 1):
         raise DomainError(f"need {RHO_MIN} < rho_max < 1, got {rho_max}")
-    if margin <= 0 or T - 2 * margin <= margin:
+    if not (margin > 0 and T - 2 * margin > margin):
         raise DomainError(f"margin {margin} leaves no room inside T={T}")
     tg = np.linspace(margin, T - 2 * margin, n_time)
     rhog = np.linspace(RHO_MIN, rho_max, n_space)
@@ -222,3 +220,49 @@ def sweep_residual(eq: EquationId, sol: ClosedFormSolution, points: np.ndarray) 
         rms=math.sqrt(np.cumsum(mag * mag)[-1] / n),
         worst_point=(float(a[worst]), float(b[worst])),
     )
+
+
+# ---------------------------------------------------------------------------
+# certification policy: which sample set certifies a family, and what each
+# (equation, family) pairing must meet
+
+SOLUTION = "solution"
+NON_SOLUTION = "non-solution"
+
+# a solution must sweep below the tolerance, a flagged non-solution must stay
+# above the floor (that it fails loudly is itself the finding)
+VERIFY_PAIRINGS = {
+    (EquationId.BORN_INFELD, Family.BORN_INFELD_LOG): (SOLUTION, 1e-9),
+    (EquationId.RADIAL_MEMBRANE, Family.MEMBRANE_SPHERE_PLUS): (SOLUTION, 1e-9),
+    (EquationId.RADIAL_MEMBRANE, Family.MEMBRANE_SPHERE_MINUS): (SOLUTION, 1e-9),
+    (EquationId.RADIAL_MEMBRANE, Family.CONSTANT_PROFILE): (SOLUTION, 1e-9),
+    (EquationId.EIKONAL, Family.MEMBRANE_SPHERE_PLUS): (SOLUTION, 1e-12),
+    (EquationId.EIKONAL, Family.MEMBRANE_SPHERE_MINUS): (SOLUTION, 1e-12),
+    (EquationId.SPACELIKE_GRAPH, Family.SPACELIKE_LOG_CLAIMED): (NON_SOLUTION, 0.1),
+    (EquationId.SPACELIKE_GRAPH, Family.SPACELIKE_ARCTAN_CORRECTED): (SOLUTION, 1e-9),
+}
+
+
+def sample_points(family: Family, T, n_time, n_space, margin, rho_max) -> np.ndarray:
+    """The n_time x n_space sample set that certifies family: the lightcone
+    interior for the log family, the backward cone for the radial families,
+    and the square [0, T/2]^2 of the spacelike half plane (which ignores
+    margin and rho_max)."""
+    if family is Family.BORN_INFELD_LOG:
+        return lightcone_interior_points(T, n_time, n_space, margin)
+    if family in (Family.SPACELIKE_LOG_CLAIMED, Family.SPACELIKE_ARCTAN_CORRECTED):
+        return rectangle_points((0.0, T / 2), (0.0, T / 2), n_time, n_space)
+    return backward_cone_points(T, n_time, n_space, margin, rho_max)
+
+
+def certify(
+    equation: EquationId, sol: ClosedFormSolution, n_time, n_space, margin, rho_max
+) -> tuple[ResidualReport, bool]:
+    """Sweep sol's residual over its sample set and judge the sweep by the
+    pairing's entry in VERIFY_PAIRINGS: returns (report, within)."""
+    expectation, threshold = VERIFY_PAIRINGS[(equation, sol.family)]
+    points = sample_points(sol.family, sol.T, n_time, n_space, margin, rho_max)
+    report = sweep_residual(equation, sol, points)
+    if expectation is SOLUTION:
+        return report, report.max_abs <= threshold
+    return report, report.max_abs >= threshold

@@ -215,6 +215,25 @@ def steady_ode_integrate(
     return SteadyOdeSolution(rhos=ts, v=states[:, 0], vp=states[:, 1])
 
 
+def steady_family_errors(k: float, drho: float) -> tuple[float, float, float]:
+    """Largest deviations of the printed steady families from RK4 runs of
+    their ODEs at step drho, started from the families' data at rho = 0:
+    (timelike log family on [0, 0.9], printed spacelike k*asinh(rho) on
+    [0, 2], corrected k*arctan(rho) on [0, 2])."""
+    timelike_ode = SteadyOdeId.BORN_INFELD_STEADY
+    spacelike_ode = SteadyOdeId.SPACELIKE_STEADY
+    timelike = steady_ode_integrate(timelike_ode, (0.0, 2.0 * k), (0.0, 0.9), drho)
+    spacelike = steady_ode_integrate(spacelike_ode, (0.0, k), (0.0, 2.0), drho)
+    log_family = [steady_ode_closed_form(timelike_ode, k, r).claimed for r in timelike.rhos]
+    claimed, corrected = zip(
+        *(steady_ode_closed_form(spacelike_ode, k, r) for r in spacelike.rhos)
+    )
+    return tuple(
+        float(np.max(np.abs(run.v - np.array(exact))))
+        for run, exact in ((timelike, log_family), (spacelike, claimed), (spacelike, corrected))
+    )
+
+
 def _nonlinear_wave_block(v_tau, v_rho, v_tautau, v_taurho, v_rhorho, rho):
     """The bracketed cubic block shared by the wave and elliptic reductions."""
     radial = v_tautau + v_tau + 2.0 * rho * v_rho + 2.0 * rho * v_taurho + rho * rho * v_rhorho

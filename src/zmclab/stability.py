@@ -49,7 +49,7 @@ def linearized_coefficients(phi, dphi, d2phi, rho) -> LinearizedCoefficients:
         raise SingularPointError("linearization is singular on the axis rho = 0")
     return LinearizedCoefficients(
         c_tau_tau=1.0 + dphi * dphi,
-        c_tau=-(1.0 - dphi * dphi + 2.0 * d2phi * phi + 2.0 * dphi / rho),
+        c_tau=-(1.0 - dphi * dphi + 2.0 * d2phi * phi + 2.0 * phi * dphi / rho),
         c_tau_rho=2.0 * (phi * dphi + rho),
         c_rho_rho=-(1.0 - rho * rho - phi * phi),
         c_rho=-(1.0 + 4.0 * rho * dphi * phi - 3.0 * (rho * rho - 1.0) * dphi * dphi
@@ -112,11 +112,10 @@ def mode_quadratic_at_axis():
     limits, as rho -> 0:
 
         c_tau_tau = 1/(1 - rho^2)                        -> 1
-        c_tau     = (1 + 2 rho^2)/(1 - rho^2)
-                      + 2/sqrt(1 - rho^2)                -> 3
+        c_tau     = 3/(1 - rho^2)                        -> 3
         c_value   = -4/(1 - rho^2)                       -> -4
 
-    using dphi/rho -> -1, phi d2phi -> -1 and dphi^2 -> 0 there.
+    using phi dphi/rho -> -1, phi d2phi -> -1 and dphi^2 -> 0 there.
     """
     return (1.0, 3.0, -4.0)
 

@@ -237,6 +237,37 @@ def test_malformed_flag_exits_two_naming_the_flag(capsys, argv, flag):
     assert f"argument {flag}:" in err
 
 
+@pytest.mark.parametrize("override", [
+    "dissipation=nan", "dissipation=inf", "max_gradient=nan",
+    "min_disc_floor=nan", "dt_floor=nan", "hi=inf",
+])
+def test_evolve_refuses_non_finite_settings(tmp_path, capsys, override):
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(REFERENCE_CONFIG)
+    code, out, err = run_cli(capsys, "evolve", str(cfg), "--set", override,
+                             "--set", f"diagnostics_csv={tmp_path / 'd.csv'}")
+    assert (code, out) == (2, "")
+    assert override.partition("=")[0] in err
+    assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (("profile", "--a", "0.5", "--rho-max", "nan"), "rho_max"),
+    (("profile", "--a", "0.5", "--rho-max", "inf"), "rho_max"),
+    (("verify", "--equation", "born-infeld", "--family", "log", "--margin", "nan"),
+     "margin"),
+    (("verify", "--equation", "membrane", "--family", "sphere-plus", "--margin", "nan"),
+     "margin"),
+    (("verify", "--equation", "membrane", "--family", "sphere-plus",
+      "--rho-max", "nan"), "rho_max"),
+], ids=["profile-rho-max-nan", "profile-rho-max-inf", "verify-log-margin-nan",
+        "verify-cap-margin-nan", "verify-cap-rho-max-nan"])
+def test_non_finite_flags_exit_two_naming_the_setting(tmp_path, capsys, argv, setting):
+    code, out, err = run_cli(capsys, *argv, "--json", str(tmp_path / "out.json"))
+    assert (code, out) == (2, "")
+    assert setting in err
+
+
 def test_audit_and_verify_run_without_mpmath(tmp_path):
     """numpy is the only runtime dependency: with mpmath unimportable, the
     audit and a certification sweep still exit 0."""

@@ -7,13 +7,8 @@ import pytest
 import sympy
 
 from fd_oracles import central_diff_jet2, observed_orders
-from zmclab.cli import (
-    EQUATION_BY_NAME,
-    FAMILY_BY_NAME,
-    VERIFY_PAIRINGS,
-    _sample_points,
-    build_parser,
-)
+from zmclab.audit import SWEEP_GRID
+from zmclab.cli import EQUATION_BY_NAME, FAMILY_BY_NAME, build_parser
 from zmclab.closedform import (
     ClosedFormSolution,
     Family,
@@ -23,14 +18,18 @@ from zmclab.closedform import (
 from zmclab.errors import DegeneracyError, DomainError, RegularityError, SingularPointError
 from zmclab.numerics import Jet2
 from zmclab.residuals import (
+    MARGIN,
+    RHO_MAX,
+    VERIFY_PAIRINGS,
     EquationId,
     ResidualReport,
     backward_cone_points,
+    certify,
     divergence_form_residual,
     lightcone_interior_points,
-    rectangle_points,
     residual_at,
     residual_at_axis,
+    sample_points,
     sweep_residual,
 )
 
@@ -116,25 +115,23 @@ def test_axis_regularity_guard():
 
 def test_sweep_born_infeld_certifies():
     sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=1.0)
-    pts = lightcone_interior_points(1.0, 20, 20, margin=0.02)
-    rep = sweep_residual(EquationId.BORN_INFELD, sol, pts)
+    rep, within = certify(EquationId.BORN_INFELD, sol, 20, 20, 0.02, 0.95)
     assert rep.n_points == 400
-    assert rep.max_abs <= 1e-9
+    assert within and rep.max_abs <= 1e-9
     assert rep.rms <= rep.max_abs
 
 
 def test_sweep_membrane_certifies():
     sol = ClosedFormSolution(Family.MEMBRANE_SPHERE_MINUS, T=1.0)
-    pts = backward_cone_points(1.0, 20, 20, margin=0.02, rho_max=0.95)
-    rep = sweep_residual(EquationId.RADIAL_MEMBRANE, sol, pts)
-    assert rep.max_abs <= 1e-9
+    rep, within = certify(EquationId.RADIAL_MEMBRANE, sol, 20, 20, 0.02, 0.95)
+    assert within and rep.max_abs <= 1e-9
 
 
 def test_sweep_flags_non_solution():
     sol = ClosedFormSolution(Family.SPACELIKE_LOG_CLAIMED, T=1.0, k=1.0)
-    pts = rectangle_points((0.0, 0.5), (0.0, 0.5), 15, 15)
-    rep = sweep_residual(EquationId.SPACELIKE_GRAPH, sol, pts)
-    assert rep.max_abs >= 0.1
+    pts = sample_points(sol.family, 1.0, 15, 15, 0.02, 0.95)  # [0, 0.5]^2
+    rep, within = certify(EquationId.SPACELIKE_GRAPH, sol, 15, 15, 0.02, 0.95)
+    assert within and rep.max_abs >= 0.1
     # worst point is attained where the report says it is
     worst = rep.worst_point
     jet = evaluate_jet(sol, worst)
@@ -151,8 +148,7 @@ def test_sweep_flags_non_solution():
 
 def test_sweep_report_serializes():
     sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=0.2)
-    pts = lightcone_interior_points(1.0, 5, 5, margin=0.05)
-    rep = sweep_residual(EquationId.BORN_INFELD, sol, pts)
+    rep, _ = certify(EquationId.BORN_INFELD, sol, 5, 5, 0.05, 0.95)
     d = rep.to_json_dict()
     assert set(d) == {"equation", "n_points", "max_abs", "rms", "worst_point"}
 
@@ -195,8 +191,9 @@ def _oracle_jet(family):
 
 
 def _certification_sweeps():
-    """(label, equation, solution, points) of every certification sweep: each
-    verify pairing at the verify defaults, and the audit's log family."""
+    """(label, equation, solution, certify's sample grid) of every
+    certification sweep: each verify pairing at the verify defaults, and the
+    audit's log family."""
     parser = build_parser()
     eq_names = {eq: name for name, eq in EQUATION_BY_NAME.items()}
     fam_names = {fam: name for name, fam in FAMILY_BY_NAME.items()}
@@ -204,19 +201,21 @@ def _certification_sweeps():
         argv = ["verify", "--equation", eq_names[eq], "--family", fam_names[fam]]
         args = parser.parse_args(argv)
         side = max(2, int(args.samples**0.5))
-        points = _sample_points(fam, args.T, side, args.margin, args.rho_max)
-        yield " ".join(argv), eq, ClosedFormSolution(fam, T=args.T, k=args.k), points
+        grid = (side, side, args.margin, args.rho_max)
+        yield " ".join(argv), eq, ClosedFormSolution(fam, T=args.T, k=args.k), grid
     for k in (0.2, 1.0, -3.0):
         sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=k)
-        points = lightcone_interior_points(sol.T, 20, 25, margin=0.02)
-        yield f"audit log k={k}", EquationId.BORN_INFELD, sol, points
+        yield f"audit log k={k}", EquationId.BORN_INFELD, sol, (*SWEEP_GRID, MARGIN, RHO_MAX)
 
 
 def test_double_double_sweeps_match_mpmath_oracle():
     """Per point, the double-double residual of every certification sweep
-    agrees with a 40-digit evaluation far below the 1e-9 and 1e-12 bounds."""
+    agrees with a 40-digit evaluation far below the 1e-9 and 1e-12 bounds;
+    the points are the ones certify sweeps."""
     rng = np.random.default_rng(20261018)
-    for label, eq, sol, points in _certification_sweeps():
+    for label, eq, sol, grid in _certification_sweeps():
+        points = sample_points(sol.family, sol.T, *grid)
+        assert certify(eq, sol, *grid)[0] == sweep_residual(eq, sol, points), label
         pick = points[np.sort(rng.choice(len(points), size=200, replace=False))]
         a, b = pick[:, 0], pick[:, 1]
         dd = residual_at(eq, evaluate_jet_extended(sol, (a, b)), (a, b))
@@ -244,7 +243,7 @@ def test_cone_samplers_match_per_slice_loop(T, n_time, n_space, margin):
     cone = [(t, x) for t in np.linspace(margin, T - 2 * margin, n_time)
             for x in rhog * (T - t)]
     assert np.array_equal(lightcone_interior_points(T, n_time, n_space, margin), light)
-    assert np.array_equal(backward_cone_points(T, n_time, n_space, margin), cone)
+    assert np.array_equal(backward_cone_points(T, n_time, n_space, margin, 0.95), cone)
 
 
 def test_report_rejects_rms_above_max():

@@ -241,16 +241,26 @@ def manufactured_physical_jet(t, x):
 
 
 def test_physical_similarity_residual_covariance():
-    """The physical residual carries exactly an e^{2 tau} factor relative to
-    the printed wave reduction."""
+    """Each printed reduction is the physical residual times a power of
+    T - t = e^{-tau}: the square for the unscaled wave reduction, the first
+    power for the linear-scaled membrane reduction (off the axis r = 0)."""
     smap = SimilarityMap(T=1.0)
-    for (t, x) in [(0.0, 0.2), (0.4, -0.3), (0.75, 0.1)]:
-        u_jet = manufactured_physical_jet(t, x)
-        tau, rho = to_similarity(smap, (t, x))
-        v_jet = transform_field_jet(smap, (t, x), u_jet, FrameScaling.NONE)
-        phys = residual_at(EquationId.BORN_INFELD, u_jet, (t, x))
-        sim = transformed_equation_residual(SimilarityEquation.WAVE, v_jet, (tau, rho))
-        assert abs(sim - math.exp(-2.0 * tau) * phys) <= 1e-8 * max(1.0, abs(sim))
+    cases = (
+        (SimilarityEquation.WAVE, FrameScaling.NONE, EquationId.BORN_INFELD, 2,
+         [(0.0, 0.2), (0.4, -0.3), (0.75, 0.1)]),
+        (SimilarityEquation.MEMBRANE_SCALED, FrameScaling.LINEAR,
+         EquationId.RADIAL_MEMBRANE, 1,
+         [(0.0, 0.2), (0.4, 0.3), (0.75, 0.1), (0.5, 0.45)]),
+    )
+    for sim_eq, scaling, phys_eq, power, points in cases:
+        for (t, x) in points:
+            u_jet = manufactured_physical_jet(t, x)
+            tau, rho = to_similarity(smap, (t, x))
+            v_jet = transform_field_jet(smap, (t, x), u_jet, scaling)
+            phys = residual_at(phys_eq, u_jet, (t, x))
+            sim = transformed_equation_residual(sim_eq, v_jet, (tau, rho))
+            expect = (smap.T - t) ** power * phys
+            assert abs(sim - expect) <= 1e-8 * max(1.0, abs(sim)), (sim_eq, t, x)
 
 
 def test_chain_rule_consistency_by_refinement():

@@ -6,6 +6,7 @@ import pytest
 from zmclab.errors import SingularPointError
 from zmclab.numerics import Jet2
 from zmclab.profiles import degenerate_branch
+from zmclab.similarity import SimilarityEquation, transformed_equation_residual
 from zmclab.stability import (
     CLAIMED_MODE_ROOTS,
     directional_linearization_check,
@@ -15,9 +16,9 @@ from zmclab.stability import (
     solve_mode_quadratic,
 )
 
-# branch coefficients at rho = 0.5: 1/(1-rho^2), the tau coefficient, -4/(1-rho^2)
+# branch coefficients at rho = 0.5: 1/(1-rho^2), 3/(1-rho^2), -4/(1-rho^2)
 C_TAU_TAU_HALF = 1.3333333333333333
-C_TAU_HALF = 4.309401076758503
+C_TAU_HALF = 4.0
 C_VALUE_HALF = -5.333333333333333
 
 
@@ -71,6 +72,42 @@ def test_rho_coefficients_vanish_along_branch(sign):
         assert abs(c.c_rho) <= 1e-12
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_branch_pencil_is_the_axis_pencil_at_every_radius(sign):
+    """On either cap (c_tau_tau, c_tau, c_value) = (1, 3, -4)/(1 - rho^2),
+    so every radius carries the axis pencil nu^2 + 3 nu - 4."""
+    for rho in np.linspace(0.01, 0.95, 50):
+        phi, dphi, d2phi = degenerate_branch(sign, float(rho))
+        c = linearized_coefficients(phi, dphi, d2phi, float(rho))
+        scaled = np.array([c.c_tau_tau, c.c_tau, c.c_value]) * (1.0 - rho * rho)
+        assert np.abs(scaled - mode_quadratic_at_axis()).max() <= 1e-12, (rho, scaled)
+
+
+@pytest.mark.parametrize("base", [
+    lambda rho: degenerate_branch(1, rho),
+    lambda rho: degenerate_branch(-1, rho),
+    lambda rho: (0.3 + 0.2 * rho * rho, 0.4 * rho, 0.4),
+], ids=["upper-cap", "lower-cap", "quadratic"])
+def test_linearization_matches_scaled_reduction_in_every_direction(base):
+    """Each of the six coefficients is the derivative of the scaled membrane
+    reduction at the steady profile along its own jet entry, tau entries
+    included; the steady-residual check never perturbs those."""
+    for rho in (0.05, 0.3, 0.5, 0.8):
+        phi, dphi, d2phi = base(rho)
+        c = linearized_coefficients(phi, dphi, d2phi, rho)
+        coeffs = (c.c_value, c.c_tau, c.c_rho, c.c_tau_tau, c.c_tau_rho, c.c_rho_rho)
+        steady = np.array([phi, 0.0, dphi, 0.0, 0.0, d2phi])
+        for entry, coeff in enumerate(coeffs):
+            fd = 0.0
+            for step in (1e-6, -1e-6):
+                v = steady + step * (np.arange(6) == entry)
+                jet = Jet2(v[0], (v[1], v[2]), (v[3], v[4], v[5]))
+                fd += np.sign(step) * transformed_equation_residual(
+                    SimilarityEquation.MEMBRANE_SCALED, jet, (0.0, rho)
+                ) / 2e-6
+            assert abs(fd - coeff) <= 1e-6 * max(1.0, abs(coeff)), (rho, entry, fd, coeff)
+
+
 def test_branch_coefficients_reach_axis_limits():
     phi, dphi, d2phi = degenerate_branch(1, 1e-4)
     c = linearized_coefficients(phi, dphi, d2phi, 1e-4)
@@ -83,9 +120,10 @@ def test_branch_coefficients_reach_axis_limits():
 def test_operator_application_is_a_dot_product():
     c = linearized_coefficients(0.1, 0.2, 0.3, 0.4)
     jet = Jet2(1.0, (2.0, 3.0), (4.0, 5.0, 6.0))
+    # summed in apply's order, so the two agree to the last bit
     expect = (
-        c.c_value + 2 * c.c_tau + 3 * c.c_rho
-        + 4 * c.c_tau_tau + 5 * c.c_tau_rho + 6 * c.c_rho_rho
+        4 * c.c_tau_tau + 5 * c.c_tau_rho + 6 * c.c_rho_rho
+        + 2 * c.c_tau + 3 * c.c_rho + c.c_value
     )
     assert c.apply(jet) == expect
 
