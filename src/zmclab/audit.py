@@ -21,6 +21,7 @@ from .closedform import (
     evaluate_jet,
 )
 from .conserved import QuadratureWeight, measure_scaling_exponent
+from .numerics import Jet2
 from .residuals import MARGIN, RHO_MAX, EquationId, certify, residual_at
 from .profiles import degenerate_branch
 from .similarity import steady_family_errors
@@ -310,33 +311,29 @@ def _claim_energy_scaling() -> AuditClaim:
 
 
 def _measure_branch_linearization() -> dict:
-    """Consistency of the linearized operator with the steady residual,
+    """Consistency of the linearized operator with the scaled reduction,
     measured along the degenerate circle profile.
 
     No stated value exists for this number; it is reported so the two
     displayed forms of the linearization can be compared. A mismatch above
     1e-3 would flag them as inconsistent.
     """
-    base = (
-        lambda rho: degenerate_branch(1, rho)[0],
-        lambda rho: degenerate_branch(1, rho)[1],
-        lambda rho: degenerate_branch(1, rho)[2],
-    )
 
-    # quartic bump supported on [0.1, 0.9], written s^2 with s = (rho-0.1)(0.9-rho)
-    def s(rho):
-        return (rho - 0.1) * (0.9 - rho)
+    # e^(tau/2) times the quartic bump w = s^2 supported on [0.1, 0.9], with
+    # s = (rho-0.1)(0.9-rho), so the tau entries of the operator are probed
+    def bump(rho):
+        s = (rho - 0.1) * (0.9 - rho)
+        w, dw = s * s, 2.0 * s * (1.0 - 2.0 * rho)
+        d2w = 2.0 * (1.0 - 2.0 * rho) ** 2 - 4.0 * s
+        return Jet2(w, (w / 2, dw), (w / 4, dw / 2, d2w))
 
-    bump = (
-        lambda rho: s(rho) ** 2,
-        lambda rho: 2.0 * s(rho) * (1.0 - 2.0 * rho),
-        lambda rho: 2.0 * (1.0 - 2.0 * rho) ** 2 - 4.0 * s(rho),
-    )
     rhos = [0.15 + 0.7 * i / 49 for i in range(50)]
-    check = directional_linearization_check(base, bump, 1e-6, rhos)
+    check = directional_linearization_check(
+        lambda rho: degenerate_branch(1, rho), bump, 1e-6, rhos
+    )
     return {
         "base": "degenerate circle profile, upper sign",
-        "direction": "quartic bump supported on [0.1, 0.9]",
+        "direction": "e^(tau/2) times the quartic bump supported on [0.1, 0.9]",
         "epsilon": check.epsilon,
         "n_samples": check.n_samples,
         "max_abs_difference": check.max_abs_difference,

@@ -274,6 +274,11 @@ def cmd_evolve(args) -> int:
     equation = EQUATION_BY_NAME.get(values["equation"])
     if equation is None:
         raise ConfigError(f"unknown equation {values['equation']!r}")
+    if not (-np.inf < values["fit_lo"] < values["fit_hi"] < np.inf):
+        raise ConfigError(
+            f"fit window needs finite fit_lo < fit_hi, got fit_lo={values['fit_lo']}, "
+            f"fit_hi={values['fit_hi']}"
+        )
 
     try:
         state = _build_initial_state(values)

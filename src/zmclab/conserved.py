@@ -12,7 +12,7 @@ scales, which is measured empirically rather than asserted.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,11 +73,10 @@ class ScalingMeasurement:
     weight: QuadratureWeight
     exponent: float
     r_squared: float
-    claimed_exponent: float = field(default=CLAIMED_ENERGY_SCALING_EXPONENT)
 
     @property
     def matches_claim(self) -> bool:
-        return abs(self.exponent - self.claimed_exponent) <= 0.05
+        return abs(self.exponent - CLAIMED_ENERGY_SCALING_EXPONENT) <= 0.05
 
     def to_json_dict(self):
         return {
@@ -86,7 +85,7 @@ class ScalingMeasurement:
             "weight": self.weight.value,
             "exponent": self.exponent,
             "r_squared": self.r_squared,
-            "claimed_exponent": self.claimed_exponent,
+            "claimed_exponent": CLAIMED_ENERGY_SCALING_EXPONENT,
             "matches_claim": self.matches_claim,
         }
 

@@ -105,7 +105,7 @@ def initial_state_from_solution(sol: ClosedFormSolution, grid: Grid1D, t0=0.0):
     )
 
 
-def check_state(state: EvolutionState, min_disc_floor=1e-6):
+def check_state(state: EvolutionState, min_disc_floor):
     """Refuse initial data that is degenerate or internally inconsistent.
 
     The stored q array must agree with differences of u to the accuracy a
@@ -130,7 +130,7 @@ def check_state(state: EvolutionState, min_disc_floor=1e-6):
         )
 
 
-def characteristic_speeds(p, q, min_disc_floor=1e-6):
+def characteristic_speeds(p, q, min_disc_floor):
     """Both characteristic speeds and the discriminant 1 - p^2 + q^2."""
     disc = 1.0 - p * p + q * q
     worst = float(disc.min())

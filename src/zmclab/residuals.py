@@ -178,8 +178,6 @@ def backward_cone_points(
     """Sampling of the backward lightcone at similarity radii
     rho = r/(T-t) in [RHO_MIN, rho_max]; RHO_MIN stays off the axis because
     the expanded membrane residual has 1/r terms."""
-    if not (RHO_MIN < rho_max < 1):
-        raise DomainError(f"need {RHO_MIN} < rho_max < 1, got {rho_max}")
     if not (margin > 0 and T - 2 * margin > margin):
         raise DomainError(f"margin {margin} leaves no room inside T={T}")
     tg = np.linspace(margin, T - 2 * margin, n_time)
@@ -246,8 +244,12 @@ VERIFY_PAIRINGS = {
 def sample_points(family: Family, T, n_time, n_space, margin, rho_max) -> np.ndarray:
     """The n_time x n_space sample set that certifies family: the lightcone
     interior for the log family, the backward cone for the radial families,
-    and the square [0, T/2]^2 of the spacelike half plane (which ignores
-    margin and rho_max)."""
+    and the square [0, T/2]^2 of the spacelike half plane. margin and
+    rho_max are checked for every family."""
+    if not (margin > 0):
+        raise DomainError(f"need margin > 0, got {margin}")
+    if not (RHO_MIN < rho_max < 1):
+        raise DomainError(f"need {RHO_MIN} < rho_max < 1, got {rho_max}")
     if family is Family.BORN_INFELD_LOG:
         return lightcone_interior_points(T, n_time, n_space, margin)
     if family in (Family.SPACELIKE_LOG_CLAIMED, Family.SPACELIKE_ARCTAN_CORRECTED):

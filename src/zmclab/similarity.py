@@ -10,11 +10,11 @@ call, because the source material switches between them silently:
 
 The transformed-equation residuals evaluate the printed reductions exactly
 as printed, e^{2 tau} factors included, so printed-equation errors surface
-in tests instead of being corrected on the sly. One pre-build finding is
-baked into the expectations here: for ANY tau-independent field the whole
-exponentially-weighted nonlinear block of the wave reduction cancels
-identically, so the steady log family annihilates the full equation, not
-just its linear part.
+in tests instead of being corrected on the sly; a steady residual is one of
+them on a tau-independent jet. For ANY such field the whole exponentially
+weighted nonlinear block of the wave and elliptic reductions cancels
+identically (a pre-build finding the tests exercise), so the steady log and
+arctan families annihilate the full equations, not just their linear parts.
 """
 from __future__ import annotations
 
@@ -40,11 +40,10 @@ class FrameScaling(Enum):
 
 
 class SteadyOdeId(Enum):
-    """Steady (tau-independent) ODEs of the three reductions."""
+    """Steady WAVE and ELLIPTIC reductions, linear once the block cancels."""
 
     BORN_INFELD_STEADY = "born-infeld-steady"  # (rho^2-1) v'' + 2 rho v' = 0
     SPACELIKE_STEADY = "spacelike-steady"  # (rho^2+1) v'' + 2 rho v' = 0
-    MEMBRANE_STEADY = "membrane-steady"  # steady part of the scaled membrane reduction
 
 
 class SimilarityEquation(Enum):
@@ -142,33 +141,7 @@ def steady_ode_closed_form(ode: SteadyOdeId, k: float, rho: float) -> SteadyPair
             raise DomainError(f"|rho| < 1 violated: rho={rho}")
         val = k * math.log((1.0 + rho) / (1.0 - rho))
         return SteadyPair(claimed=val, corrected=val)
-    if ode is SteadyOdeId.SPACELIKE_STEADY:
-        return SteadyPair(claimed=k * math.asinh(rho), corrected=k * math.atan(rho))
-    raise DomainError(
-        "no closed form is attached to the membrane steady residual; the "
-        "degenerate branch lives in the profile module"
-    )
-
-
-def steady_ode_residual(ode: SteadyOdeId, v: float, vp: float, vpp: float, rho: float) -> float:
-    """Evaluate the selected steady equation on the data (v, v', v'')."""
-    if ode is SteadyOdeId.BORN_INFELD_STEADY:
-        return (rho * rho - 1.0) * vpp + 2.0 * rho * vp
-    if ode is SteadyOdeId.SPACELIKE_STEADY:
-        return (rho * rho + 1.0) * vpp + 2.0 * rho * vp
-    if ode is SteadyOdeId.MEMBRANE_STEADY:
-        if rho == 0.0:
-            raise SingularPointError("the membrane steady residual has 1/rho terms")
-        # tau-independent part of the scaled membrane reduction, term by term
-        return (
-            -(1.0 - rho * rho) * vpp
-            - vp / rho
-            - 2.0 * v * vp * vp
-            + vpp * v * v
-            + (vp * v * v) / rho
-            + (rho * rho - 1.0) * vp**3 / rho
-        )
-    raise DomainError(f"unknown steady ode {ode!r}")
+    return SteadyPair(claimed=k * math.asinh(rho), corrected=k * math.atan(rho))
 
 
 @dataclass(frozen=True)
@@ -206,10 +179,7 @@ def steady_ode_integrate(
             return (s[1], -2.0 * rho * s[1] / (1.0 + rho * rho))
 
     else:
-        raise DomainError(
-            "only the two linear steady ODEs integrate here; profile shooting "
-            "handles the nonlinear membrane reduction"
-        )
+        raise DomainError(f"unknown steady ode {ode!r}")
 
     ts, states = rk4_integrate(f, rho0, tuple(map(float, initial)), rho1, drho)
     return SteadyOdeSolution(rhos=ts, v=states[:, 0], vp=states[:, 1])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SingularPointError
 from .numerics import Jet2, rk4_integrate
-from .similarity import SteadyOdeId, steady_ode_residual
+from .similarity import SimilarityEquation, transformed_equation_residual
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def linearized_coefficients(phi, dphi, d2phi, rho) -> LinearizedCoefficients:
 
 @dataclass(frozen=True)
 class LinearizationCheck:
-    """Directional derivative of the steady residual vs the linear operator."""
+    """Directional derivative of the scaled reduction vs the linear operator."""
 
     max_abs_difference: float
     max_operator_value: float
@@ -71,33 +71,27 @@ class LinearizationCheck:
 
 def directional_linearization_check(base, direction, epsilon, rhos) -> LinearizationCheck:
     """Compare the linearized operator against a centered difference of the
-    steady residual along a perturbation direction.
+    scaled membrane reduction along a perturbation direction.
 
-    base and direction are triples of callables (value, slope, curvature)
-    of rho.  The rho samples must stay off the axis.
+    base(rho) returns the steady profile (phi, phi', phi''); direction(rho)
+    returns a perturbation Jet2 in (tau, rho) at tau = 0, where nothing is
+    lost (the reduction has no explicit tau). rho must stay off the axis.
     """
-    f, df, d2f = base
-    g, dg, d2g = direction
     max_diff = 0.0
     max_op = 0.0
     for rho in rhos:
         rho = float(rho)
-        coeffs = linearized_coefficients(f(rho), df(rho), d2f(rho), rho)
-        jet = Jet2(g(rho), (0.0, dg(rho)), (0.0, 0.0, d2g(rho)))
-        lin = coeffs.apply(jet)
-        plus = steady_ode_residual(
-            SteadyOdeId.MEMBRANE_STEADY,
-            f(rho) + epsilon * g(rho),
-            df(rho) + epsilon * dg(rho),
-            d2f(rho) + epsilon * d2g(rho),
-            rho,
-        )
-        minus = steady_ode_residual(
-            SteadyOdeId.MEMBRANE_STEADY,
-            f(rho) - epsilon * g(rho),
-            df(rho) - epsilon * dg(rho),
-            d2f(rho) - epsilon * d2g(rho),
-            rho,
+        phi, dphi, d2phi = base(rho)
+        w = direction(rho)
+        lin = linearized_coefficients(phi, dphi, d2phi, rho).apply(w)
+        plus, minus = (
+            transformed_equation_residual(
+                SimilarityEquation.MEMBRANE_SCALED,
+                Jet2(phi + step * w.value, (step * w.d1[0], dphi + step * w.d1[1]),
+                     (step * w.d2[0], step * w.d2[1], d2phi + step * w.d2[2])),
+                (0.0, rho),
+            )
+            for step in (epsilon, -epsilon)
         )
         fd = (plus - minus) / (2.0 * epsilon)
         max_diff = max(max_diff, abs(fd - lin))

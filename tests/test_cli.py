@@ -240,6 +240,7 @@ def test_malformed_flag_exits_two_naming_the_flag(capsys, argv, flag):
 @pytest.mark.parametrize("override", [
     "dissipation=nan", "dissipation=inf", "max_gradient=nan",
     "min_disc_floor=nan", "dt_floor=nan", "hi=inf",
+    "fit_lo=nan", "fit_hi=inf", "fit_lo=0.99",
 ])
 def test_evolve_refuses_non_finite_settings(tmp_path, capsys, override):
     cfg = tmp_path / "r.cfg"
@@ -260,8 +261,13 @@ def test_evolve_refuses_non_finite_settings(tmp_path, capsys, override):
      "margin"),
     (("verify", "--equation", "membrane", "--family", "sphere-plus",
       "--rho-max", "nan"), "rho_max"),
+    (("verify", "--equation", "spacelike", "--family", "arctan-corrected",
+      "--margin", "nan"), "margin"),
+    (("verify", "--equation", "spacelike", "--family", "log-claimed",
+      "--rho-max", "nan"), "rho_max"),
 ], ids=["profile-rho-max-nan", "profile-rho-max-inf", "verify-log-margin-nan",
-        "verify-cap-margin-nan", "verify-cap-rho-max-nan"])
+        "verify-cap-margin-nan", "verify-cap-rho-max-nan",
+        "verify-spacelike-margin-nan", "verify-spacelike-rho-max-nan"])
 def test_non_finite_flags_exit_two_naming_the_setting(tmp_path, capsys, argv, setting):
     code, out, err = run_cli(capsys, *argv, "--json", str(tmp_path / "out.json"))
     assert (code, out) == (2, "")

@@ -36,6 +36,7 @@ from zmclab.residuals import EquationId
 # lambda_{-+} = (-pq -+ sqrt(1 - p^2 + q^2)) / (1 + q^2) at p=0.6, q=0.8
 SPEED_LO_AT_0P6_0P8 = -0.9825432011576074
 SPEED_HI_AT_0P6_0P8 = 0.39717734749907085
+FLOOR = EvolutionConfig.min_disc_floor
 
 STRING_LOG = ClosedFormSolution(family=Family.BORN_INFELD_LOG, T=1.0, k=0.2)
 
@@ -46,12 +47,12 @@ def string_state(n, lo=-0.5, hi=0.5, t0=0.0):
 
 
 def test_characteristic_speeds_frozen_values():
-    lo, hi, disc = characteristic_speeds(np.array([0.6]), np.array([0.8]))
+    lo, hi, disc = characteristic_speeds(np.array([0.6]), np.array([0.8]), FLOOR)
     assert math.isclose(lo[0], SPEED_LO_AT_0P6_0P8, rel_tol=0, abs_tol=1e-15)
     assert math.isclose(hi[0], SPEED_HI_AT_0P6_0P8, rel_tol=0, abs_tol=1e-15)
     assert disc[0] == 1.0 - 0.6 * 0.6 + 0.8 * 0.8
     # flat state: unit lightcone
-    lo, hi, disc = characteristic_speeds(np.zeros(3), np.zeros(3))
+    lo, hi, disc = characteristic_speeds(np.zeros(3), np.zeros(3), FLOOR)
     assert np.all(lo == -1.0) and np.all(hi == 1.0) and np.all(disc == 1.0)
 
 
@@ -64,7 +65,7 @@ def test_characteristic_speeds_never_exceed_background_cone():
     rng = np.random.default_rng(20260817)
     p = rng.uniform(-0.99, 0.99, size=2000)
     q = rng.uniform(-3.0, 3.0, size=2000)
-    lo, hi, _ = characteristic_speeds(p, q)
+    lo, hi, _ = characteristic_speeds(p, q, FLOOR)
     assert np.all(lo < 0) and np.all(hi > 0)
     assert np.max(np.abs(lo)) <= 1.0 + 1e-12
     assert np.max(np.abs(hi)) <= 1.0 + 1e-12
@@ -72,7 +73,7 @@ def test_characteristic_speeds_never_exceed_background_cone():
 
 def test_characteristic_speeds_refuse_degenerate_state():
     with pytest.raises(DegeneracyError):
-        characteristic_speeds(np.array([1.0]), np.array([0.0]))
+        characteristic_speeds(np.array([1.0]), np.array([0.0]), FLOOR)
 
 
 def test_rhs_matches_exact_time_derivatives():
@@ -166,7 +167,7 @@ def test_zero_data_stays_zero_and_takes_unit_cfl_steps():
 
 def test_single_step_tracks_closed_form():
     state = string_state(200)
-    lo, hi, _ = characteristic_speeds(state.p, state.q)
+    lo, hi, _ = characteristic_speeds(state.p, state.q, FLOOR)
     dt = 0.5 * state.spacing / max(np.max(np.abs(lo)), np.max(np.abs(hi)))
     run = run_evolution(state, EvolutionConfig(blowup_time=1.0, t_end=float(0.999 * dt)))
     assert run.n_steps == 1
@@ -352,7 +353,7 @@ def test_check_state_rejects_inconsistent_slope_array():
     bad = EvolutionState(t=state.t, xs=state.xs, u=state.u,
                          p=state.p, q=state.q + 0.05, spacing=state.spacing)
     with pytest.raises(ConsistencyError):
-        check_state(bad)
+        check_state(bad, FLOOR)
 
 
 def test_config_validation():

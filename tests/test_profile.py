@@ -11,6 +11,7 @@ from zmclab.errors import (
     DomainError,
     SingularPointError,
 )
+from zmclab.numerics import Jet2
 from zmclab.profiles import (
     ProfileState,
     Termination,
@@ -21,7 +22,7 @@ from zmclab.profiles import (
     profile_residual,
     shoot_profile,
 )
-from zmclab.similarity import SteadyOdeId, steady_ode_residual
+from zmclab.similarity import SimilarityEquation, transformed_equation_residual
 
 # hand-evaluated six-term residual at phi=1, dphi=1, d2phi=0, rho=0.5
 RESIDUAL_AT_UNIT_STATE = 1.75
@@ -99,12 +100,14 @@ def test_verify_branch_report():
 
 
 def test_steady_reduction_consistency():
-    """The radial steady reduction equals -(1/rho) times the profile form."""
+    """The scaled membrane reduction on a steady jet equals -(1/rho) times
+    the profile form."""
     rng = np.random.default_rng(20260817)
     for _ in range(500):
         phi, dphi, d2phi = rng.uniform(-1.0, 1.0, size=3)
         rho = rng.uniform(0.1, 0.9)
-        lhs = steady_ode_residual(SteadyOdeId.MEMBRANE_STEADY, phi, dphi, d2phi, rho)
+        jet = Jet2(phi, (0.0, dphi), (0.0, 0.0, d2phi))
+        lhs = transformed_equation_residual(SimilarityEquation.MEMBRANE_SCALED, jet, (0.0, rho))
         rhs = -profile_residual(phi, dphi, d2phi, rho) / rho
         assert abs(lhs - rhs) <= 1e-12
 

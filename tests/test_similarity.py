@@ -17,7 +17,6 @@ from zmclab.similarity import (
     from_similarity,
     steady_ode_closed_form,
     steady_ode_integrate,
-    steady_ode_residual,
     to_similarity,
     transform_field_jet,
     transformed_equation_residual,
@@ -107,36 +106,42 @@ def test_steady_closed_forms():
     assert abs(sp.corrected - PI_OVER_4) < 1e-12
     with pytest.raises(DomainError):
         steady_ode_closed_form(SteadyOdeId.BORN_INFELD_STEADY, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        steady_ode_closed_form(SteadyOdeId.MEMBRANE_STEADY, 1.0, 0.5)
+
+
+def steady_jet(v, vp, vpp):
+    """The similarity-frame jet of a tau-independent profile."""
+    return Jet2(v, (0.0, vp), (0.0, 0.0, vpp))
 
 
 def test_steady_residual_on_log_family():
+    """The steady log family solves the WAVE reduction at every tau."""
     k, rho = 1.3, 0.3
     v = k * math.log((1 + rho) / (1 - rho))
     vp = 2 * k / (1 - rho * rho)
-    vpp = 4 * k * rho / (1 - rho * rho) ** 2
-    assert abs(steady_ode_residual(SteadyOdeId.BORN_INFELD_STEADY, v, vp, vpp, rho)) <= 1e-12
+    jet = steady_jet(v, vp, 4 * k * rho / (1 - rho * rho) ** 2)
+    for tau in (0.0, 2.0, 5.0):
+        r = transformed_equation_residual(SimilarityEquation.WAVE, jet, (tau, rho))
+        assert abs(r) <= 1e-12, (tau, r)
 
 
 def test_steady_residual_spacelike_pair():
+    """Through the ELLIPTIC reduction, at tau = 0 and tau = 2."""
     rho = 0.7
     # corrected: arctan
     v = math.atan(rho)
     vp = 1.0 / (1 + rho * rho)
     vpp = -2 * rho / (1 + rho * rho) ** 2
-    assert abs(steady_ode_residual(SteadyOdeId.SPACELIKE_STEADY, v, vp, vpp, rho)) <= 1e-12
+    arctan = steady_jet(v, vp, vpp)
     # claimed: asinh leaves a residual equal to rho/sqrt(1+rho^2)
     v = math.asinh(rho)
     vp = (1 + rho * rho) ** -0.5
     vpp = -rho * (1 + rho * rho) ** -1.5
-    r = steady_ode_residual(SteadyOdeId.SPACELIKE_STEADY, v, vp, vpp, rho)
-    assert abs(r - ASINH_STEADY_RESIDUAL_0P7) <= 1e-12
-
-
-def test_membrane_steady_residual_singular_at_axis():
-    with pytest.raises(SingularPointError):
-        steady_ode_residual(SteadyOdeId.MEMBRANE_STEADY, 1.0, 0.0, 0.0, 0.0)
+    asinh = steady_jet(v, vp, vpp)
+    for tau in (0.0, 2.0):
+        r = transformed_equation_residual(SimilarityEquation.ELLIPTIC, arctan, (tau, rho))
+        assert abs(r) <= 1e-12
+        r = transformed_equation_residual(SimilarityEquation.ELLIPTIC, asinh, (tau, rho))
+        assert abs(r - ASINH_STEADY_RESIDUAL_0P7) <= 1e-12
 
 
 def test_integrate_log_family():

@@ -22,17 +22,13 @@ C_TAU_HALF = 4.0
 C_VALUE_HALF = -5.333333333333333
 
 
-def zero_triple():
-    z = lambda rho: 0.0
-    return (z, z, z)
-
-
-def branch_triple(sign=1):
-    return (
-        lambda rho: sign * math.sqrt(1 - rho * rho),
-        lambda rho: -sign * rho / math.sqrt(1 - rho * rho),
-        lambda rho: -sign * (1 - rho * rho) ** -1.5,
-    )
+# steady bases (phi, phi', phi''): both caps of the circle and a quadratic
+BASES = [
+    lambda rho: degenerate_branch(1, rho),
+    lambda rho: degenerate_branch(-1, rho),
+    lambda rho: (0.3 + 0.2 * rho * rho, 0.4 * rho, 0.4),
+]
+BASE_IDS = ["upper-cap", "lower-cap", "quadratic"]
 
 
 def test_zero_profile_coefficients():
@@ -83,11 +79,7 @@ def test_branch_pencil_is_the_axis_pencil_at_every_radius(sign):
         assert np.abs(scaled - mode_quadratic_at_axis()).max() <= 1e-12, (rho, scaled)
 
 
-@pytest.mark.parametrize("base", [
-    lambda rho: degenerate_branch(1, rho),
-    lambda rho: degenerate_branch(-1, rho),
-    lambda rho: (0.3 + 0.2 * rho * rho, 0.4 * rho, 0.4),
-], ids=["upper-cap", "lower-cap", "quadratic"])
+@pytest.mark.parametrize("base", BASES, ids=BASE_IDS)
 def test_linearization_matches_scaled_reduction_in_every_direction(base):
     """Each of the six coefficients is the derivative of the scaled membrane
     reduction at the steady profile along its own jet entry, tau entries
@@ -129,9 +121,11 @@ def test_operator_application_is_a_dot_product():
 
 
 def test_linearization_check_zero_base():
-    direction = (math.sin, math.cos, lambda rho: -math.sin(rho))
+    def direction(rho):
+        return Jet2(math.sin(rho), (0.0, math.cos(rho)), (0.0, 0.0, -math.sin(rho)))
+
     check = directional_linearization_check(
-        zero_triple(), direction, 1e-6, np.linspace(0.1, 0.9, 50)
+        lambda rho: (0.0, 0.0, 0.0), direction, 1e-6, np.linspace(0.1, 0.9, 50)
     )
     assert check.max_abs_difference <= 1e-5
     assert check.n_samples == 50
@@ -139,15 +133,26 @@ def test_linearization_check_zero_base():
 
 
 def test_linearization_check_branch_base():
-    direction = (
-        lambda rho: rho * rho,
-        lambda rho: 2 * rho,
-        lambda rho: 2.0,
-    )
     check = directional_linearization_check(
-        branch_triple(), direction, 1e-6, np.linspace(0.1, 0.9, 50)
+        lambda rho: degenerate_branch(1, rho),
+        lambda rho: Jet2(rho * rho, (0.0, 2 * rho), (0.0, 0.0, 2.0)),
+        1e-6,
+        np.linspace(0.1, 0.9, 50),
     )
     assert check.max_abs_difference <= 1e-8
+
+
+@pytest.mark.parametrize("base", BASES, ids=BASE_IDS)
+def test_linearization_check_sees_tau_directions(base):
+    """Along e^(tau/2) w the check differences the tau entries of the scaled
+    reduction as well, so it sees c_tau_tau, c_tau and c_tau_rho."""
+    def direction(rho):
+        w, dw, d2w = math.sin(3 * rho), 3 * math.cos(3 * rho), -9 * math.sin(3 * rho)
+        return Jet2(w, (w / 2, dw), (w / 4, dw / 2, d2w))
+
+    check = directional_linearization_check(base, direction, 1e-6, np.linspace(0.05, 0.9, 40))
+    assert check.max_abs_difference <= 1e-8
+    assert check.max_operator_value > 0.1
 
 
 def test_mode_quadratic_and_roots():
