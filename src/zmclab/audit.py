@@ -25,7 +25,7 @@ from .numerics import Jet2
 from .residuals import MARGIN, RHO_MAX, EquationId, certify, residual_at
 from .profiles import degenerate_branch
 from .similarity import steady_family_errors
-from .stability import directional_linearization_check, solve_mode_quadratic
+from .stability import directional_linearization_check, mode_growth_probe, solve_mode_quadratic
 
 MATCH = "match"
 MISMATCH = "mismatch"
@@ -224,6 +224,7 @@ def _claim_axis_curvature_sign() -> AuditClaim:
 
 def _claim_mode_roots() -> AuditClaim:
     report = solve_mode_quadratic()
+    symmetry = mode_growth_probe()
     verdict = MATCH if report.matches_claim else MISMATCH
     return AuditClaim(
         id="separable-mode-roots",
@@ -235,8 +236,9 @@ def _claim_mode_roots() -> AuditClaim:
         f"({report.classification})",
         verdict=verdict,
         expected_verdict=MISMATCH,
-        note="both root sets have exactly one growing mode, so the "
-        "qualitative instability conclusion stands",
+        note=f"the one growing root, nu = {symmetry.exponent:g}, is the blow-up-time "
+        f"translation e^tau/phi (residual {symmetry.max_residual:.1e}); the claimed "
+        "pair {4, -1} has no root at 1",
     )
 
 

@@ -140,9 +140,11 @@ def cmd_profile(args) -> int:
 
 def cmd_stability(args) -> int:
     report = solve_mode_quadratic()
+    symmetry = mode_growth_probe()
     payload = {
         "mode_report": report.to_json_dict(),
-        "growth_probe_exponent": mode_growth_probe(),
+        "growth_probe_exponent": symmetry.exponent,
+        "time_translation_residual": symmetry.max_residual,
     }
     _emit(args, payload)
     return EXIT_OK

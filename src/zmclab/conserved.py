@@ -109,11 +109,11 @@ def measure_scaling_exponent(
         raise ArityError("need at least 3 lambdas to fit a power law")
     if len(set(lambdas)) != len(lambdas):
         raise DomainError("lambdas must be distinct")
-    if any(lam <= 0 for lam in lambdas):
-        raise DomainError("lambdas must be positive")
+    if any(not (0 < lam < np.inf) for lam in lambdas):
+        raise DomainError("lambdas must be finite and positive")
     lo, hi = window
-    if not lo < hi:
-        raise DomainError("window must be increasing")
+    if not (-np.inf < lo < hi < np.inf):
+        raise DomainError("window must be finite and increasing")
 
     base_xs = np.linspace(lo, hi, SCALING_NODES)
     p, q = evaluate_jet(sol, (t0, base_xs)).d1

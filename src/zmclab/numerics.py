@@ -110,9 +110,9 @@ def rk4_step(state, derivative, t: float, dt: float):
     """One classical fourth-order Runge-Kutta step.
 
     derivative(t, state) returns the same kind of state. A tuple of floats
-    (the two-component profile, growth-probe and steady ODEs) is stepped
-    in Python floats, where numpy's per-call overhead would be most of the
-    cost; a float or an ndarray (the (3, n) evolution state) is stepped in
+    (the two-component profile and steady ODEs) is stepped in Python
+    floats, where numpy's per-call overhead would be most of the cost; a
+    float or an ndarray (the (3, n) evolution state) is stepped in
     numpy. Both do the same operations in the same order, so they agree
     bit for bit. Local error is O(dt^5) on smooth systems. A non-finite
     stage value raises NonFiniteError naming the stage and component.

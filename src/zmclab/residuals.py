@@ -1,10 +1,8 @@
 """PDE residual operators on 2-jets and residual sweeps.
 
 Each equation tag selects one residual formula, evaluated term-by-term in the
-expanded form. The divergence form is a separate operation because it divides
-by the hyperbolicity discriminant and therefore degenerates on lightlike
-backgrounds (the sphere caps are exactly lightlike, so only the expanded form
-can certify them).
+expanded form, which stays regular on lightlike backgrounds (the sphere caps
+are exactly lightlike, so only the expanded form can certify them).
 
 Residual formulas are plain arithmetic on jet entries, so they work unchanged
 on double-precision and double-double jets, at one point or at each point of
@@ -27,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .closedform import ClosedFormSolution, Family, evaluate_jet_extended
-from .errors import DegeneracyError, DomainError, RegularityError, SingularPointError
+from .errors import DomainError, RegularityError, SingularPointError
 from .numerics import Jet2
 
 EPS_DEGENERATE = 1e-10
@@ -128,31 +126,6 @@ def residual_at_axis(jet: Jet2) -> float:
             f"axis regularity violated: u_r(t,0) = {ur}, expected 0 for an even field"
         )
     return utt - 2 * urr * (1 - ut * ut)
-
-
-def divergence_form_residual(jet: Jet2) -> float:
-    """Residual of the conservation-law form d/dt(u_t/W) - d/dx(u_x/W) with
-    W = sqrt(1 - u_t^2 + u_x^2).
-
-    The product/quotient rule turns this into arithmetic on the 2-jet alone,
-    so second-order data suffices even though differencing the flux of a
-    discrete field would touch third differences. Computed along a different
-    arithmetic path than the expanded residual, which is what makes the
-    equivalence identity (divergence = expanded / W^3) a real test.
-    """
-    ut, ux = jet.d1
-    utt, utx, uxx = jet.d2
-    disc = 1 - ut * ut + ux * ux
-    if disc <= EPS_DEGENERATE:
-        raise DegeneracyError(
-            f"discriminant 1 - u_t^2 + u_x^2 = {float(disc)} <= {EPS_DEGENERATE}; "
-            "the divergence form degenerates on lightlike backgrounds"
-        )
-    W = math.sqrt(disc)
-    W3 = W * disc
-    dt_part = utt / W - ut * (-ut * utt + ux * utx) / W3
-    dx_part = uxx / W - ux * (-ut * utx + ux * uxx) / W3
-    return dt_part - dx_part
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -181,6 +182,20 @@ def test_audit_is_byte_identical_across_runs(capsys):
     assert doc["all_as_expected"] is True
 
 
+def test_stability_is_byte_identical_and_grows_at_the_top_root(capsys):
+    """The growth exponent sits on the larger root of the reported pencil,
+    the rule the benchmark's ode gate applies to this command."""
+    code1, out1, _ = run_cli(capsys, "stability")
+    code2, out2, _ = run_cli(capsys, "stability")
+    assert (code1, code2) == (0, 0)
+    assert out1 == out2
+    doc = json.loads(out1)
+    a, b, c = doc["mode_report"]["quadratic"]
+    top = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+    assert abs(doc["growth_probe_exponent"] - top) <= 1e-6
+    assert doc["time_translation_residual"] <= 1e-12
+
+
 def test_audit_json_file_matches_stdout(tmp_path, capsys):
     target = tmp_path / "audit.json"
     code, out, _ = run_cli(capsys, "audit", "--json", str(target))
@@ -265,9 +280,13 @@ def test_evolve_refuses_non_finite_settings(tmp_path, capsys, override):
       "--margin", "nan"), "margin"),
     (("verify", "--equation", "spacelike", "--family", "log-claimed",
       "--rho-max", "nan"), "rho_max"),
+    (("scaling", "--lambdas", "nan,1,2"), "lambdas"),
+    (("scaling", "--lambdas", "inf,1,2"), "lambdas"),
+    (("scaling", "--window=-inf,0.3"), "window"),
 ], ids=["profile-rho-max-nan", "profile-rho-max-inf", "verify-log-margin-nan",
         "verify-cap-margin-nan", "verify-cap-rho-max-nan",
-        "verify-spacelike-margin-nan", "verify-spacelike-rho-max-nan"])
+        "verify-spacelike-margin-nan", "verify-spacelike-rho-max-nan",
+        "scaling-lambdas-nan", "scaling-lambdas-inf", "scaling-window-inf"])
 def test_non_finite_flags_exit_two_naming_the_setting(tmp_path, capsys, argv, setting):
     code, out, err = run_cli(capsys, *argv, "--json", str(tmp_path / "out.json"))
     assert (code, out) == (2, "")

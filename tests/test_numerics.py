@@ -17,7 +17,6 @@ from zmclab.numerics import (
 )
 from zmclab.profiles import phi_second_derivative
 from zmclab.similarity import SteadyOdeId, steady_ode_integrate
-from zmclab.stability import mode_quadratic_at_axis
 
 # frozen reference values, evaluated once in extended precision
 EXP_0P1 = 1.1051709180756477
@@ -192,7 +191,7 @@ def test_rk4_adaptive_step_matches_reference():
 # The two-component ODEs step tuples of floats; the array path is the
 # reference, and both must produce the same bits.
 
-PENCIL = mode_quadratic_at_axis()
+PENCIL = (1.0, 3.0, -4.0)  # the membrane branch's separable-mode pencil
 
 
 def profile_slope(r, s):

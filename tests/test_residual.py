@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+from divergence_form import divergence_form_residual
 from fd_oracles import central_diff_jet2, observed_orders
 from zmclab.audit import SWEEP_GRID
 from zmclab.cli import EQUATION_BY_NAME, FAMILY_BY_NAME, build_parser
@@ -25,7 +26,6 @@ from zmclab.residuals import (
     ResidualReport,
     backward_cone_points,
     certify,
-    divergence_form_residual,
     lightcone_interior_points,
     residual_at,
     residual_at_axis,

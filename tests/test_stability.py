@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from zmclab import stability
 from zmclab.errors import SingularPointError
 from zmclab.numerics import Jet2
 from zmclab.profiles import degenerate_branch
@@ -12,9 +14,10 @@ from zmclab.stability import (
     directional_linearization_check,
     linearized_coefficients,
     mode_growth_probe,
-    mode_quadratic_at_axis,
     solve_mode_quadratic,
 )
+
+AXIS_PENCIL = (1.0, 3.0, -4.0)
 
 # branch coefficients at rho = 0.5: 1/(1-rho^2), 3/(1-rho^2), -4/(1-rho^2)
 C_TAU_TAU_HALF = 1.3333333333333333
@@ -76,7 +79,7 @@ def test_branch_pencil_is_the_axis_pencil_at_every_radius(sign):
         phi, dphi, d2phi = degenerate_branch(sign, float(rho))
         c = linearized_coefficients(phi, dphi, d2phi, float(rho))
         scaled = np.array([c.c_tau_tau, c.c_tau, c.c_value]) * (1.0 - rho * rho)
-        assert np.abs(scaled - mode_quadratic_at_axis()).max() <= 1e-12, (rho, scaled)
+        assert np.abs(scaled - AXIS_PENCIL).max() <= 1e-12, (rho, scaled)
 
 
 @pytest.mark.parametrize("base", BASES, ids=BASE_IDS)
@@ -103,7 +106,7 @@ def test_linearization_matches_scaled_reduction_in_every_direction(base):
 def test_branch_coefficients_reach_axis_limits():
     phi, dphi, d2phi = degenerate_branch(1, 1e-4)
     c = linearized_coefficients(phi, dphi, d2phi, 1e-4)
-    a, b, cc = mode_quadratic_at_axis()
+    a, b, cc = AXIS_PENCIL
     assert abs(c.c_tau_tau - a) <= 1e-6
     assert abs(c.c_tau - b) <= 1e-6
     assert abs(c.c_value - cc) <= 1e-6
@@ -168,6 +171,27 @@ def test_mode_quadratic_and_roots():
     assert d["matches_claim"] is False
 
 
-def test_growth_probe_matches_top_root():
-    rate = mode_growth_probe()
-    assert abs(rate - 1.0) <= 1e-3
+def test_time_translation_is_the_growing_mode():
+    """e^tau/phi, the derivative of either cap in the blow-up time, solves
+    the linearized equation, so the one growing root is a symmetry."""
+    mode = mode_growth_probe()
+    assert mode.max_residual <= 1e-12
+    assert mode.exponent == max(solve_mode_quadratic().roots)
+
+
+def coefficients_without_phi_in_c_tau(phi, dphi, d2phi, rho):
+    """The operator with c_tau's last term missing its factor phi."""
+    c = linearized_coefficients(phi, dphi, d2phi, rho)
+    return dataclasses.replace(
+        c, c_tau=-(1.0 - dphi * dphi + 2.0 * d2phi * phi + 2.0 * dphi / rho)
+    )
+
+
+def test_pencil_and_symmetry_mode_read_the_operator(monkeypatch):
+    """Both are computed from linearized_coefficients, so a wrong c_tau
+    breaks the uniform pencil and the time-translation mode."""
+    monkeypatch.setattr(stability, "linearized_coefficients", coefficients_without_phi_in_c_tau)
+    with pytest.raises(ArithmeticError, match="cap at rho"):
+        solve_mode_quadratic()
+    with pytest.raises(ArithmeticError, match="e\\^tau/phi"):
+        mode_growth_probe()
