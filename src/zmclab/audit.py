@@ -236,9 +236,10 @@ def _claim_mode_roots() -> AuditClaim:
         f"({report.classification})",
         verdict=verdict,
         expected_verdict=MISMATCH,
-        note=f"the one growing root, nu = {symmetry.exponent:g}, is the blow-up-time "
-        f"translation e^tau/phi (residual {symmetry.max_residual:.1e}); the claimed "
-        "pair {4, -1} has no root at 1",
+        note=f"the one growing root, nu = {symmetry.exponent:g}, has the blow-up-time "
+        f"translation e^tau/phi (residual {symmetry.max_residual:.1e}) and, the caps "
+        "being lightlike, every e^tau f(rho) in its eigenspace; the claimed pair "
+        "{4, -1} has no root at 1",
     )
 
 

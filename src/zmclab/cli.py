@@ -178,10 +178,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# evolve config schema: key -> (parser, default). The required equation and
-# the EvolutionConfig settings have no default here; a setting the config
-# leaves out keeps EvolutionConfig's default.
-EVOLUTION_SETTINGS = ("cfl", "dissipation", "max_gradient", "min_disc_floor", "dt_floor")
+# evolve config schema: key -> (parser, default); equation is required.
 CONFIG_SCHEMA = {
     "equation": (str, None),
     "family": (str, "zero"),
@@ -192,7 +189,6 @@ CONFIG_SCHEMA = {
     "lo": (float, -0.5),
     "hi": (float, 0.5),
     "n": (int, 400),
-    **{key: (float, None) for key in EVOLUTION_SETTINGS},
     "diagnostics_csv": (str, "diagnostics.csv"),
     "snapshots_csv": (str, ""),
     "fit": (_parse_bool, False),
@@ -293,7 +289,6 @@ def cmd_evolve(args) -> int:
         blowup_time=values["T"],
         t_end=values["t_end"],
         equation=equation,
-        **{key: values[key] for key in EVOLUTION_SETTINGS if key in values},
     )
 
     try:

@@ -42,6 +42,12 @@ from .residuals import EquationId
 
 # smallest window the edge ghosts can still close over
 MIN_ACTIVE_NODES = 3
+# the method: dt = CFL * h / fastest speed, fourth-difference dissipation
+# coefficient, and the floors on the discriminant 1 - p^2 + q^2 and on dt
+CFL = 0.5
+DISSIPATION = 0.01
+MIN_DISC_FLOOR = 1e-6
+DT_FLOOR = 1e-12
 
 # ghost weights of the polynomial through the last m nodes, m = 3, 4, 5
 _GHOST_TAILS = {
@@ -53,7 +59,6 @@ class RunStatus(enum.Enum):
     COMPLETED = "completed"
     DOMAIN_EXHAUSTED = "domain-exhausted"
     DEGENERACY_FLOOR = "degeneracy-floor"
-    GRADIENT_STOP = "gradient-stop"
 
 
 @dataclass(frozen=True)
@@ -61,27 +66,12 @@ class EvolutionConfig:
     blowup_time: float
     t_end: float
     equation: EquationId = EquationId.BORN_INFELD
-    cfl: float = 0.5
-    dissipation: float = 0.01  # fourth-difference coefficient
-    max_gradient: float | None = None  # stop once sup|q| reaches this
-    min_disc_floor: float = 1e-6
-    dt_floor: float = 1e-12
 
     def __post_init__(self):
         if self.equation not in (EquationId.BORN_INFELD, EquationId.RADIAL_MEMBRANE):
             raise DomainError(f"cannot evolve {self.equation.value}: not a flow")
         if not 0.0 < self.t_end < self.blowup_time:
             raise DomainError("need 0 < t_end < blowup_time")
-        if not 0.0 < self.cfl <= 1.0:
-            raise DomainError("cfl must lie in (0, 1]")
-        for name in ("dissipation", "min_disc_floor", "dt_floor"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise DomainError(f"{name} must be finite and nonnegative, got {value}")
-        if self.max_gradient is not None and not 0.0 < self.max_gradient < math.inf:
-            raise DomainError(
-                f"max_gradient must be finite and positive, got {self.max_gradient}"
-            )
 
 
 @dataclass
@@ -105,7 +95,7 @@ def initial_state_from_solution(sol: ClosedFormSolution, grid: Grid1D, t0=0.0):
     )
 
 
-def check_state(state: EvolutionState, min_disc_floor):
+def check_state(state: EvolutionState):
     """Refuse initial data that is degenerate or internally inconsistent.
 
     The stored q array must agree with differences of u to the accuracy a
@@ -113,10 +103,10 @@ def check_state(state: EvolutionState, min_disc_floor):
     of the data itself.
     """
     disc = state.min_discriminant()
-    if disc <= min_disc_floor:
+    if disc <= MIN_DISC_FLOOR:
         raise DegeneracyError(
             f"initial data degenerate: min(1 - p^2 + q^2) = {disc:.3e} "
-            f"<= floor {min_disc_floor:.1e}"
+            f"<= floor {MIN_DISC_FLOOR:.1e}"
         )
     h = state.spacing
     du = np.gradient(state.u, h, edge_order=2)
@@ -130,14 +120,14 @@ def check_state(state: EvolutionState, min_disc_floor):
         )
 
 
-def characteristic_speeds(p, q, min_disc_floor):
+def characteristic_speeds(p, q):
     """Both characteristic speeds and the discriminant 1 - p^2 + q^2."""
     disc = 1.0 - p * p + q * q
     worst = float(disc.min())
-    if worst <= min_disc_floor:
+    if worst <= MIN_DISC_FLOOR:
         raise DegeneracyError(
             f"evolution left the hyperbolic regime: min discriminant "
-            f"{worst:.3e} <= floor {min_disc_floor:.1e}"
+            f"{worst:.3e} <= floor {MIN_DISC_FLOOR:.1e}"
         )
     root = np.sqrt(disc)
     denom = 1.0 + q * q
@@ -288,7 +278,7 @@ class EvolutionRun:
 
 
 def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRun:
-    check_state(state, config.min_disc_floor)
+    check_state(state)
     track_momentum = config.equation is EquationId.BORN_INFELD
     axis_pinned = (
         config.equation is EquationId.RADIAL_MEMBRANE and state.xs[0] == 0.0
@@ -300,7 +290,7 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
     right_edge = float(xs[-1])
     # per-node quantities are computed once, on the full post-step arrays,
     # and their kept slices serve as the next step's old values
-    *speeds, disc = characteristic_speeds(state.p, state.q, config.min_disc_floor)
+    *speeds, disc = characteristic_speeds(state.p, state.q)
     if track_momentum:
         flux = momentum_flux(state.p, state.q)
         m = momentum_density(state.p, state.q)
@@ -327,20 +317,20 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
         ))
 
     def rhs(_, y):
-        return _rhs(config.equation, xs, *y, h, config.dissipation)
+        return _rhs(config.equation, xs, *y, h, DISSIPATION)
 
     record(t, xs, state.q, momentum, momentum, disc)
     while t < config.t_end - 1e-13:
         fastest = max(float(np.abs(s).max()) for s in speeds)
-        dt = config.cfl * h / max(fastest, 1e-30)
-        if dt < config.dt_floor:
+        dt = CFL * h / max(fastest, 1e-30)
+        if dt < DT_FLOOR:
             raise StepFloorError(f"time step {dt:.3e} below floor at t = {t:.6f}")
         dt = min(dt, config.t_end - t)
 
         y_new = rk4_step(y, rhs, t, dt)
         _, p_new, q_new = y_new
         try:
-            *speeds_new, disc = characteristic_speeds(p_new, q_new, config.min_disc_floor)
+            *speeds_new, disc = characteristic_speeds(p_new, q_new)
         except DegeneracyError:
             status = RunStatus.DEGENERACY_FLOOR
             break
@@ -382,11 +372,6 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
         speeds = [s[lo:hi] for s in speeds_new]
         n_steps += 1
         record(t, xs, y[2], momentum, momentum + strip_acc - flux_acc, disc[lo:hi])
-
-        sup_slope = rows[-1][1]
-        if config.max_gradient is not None and sup_slope >= config.max_gradient:
-            status = RunStatus.GRADIENT_STOP
-            break
 
     u, p, q = y
     final = EvolutionState(t=t, xs=xs, u=u, p=p, q=q, spacing=h)

@@ -74,7 +74,8 @@ class Jet2:
 
     Entries are Python floats or double-double values
     (closedform.DoubleDouble), or arrays of either sharing one shape;
-    finiteness is checked on their conversion to float.
+    finiteness is checked on floats directly and on the others' conversion
+    to float.
     """
 
     value: float
@@ -86,6 +87,8 @@ class Jet2:
         if len(self.d1) != 2 or len(self.d2) != 3:
             raise DomainError("Jet2 wants d1 of length 2 and d2 of length 3")
         for v in entries:
+            if isinstance(v, float) and math.isfinite(v):  # np.float64 too
+                continue
             values = np.asarray(v, dtype=float)
             finite = np.isfinite(values)
             if not finite.all():

@@ -6,7 +6,9 @@ derivative of the perturbation w(tau, rho).  On either cap of the circle
 branch the coefficients of w_rhorho, w_taurho and w_rho vanish, and the
 other three are one integer pencil over 1 - rho^2 at every radius, not
 only at the axis.  Its roots decide growth or decay of separable modes
-e^(nu tau); the growing one is the blow-up-time translation e^tau / phi.
+e^(nu tau) f(rho).  The one growing root, nu = 1, has the blow-up-time
+translation e^tau / phi in its eigenspace and, because the caps are
+lightlike and no rho derivative survives, every e^tau f(rho) as well.
 """
 
 from __future__ import annotations
@@ -169,9 +171,10 @@ class SymmetryMode:
 
 def mode_growth_probe() -> SymmetryMode:
     """w = e^tau / phi, the derivative of either cap in the blow-up time, is a
-    separable mode with nu = 1; max_residual is the worst |L w| / max(|w|, 1)
-    at tau = 0 on the branch radii. The name stays because the benchmark
-    harness traces this function and reads its exponent."""
+    separable mode with nu = 1, one of the e^tau f(rho) that the lightlike
+    caps all admit; max_residual is the worst |L w| / max(|w|, 1) at tau = 0
+    on the branch radii. The name stays because the benchmark harness
+    traces this function and reads its exponent."""
     worst = 0.0
     for _, _, (phi, dphi, d2phi), c in _branch_samples():
         w, dw, d2w = 1.0 / phi, -dphi / phi ** 2, (2.0 * dphi * dphi / phi - d2phi) / phi ** 2

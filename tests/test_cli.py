@@ -252,19 +252,34 @@ def test_malformed_flag_exits_two_naming_the_flag(capsys, argv, flag):
     assert f"argument {flag}:" in err
 
 
-@pytest.mark.parametrize("override", [
-    "dissipation=nan", "dissipation=inf", "max_gradient=nan",
-    "min_disc_floor=nan", "dt_floor=nan", "hi=inf",
-    "fit_lo=nan", "fit_hi=inf", "fit_lo=0.99",
-])
-def test_evolve_refuses_non_finite_settings(tmp_path, capsys, override):
+def refused_override_error(tmp_path, capsys, override):
+    """stderr of evolve on the reference config with --set override, which
+    must exit 2 before printing or writing anything."""
     cfg = tmp_path / "r.cfg"
     cfg.write_text(REFERENCE_CONFIG)
     code, out, err = run_cli(capsys, "evolve", str(cfg), "--set", override,
                              "--set", f"diagnostics_csv={tmp_path / 'd.csv'}")
     assert (code, out) == (2, "")
-    assert override.partition("=")[0] in err
     assert not (tmp_path / "d.csv").exists()
+    return err
+
+
+@pytest.mark.parametrize("override", [
+    "hi=inf", "fit_lo=nan", "fit_hi=inf", "fit_lo=0.99",
+])
+def test_evolve_refuses_non_finite_settings(tmp_path, capsys, override):
+    err = refused_override_error(tmp_path, capsys, override)
+    assert override.partition("=")[0] in err
+
+
+@pytest.mark.parametrize("override", [
+    "cfl=0.4", "dissipation=nan", "dissipation=inf", "max_gradient=nan",
+    "min_disc_floor=nan", "dt_floor=nan",
+])
+def test_evolve_refuses_method_keys_as_unknown(tmp_path, capsys, override):
+    """The evolution's method is fixed in code: a config cannot set it."""
+    err = refused_override_error(tmp_path, capsys, override)
+    assert f"unknown key {override.partition('=')[0]!r}" in err
 
 
 @pytest.mark.parametrize("argv, setting", [

@@ -51,9 +51,19 @@ def test_fit_result_validation():
         FitResult(slope=1.0, intercept=0.0, r_squared=1.5, n_points=3)
 
 
-def test_jet2_rejects_non_finite():
-    with pytest.raises(NonFiniteError):
-        Jet2(value=float("nan"), d1=(0.0, 0.0), d2=(0.0, 0.0, 0.0))
+@pytest.mark.parametrize("bad", [
+    float("nan"), float("inf"), np.float64("nan"), np.array([0.0, np.nan]),
+], ids=["float-nan", "float-inf", "float64-nan", "array-nan"])
+@pytest.mark.parametrize("slot", [0, 2, 5], ids=["value", "d1[1]", "d2[2]"])
+def test_jet2_rejects_non_finite(slot, bad):
+    """Floats take the math.isfinite path, arrays the numpy one; both name
+    the bad entry the same way."""
+    entries = [0.0] * 6
+    entries[slot] = bad
+    with pytest.raises(NonFiniteError) as exc:
+        Jet2(entries[0], tuple(entries[1:3]), tuple(entries[3:]))
+    shown = bad if np.ndim(bad) == 0 else bad[1]
+    assert str(exc.value) == f"non-finite jet entry {shown!r}"
 
 
 # --- finite differences -----------------------------------------------------

@@ -179,6 +179,17 @@ def test_time_translation_is_the_growing_mode():
     assert mode.exponent == max(solve_mode_quadratic().roots)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_every_e_tau_profile_solves_the_operator_on_the_caps(sign):
+    """With c_rho_rho, c_tau_rho and c_rho zero, L(e^tau f) is f times
+    c_tau_tau + c_tau + c_value = (1 + 3 - 4) / (1 - rho^2) = 0 for any f(rho):
+    the nu = 1 eigenspace holds more than the translation e^tau/phi."""
+    for rho in map(float, stability.BRANCH_RADII):
+        c = linearized_coefficients(*degenerate_branch(sign, rho), rho)
+        for f, df, d2f in ((1.0 + rho * rho, 2.0 * rho, 2.0), (rho, 1.0, 0.0)):
+            assert abs(c.apply(Jet2(f, (f, df), (f, df, d2f)))) <= 1e-12, (rho, f)
+
+
 def coefficients_without_phi_in_c_tau(phi, dphi, d2phi, rho):
     """The operator with c_tau's last term missing its factor phi."""
     c = linearized_coefficients(phi, dphi, d2phi, rho)
