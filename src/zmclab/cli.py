@@ -151,14 +151,10 @@ def cmd_stability(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    weight = (
-        QuadratureWeight.COORDINATE
-        if args.weight == "coordinate"
-        else QuadratureWeight.UNWEIGHTED
-    )
     sol = ClosedFormSolution(family=Family.BORN_INFELD_LOG, T=args.T, k=args.k)
     m = measure_scaling_exponent(
-        sol, t0=args.t0, window=args.window, lambdas=args.lambdas, weight=weight
+        sol, t0=args.t0, window=args.window, lambdas=args.lambdas,
+        weight=QuadratureWeight(args.weight),
     )
     _emit(args, m.to_json_dict())
     return EXIT_OK

@@ -3,10 +3,12 @@
 The divergence form of the string equation conserves the momentum
 density p / W with spatial flux q / W, where p and q are the time and
 space slopes and W = sqrt(1 - p^2 + q^2) is the Lorentz root of the
-graph.  The quadratic energy density (p^2 + q^2)/2, with or without a
-coordinate weight, is not conserved; its role here is to expose how the
-scaling family u -> u(lambda t, lambda x) / lambda moves energy between
-scales, which is measured empirically rather than asserted.
+graph.  The caller supplies W: the evolution forms it once per step,
+with the characteristic speeds and the discriminant floor.  The
+quadratic energy density (p^2 + q^2)/2, with or without a coordinate
+weight, is not conserved; its role here is to expose how the scaling
+family u -> u(lambda t, lambda x) / lambda moves energy between scales,
+which is measured empirically rather than asserted.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import ClosedFormSolution, evaluate_jet
-from .errors import ArityError, DegeneracyError, DomainError
+from .errors import ArityError, DomainError
 from .numerics import log_log_fit, trapezoid
-from .residuals import EPS_DEGENERATE
 
 CLAIMED_ENERGY_SCALING_EXPONENT = 1.0
 SCALING_NODES = 2001  # window nodes of each energy quadrature
@@ -30,25 +31,14 @@ class QuadratureWeight(enum.Enum):
     COORDINATE = "coordinate"
 
 
-def lorentz_root(p, q):
-    """W = sqrt(1 - p^2 + q^2), elementwise, refusing degenerate slopes."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    disc = 1.0 - p * p + q * q
-    worst = float(np.min(disc))
-    if worst <= EPS_DEGENERATE:
-        raise DegeneracyError(
-            f"Lorentz root degenerates: min(1 - p^2 + q^2) = {worst:.3e}"
-        )
-    return np.sqrt(disc)
+def momentum_density(p, root):
+    """p / W, given the Lorentz root W = sqrt(1 - p^2 + q^2) of the slopes."""
+    return p / root
 
 
-def momentum_density(p, q):
-    return np.asarray(p, dtype=float) / lorentz_root(p, q)
-
-
-def momentum_flux(p, q):
-    return np.asarray(q, dtype=float) / lorentz_root(p, q)
+def momentum_flux(q, root):
+    """q / W, given the Lorentz root W = sqrt(1 - p^2 + q^2) of the slopes."""
+    return q / root
 
 
 def quadratic_energy(p, q, xs, weight=QuadratureWeight.UNWEIGHTED):

@@ -121,7 +121,12 @@ def check_state(state: EvolutionState):
 
 
 def characteristic_speeds(p, q):
-    """Both characteristic speeds and the discriminant 1 - p^2 + q^2."""
+    """Both characteristic speeds, the discriminant 1 - p^2 + q^2 and its
+    root W = sqrt(1 - p^2 + q^2).
+
+    The evolution forms the discriminant, its floor and W here only: the
+    momentum density and flux divide by the root returned with the speeds.
+    """
     disc = 1.0 - p * p + q * q
     worst = float(disc.min())
     if worst <= MIN_DISC_FLOOR:
@@ -131,7 +136,7 @@ def characteristic_speeds(p, q):
         )
     root = np.sqrt(disc)
     denom = 1.0 + q * q
-    return (-p * q - root) / denom, (-p * q + root) / denom, disc
+    return (-p * q - root) / denom, (-p * q + root) / denom, disc, root
 
 
 def _ghosts(f, parity_left):
@@ -222,29 +227,32 @@ def _edge_offset(n_nodes):
     return max(0, min(3, (n_nodes - 6) // 2))
 
 
-def _incoming_speed(speeds, x_node, x_edge, h):
-    """Rightward speed of exterior information at the left float edge.
+def _advance_edge(edge, nodes, xs, speeds, speeds_new, h, dt):
+    """Heun step of a float edge at the incoming characteristic speed.
 
-    speeds holds both characteristic speeds on the three nodes from x_node
-    inward, just inside the edge error layer; the edge sits up to one
-    spacing outside the outermost retained node.  Extrapolate
-    quadratically: the tail must carry the curvature of the speed profile,
-    a linear one biases the edge measurably.
+    nodes slices the three nodes from the edge inward (step 1 from the
+    start on the left, -1 from the end on the right), just inside the edge
+    error layer; the edge sits up to one spacing outside the outermost
+    retained node.  Both speeds are extrapolated to the edge quadratically
+    (the tail must carry the curvature of the speed profile, a linear one
+    biases the edge measurably).  Exterior information comes in at the
+    fastest rightward speed at the left edge and the fastest leftward one
+    at the right; the right edge's rule is the left's on the mirrored
+    window, and negation is exact, so a mirrored run moves its edges to
+    the mirrored bits.
     """
-    d = (x_node - x_edge) / h
-    lo, hi = (_quadratic_tail(*s.tolist(), d) for s in speeds)
-    return max(0.0, lo, hi)
+    side = nodes.step
+    incoming = max if side > 0 else min
+    x_node = float(xs[nodes.start])
 
+    def speed(speeds, x_edge):
+        d = side * (x_node - x_edge) / h
+        tails = (_quadratic_tail(*s[nodes].tolist(), d) for s in speeds)
+        return incoming(0.0, *tails)
 
-def _advance_edge(speeds, speeds_new, x_node, x_edge, h, dt):
-    """Heun step of the left float edge at the incoming characteristic speed.
-
-    The right edge takes the same step on the mirrored nodes, which is
-    exact in floating point: negation commutes with every operation here.
-    """
-    v0 = _incoming_speed(speeds, x_node, x_edge, h)
-    v1 = _incoming_speed(speeds_new, x_node, x_edge + dt * v0, h)
-    return x_edge + 0.5 * dt * (v0 + v1)
+    v0 = speed(speeds, edge)
+    v1 = speed(speeds_new, edge + dt * v0)
+    return edge + 0.5 * dt * (v0 + v1)
 
 
 def _center_series_value(equation, xs, q, h):
@@ -290,10 +298,10 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
     right_edge = float(xs[-1])
     # per-node quantities are computed once, on the full post-step arrays,
     # and their kept slices serve as the next step's old values
-    *speeds, disc = characteristic_speeds(state.p, state.q)
+    *speeds, disc, root = characteristic_speeds(state.p, state.q)
     if track_momentum:
-        flux = momentum_flux(state.p, state.q)
-        m = momentum_density(state.p, state.q)
+        flux = momentum_flux(state.q, root)
+        m = momentum_density(state.p, root)
         mass_scale = float(trapezoid(np.abs(m), xs))
         momentum = float(trapezoid(m, xs))
     else:
@@ -330,27 +338,25 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
         y_new = rk4_step(y, rhs, t, dt)
         _, p_new, q_new = y_new
         try:
-            *speeds_new, disc = characteristic_speeds(p_new, q_new)
+            *speeds_new, disc, root = characteristic_speeds(p_new, q_new)
         except DegeneracyError:
             status = RunStatus.DEGENERACY_FLOOR
             break
 
         if track_momentum:
-            flux_new = momentum_flux(p_new, q_new)
+            flux_new = momentum_flux(q_new, root)
             flux_acc += 0.5 * dt * (
                 float(flux[-1] - flux[0]) + float(flux_new[-1] - flux_new[0])
             )
-            m = momentum_density(p_new, q_new)
+            m = momentum_density(p_new, root)
 
         # advance the excision edges at the local incoming characteristic
         # speed (Heun in time): exterior data can never reach a kept node
         k = _edge_offset(xs.size)
+        step = (xs, speeds, speeds_new, h, dt)
         if not axis_pinned:
-            near = [[s[k:k + 3] for s in pair] for pair in (speeds, speeds_new)]
-            left_edge = _advance_edge(*near, xs[k], left_edge, h, dt)
-        far = slice(xs.size - 3 - k, xs.size - k)
-        mirrored = [(-hi[far][::-1], -lo[far][::-1]) for lo, hi in (speeds, speeds_new)]
-        right_edge = -_advance_edge(*mirrored, -xs[-1 - k], -right_edge, h, dt)
+            left_edge = _advance_edge(left_edge, slice(k, k + 3, 1), *step)
+        right_edge = _advance_edge(right_edge, slice(-1 - k, -4 - k, -1), *step)
 
         # xs increases, so the kept nodes are one run [lo, hi)
         lo = int(xs.searchsorted(left_edge - 1e-12))
@@ -377,13 +383,6 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
     final = EvolutionState(t=t, xs=xs, u=u, p=p, q=q, spacing=h)
     series = map(np.array, zip(*rows))
     return EvolutionRun(config, status, *series, mass_scale, final, n_steps)
-
-
-def sup_error_against(run: EvolutionRun, sol: ClosedFormSolution) -> float:
-    """Sup norm of u - exact over the surviving nodes at the final time."""
-    final = run.final
-    exact = evaluate_jet(sol, (final.t, final.xs)).value
-    return float(np.max(np.abs(final.u - exact)))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .closedform import ClosedFormSolution, Family, evaluate_jet_extended
 from .errors import DomainError, RegularityError, SingularPointError
 from .numerics import Jet2
 
-EPS_DEGENERATE = 1e-10
 RHO_MIN = 0.01  # innermost similarity radius of the backward-cone sampler
 # the cone samplers' margin and outermost similarity radius in the audit and
 # at verify's defaults

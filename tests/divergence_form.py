@@ -11,7 +11,8 @@ import math
 
 from zmclab.errors import DegeneracyError
 from zmclab.numerics import Jet2
-from zmclab.residuals import EPS_DEGENERATE
+
+EPS_DEGENERATE = 1e-10
 
 
 def divergence_form_residual(jet: Jet2) -> float:

@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+from exact_error import sup_error_against
 from profile_forms import profile_residual_regrouped
 from zmclab.cli import main
 from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet
@@ -28,7 +29,6 @@ from zmclab.evolution import (
     fit_blowup_rate,
     initial_state_from_solution,
     run_evolution,
-    sup_error_against,
 )
 from zmclab.numerics import Grid1D, Jet2
 from zmclab.profiles import (

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from exact_error import sup_error_against
 from rhs_reference import reference_rhs
 
 import zmclab.evolution
@@ -26,7 +27,7 @@ from zmclab.evolution import (
     fit_blowup_series,
     initial_state_from_solution,
     run_evolution,
-    sup_error_against,
+    _advance_edge,
     _ghosts,
     _rhs,
 )
@@ -46,13 +47,15 @@ def string_state(n, lo=-0.5, hi=0.5, t0=0.0):
 
 
 def test_characteristic_speeds_frozen_values():
-    lo, hi, disc = characteristic_speeds(np.array([0.6]), np.array([0.8]))
+    lo, hi, disc, root = characteristic_speeds(np.array([0.6]), np.array([0.8]))
     assert math.isclose(lo[0], SPEED_LO_AT_0P6_0P8, rel_tol=0, abs_tol=1e-15)
     assert math.isclose(hi[0], SPEED_HI_AT_0P6_0P8, rel_tol=0, abs_tol=1e-15)
     assert disc[0] == 1.0 - 0.6 * 0.6 + 0.8 * 0.8
+    assert root[0] == math.sqrt(disc[0])
     # flat state: unit lightcone
-    lo, hi, disc = characteristic_speeds(np.zeros(3), np.zeros(3))
-    assert np.all(lo == -1.0) and np.all(hi == 1.0) and np.all(disc == 1.0)
+    lo, hi, disc, root = characteristic_speeds(np.zeros(3), np.zeros(3))
+    assert np.all(lo == -1.0) and np.all(hi == 1.0)
+    assert np.all(disc == 1.0) and np.all(root == 1.0)
 
 
 def test_characteristic_speeds_never_exceed_background_cone():
@@ -64,7 +67,7 @@ def test_characteristic_speeds_never_exceed_background_cone():
     rng = np.random.default_rng(20260817)
     p = rng.uniform(-0.99, 0.99, size=2000)
     q = rng.uniform(-3.0, 3.0, size=2000)
-    lo, hi, _ = characteristic_speeds(p, q)
+    lo, hi, _, _ = characteristic_speeds(p, q)
     assert np.all(lo < 0) and np.all(hi > 0)
     assert np.max(np.abs(lo)) <= 1.0 + 1e-12
     assert np.max(np.abs(hi)) <= 1.0 + 1e-12
@@ -166,7 +169,7 @@ def test_zero_data_stays_zero_and_takes_unit_cfl_steps():
 
 def test_single_step_tracks_closed_form():
     state = string_state(200)
-    lo, hi, _ = characteristic_speeds(state.p, state.q)
+    lo, hi, _, _ = characteristic_speeds(state.p, state.q)
     dt = 0.5 * state.spacing / max(np.max(np.abs(lo)), np.max(np.abs(hi)))
     run = run_evolution(state, EvolutionConfig(blowup_time=1.0, t_end=float(0.999 * dt)))
     assert run.n_steps == 1
@@ -196,19 +199,28 @@ def test_window_exhausts_at_dependence_collapse():
 
 
 def test_speeds_and_fluxes_are_computed_once_per_step(monkeypatch):
-    """Each step's post-step speeds and fluxes serve as the next step's old
-    values, so neither is recomputed on the same nodes."""
-    calls = {"characteristic_speeds": 0, "momentum_flux": 0}
+    """Each step's post-step speeds and momentum terms serve as the next
+    step's old values, so none is recomputed on the same nodes, and the
+    momentum density and flux divide by the root the speeds were formed
+    with instead of forming the discriminant again."""
+    calls = {"characteristic_speeds": [], "momentum_flux": [], "momentum_density": []}
     for name in calls:
         def counted(*args, _name=name, _inner=getattr(zmclab.evolution, name)):
-            calls[_name] += 1
-            return _inner(*args)
+            result = _inner(*args)
+            calls[_name].append((args, result))
+            return result
         monkeypatch.setattr(zmclab.evolution, name, counted)
     run = run_evolution(string_state(200), EvolutionConfig(blowup_time=1.0, t_end=0.8))
     assert run.status is RunStatus.DOMAIN_EXHAUSTED
     assert run.n_steps >= 100
-    for name, count in calls.items():
-        assert run.n_steps < count <= run.n_steps + 2, name
+    for name, made in calls.items():
+        assert run.n_steps < len(made) <= run.n_steps + 2, name
+    # each speeds call is followed by one momentum pair dividing by its root
+    roots = [result[3] for _, result in calls["characteristic_speeds"]]
+    for name in ("momentum_flux", "momentum_density"):
+        given = [args[1] for args, _ in calls[name]]
+        assert len(given) == len(roots), name
+        assert all(a is b for a, b in zip(given, roots)), name
 
 
 def test_parity_preserved_by_symmetric_run():
@@ -218,6 +230,22 @@ def test_parity_preserved_by_symmetric_run():
     assert np.max(np.abs(f.u + f.u[::-1])) <= 1e-10
     assert np.max(np.abs(f.p + f.p[::-1])) <= 1e-10
     assert np.max(np.abs(f.q - f.q[::-1])) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_right_edge_rule_is_left_rule_on_mirrored_window(k):
+    """The right edge steps by the left edge's rule read on the mirrored
+    window (x -> -x, (lo, hi) -> (-hi, -lo) reversed), to the last bit."""
+    rng = np.random.default_rng(20261018 + k)
+    n, h, dt = 12, 0.01, 0.004
+    xs = np.arange(n) * h - 0.05
+    pairs = [tuple(rng.uniform(-0.9, 0.9, (2, n))) for _ in range(2)]
+    mirrored = [(-hi[::-1], -lo[::-1]) for lo, hi in pairs]
+    for edge in xs[-1] + h * rng.uniform(0.0, 1.0, 20):
+        right = _advance_edge(edge, slice(-1 - k, -4 - k, -1), xs, *pairs, h, dt)
+        left = _advance_edge(-edge, slice(k, k + 3, 1), -xs[::-1], *mirrored, h, dt)
+        assert right == -left
+        assert right <= edge
 
 
 def test_mirrored_window_is_mirror_image():
