@@ -20,9 +20,15 @@ from .closedform import (
     derivative_blowup_amplitude,
     evaluate_jet,
 )
-from .conserved import QuadratureWeight, measure_scaling_exponent
+from .conserved import (
+    SCALING_MEMBER,
+    SCALING_T0,
+    SCALING_WINDOW,
+    QuadratureWeight,
+    measure_scaling_exponent,
+)
 from .numerics import Jet2
-from .residuals import MARGIN, RHO_MAX, EquationId, certify, residual_at
+from .residuals import RHO_MAX, EquationId, certify, residual_at
 from .profiles import degenerate_branch
 from .similarity import steady_family_errors
 from .stability import directional_linearization_check, mode_growth_probe, solve_mode_quadratic
@@ -103,7 +109,7 @@ def _certified(equation, solutions) -> tuple[float, bool]:
     equation, and whether every sweep meets its pairing."""
     worst, within = -1.0, True
     for sol in solutions:
-        report, ok = certify(equation, sol, *SWEEP_GRID, MARGIN, RHO_MAX)
+        report, ok = certify(equation, sol, *SWEEP_GRID)
         worst, within = max(worst, report.max_abs), within and ok
     return worst, within
 
@@ -289,12 +295,9 @@ def _claim_steady_families() -> AuditClaim:
 
 
 def _claim_energy_scaling() -> AuditClaim:
-    sol = ClosedFormSolution(family=Family.BORN_INFELD_LOG, T=1.0, k=0.3)
-    unweighted = measure_scaling_exponent(
-        sol, t0=0.5, window=(-0.2, 0.3), weight=QuadratureWeight.UNWEIGHTED
-    )
+    unweighted = measure_scaling_exponent(SCALING_MEMBER, SCALING_T0, SCALING_WINDOW)
     weighted = measure_scaling_exponent(
-        sol, t0=0.5, window=(0.05, 0.3), weight=QuadratureWeight.COORDINATE
+        SCALING_MEMBER, SCALING_T0, (0.05, 0.3), weight=QuadratureWeight.COORDINATE
     )
     return AuditClaim(
         id="energy-scaling-exponent",

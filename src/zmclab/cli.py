@@ -33,7 +33,13 @@ from .evolution import (
     initial_state_from_solution,
     run_evolution,
 )
-from .conserved import QuadratureWeight, measure_scaling_exponent
+from .conserved import (
+    SCALING_MEMBER,
+    SCALING_T0,
+    SCALING_WINDOW,
+    QuadratureWeight,
+    measure_scaling_exponent,
+)
 from .numerics import Grid1D
 from .profiles import shoot_profile
 from .reporting import (
@@ -43,7 +49,7 @@ from .reporting import (
     write_profile_csv,
     write_snapshot_csv,
 )
-from .residuals import MARGIN, RHO_MAX, VERIFY_PAIRINGS, EquationId, certify
+from .residuals import VERIFY_PAIRINGS, EquationId, certify
 from .stability import mode_growth_probe, solve_mode_quadratic
 
 EXIT_OK = 0
@@ -105,7 +111,7 @@ def cmd_verify(args) -> int:
 
     sol = ClosedFormSolution(family=family, T=args.T, k=args.k)
     side = max(2, int(args.samples**0.5))
-    report, within = certify(equation, sol, side, side, args.margin, args.rho_max)
+    report, within = certify(equation, sol, side, side)
     payload = {
         "equation": args.equation,
         "family": args.family,
@@ -151,10 +157,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    sol = ClosedFormSolution(family=Family.BORN_INFELD_LOG, T=args.T, k=args.k)
     m = measure_scaling_exponent(
-        sol, t0=args.t0, window=args.window, lambdas=args.lambdas,
-        weight=QuadratureWeight(args.weight),
+        SCALING_MEMBER, SCALING_T0, SCALING_WINDOW, weight=QuadratureWeight(args.weight)
     )
     _emit(args, m.to_json_dict())
     return EXIT_OK
@@ -346,24 +350,6 @@ def _positive(kind, most=None):
     return parse
 
 
-def _comma_floats(count: int, exact: bool = False):
-    """argparse type: comma-separated floats, at least (or exactly) count."""
-
-    def parse(text: str) -> tuple:
-        try:
-            values = tuple(float(s) for s in text.split(","))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        if len(values) < count or (exact and len(values) != count):
-            need = f"{count}" if exact else f"at least {count}"
-            raise argparse.ArgumentTypeError(
-                f"need {need} comma-separated numbers, got {len(values)}"
-            )
-        return values
-
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zmclab",
@@ -379,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--samples", type=_positive(int, MAX_SAMPLES), default=400,
                    help=f"approximate total sample count, at most {MAX_SAMPLES}")
-    p.add_argument("--margin", type=float, default=MARGIN)
-    p.add_argument("--rho-max", type=float, default=RHO_MAX, dest="rho_max")
     p.add_argument("--json", help="also write the report to this path")
     p.set_defaults(handler=cmd_verify)
 
@@ -406,11 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_stability)
 
     p = sub.add_parser("scaling", help="measure the energy scaling exponent")
-    p.add_argument("--lambdas", type=_comma_floats(3), default="0.5,1,2,4")
-    p.add_argument("--k", type=float, default=0.3)
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--t0", type=float, default=0.5)
-    p.add_argument("--window", type=_comma_floats(2, exact=True), default="-0.2,0.3")
     p.add_argument("--weight", choices=("unweighted", "coordinate"),
                    default="unweighted")
     p.add_argument("--json")

@@ -18,12 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import ClosedFormSolution, evaluate_jet
+from .closedform import ClosedFormSolution, Family, evaluate_jet
 from .errors import ArityError, DomainError
 from .numerics import log_log_fit, trapezoid
 
 CLAIMED_ENERGY_SCALING_EXPONENT = 1.0
 SCALING_NODES = 2001  # window nodes of each energy quadrature
+# the measured member of the log family, the slice t0 it is sampled on, and
+# the window, which lies inside the member's light cone |x| < T - t0 = 0.5
+SCALING_MEMBER = ClosedFormSolution(family=Family.BORN_INFELD_LOG, T=1.0, k=0.3)
+SCALING_T0 = 0.5
+SCALING_WINDOW = (-0.2, 0.3)
 
 
 class QuadratureWeight(enum.Enum):

@@ -286,11 +286,14 @@ class EvolutionRun:
 
 
 def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRun:
+    if not state.t < config.t_end:
+        raise DomainError(f"need t0 < t_end, got t0 = {state.t}, t_end = {config.t_end}")
+    radial = config.equation is EquationId.RADIAL_MEMBRANE
+    if radial and state.xs[0] < 0.0:
+        raise DomainError(f"a radial window needs lo >= 0, got lo = {state.xs[0]}")
     check_state(state)
     track_momentum = config.equation is EquationId.BORN_INFELD
-    axis_pinned = (
-        config.equation is EquationId.RADIAL_MEMBRANE and state.xs[0] == 0.0
-    )
+    axis_pinned = radial and state.xs[0] == 0.0
 
     t = state.t
     xs, y, h = state.xs, np.stack([state.u, state.p, state.q]), state.spacing

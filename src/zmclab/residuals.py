@@ -29,8 +29,8 @@ from .errors import DomainError, RegularityError, SingularPointError
 from .numerics import Jet2
 
 RHO_MIN = 0.01  # innermost similarity radius of the backward-cone sampler
-# the cone samplers' margin and outermost similarity radius in the audit and
-# at verify's defaults
+# the cone samplers' margin and outermost similarity radius in every
+# certification sweep
 MARGIN = 0.02
 RHO_MAX = 0.95
 
@@ -213,29 +213,25 @@ VERIFY_PAIRINGS = {
 }
 
 
-def sample_points(family: Family, T, n_time, n_space, margin, rho_max) -> np.ndarray:
+def sample_points(family: Family, T, n_time, n_space) -> np.ndarray:
     """The n_time x n_space sample set that certifies family: the lightcone
-    interior for the log family, the backward cone for the radial families,
-    and the square [0, T/2]^2 of the spacelike half plane. margin and
-    rho_max are checked for every family."""
-    if not (margin > 0):
-        raise DomainError(f"need margin > 0, got {margin}")
-    if not (RHO_MIN < rho_max < 1):
-        raise DomainError(f"need {RHO_MIN} < rho_max < 1, got {rho_max}")
+    interior for the log family, the backward cone for the radial families
+    (both at MARGIN, the cone out to RHO_MAX), and the square [0, T/2]^2 of
+    the spacelike half plane."""
     if family is Family.BORN_INFELD_LOG:
-        return lightcone_interior_points(T, n_time, n_space, margin)
+        return lightcone_interior_points(T, n_time, n_space, MARGIN)
     if family in (Family.SPACELIKE_LOG_CLAIMED, Family.SPACELIKE_ARCTAN_CORRECTED):
         return rectangle_points((0.0, T / 2), (0.0, T / 2), n_time, n_space)
-    return backward_cone_points(T, n_time, n_space, margin, rho_max)
+    return backward_cone_points(T, n_time, n_space, MARGIN, RHO_MAX)
 
 
 def certify(
-    equation: EquationId, sol: ClosedFormSolution, n_time, n_space, margin, rho_max
+    equation: EquationId, sol: ClosedFormSolution, n_time, n_space
 ) -> tuple[ResidualReport, bool]:
     """Sweep sol's residual over its sample set and judge the sweep by the
     pairing's entry in VERIFY_PAIRINGS: returns (report, within)."""
     expectation, threshold = VERIFY_PAIRINGS[(equation, sol.family)]
-    points = sample_points(sol.family, sol.T, n_time, n_space, margin, rho_max)
+    points = sample_points(sol.family, sol.T, n_time, n_space)
     report = sweep_residual(equation, sol, points)
     if expectation is SOLUTION:
         return report, report.max_abs <= threshold

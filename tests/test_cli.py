@@ -221,7 +221,7 @@ def test_profile_degenerate_start_is_usage_error(capsys):
 
 
 def test_scaling_measurement(capsys):
-    code, out, _ = run_cli(capsys, "scaling", "--lambdas", "0.5,1,2,4")
+    code, out, _ = run_cli(capsys, "scaling")
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["exponent"] + 1.0) <= 1e-8
@@ -230,9 +230,9 @@ def test_scaling_measurement(capsys):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (("scaling", "--lambdas", "0.5,abc"), "--lambdas"),
-    (("scaling", "--window", "0.3"), "--window"),
-    (("scaling", "--lambdas", "1,2"), "--lambdas"),
+    (("scaling", "--weight", "radial"), "--weight"),
+    (("verify", "--equation", "born-infeld", "--family", "log", "--k", "abc"), "--k"),
+    (("verify", "--equation", "born-infeld", "--family", "log", "--T", "1,2"), "--T"),
     (("verify", "--equation", "born-infeld", "--family", "log", "--samples", "-5"),
      "--samples"),
     (("profile", "--a", "0.5", "--drho", "0"), "--drho"),
@@ -252,12 +252,13 @@ def test_malformed_flag_exits_two_naming_the_flag(capsys, argv, flag):
     assert f"argument {flag}:" in err
 
 
-def refused_override_error(tmp_path, capsys, override):
-    """stderr of evolve on the reference config with --set override, which
-    must exit 2 before printing or writing anything."""
+def refused_override_error(tmp_path, capsys, *overrides):
+    """stderr of evolve on the reference config with a --set per override,
+    which must exit 2 before printing or writing anything."""
     cfg = tmp_path / "r.cfg"
     cfg.write_text(REFERENCE_CONFIG)
-    code, out, err = run_cli(capsys, "evolve", str(cfg), "--set", override,
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    code, out, err = run_cli(capsys, "evolve", str(cfg), *sets,
                              "--set", f"diagnostics_csv={tmp_path / 'd.csv'}")
     assert (code, out) == (2, "")
     assert not (tmp_path / "d.csv").exists()
@@ -282,30 +283,40 @@ def test_evolve_refuses_method_keys_as_unknown(tmp_path, capsys, override):
     assert f"unknown key {override.partition('=')[0]!r}" in err
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (("t0=0.6", "t_end=0.5", "lo=-0.3", "hi=0.3"), "need t0 < t_end, got t0 = 0.6, t_end = 0.5"),
+    (("equation=membrane", "family=constant"), "a radial window needs lo >= 0, got lo = -0.5"),
+], ids=["t0-past-t_end", "membrane-negative-lo"])
+def test_evolve_refuses_a_run_it_cannot_start(tmp_path, capsys, overrides, message):
+    assert message in refused_override_error(tmp_path, capsys, *overrides)
+
+
 @pytest.mark.parametrize("argv, setting", [
     (("profile", "--a", "0.5", "--rho-max", "nan"), "rho_max"),
     (("profile", "--a", "0.5", "--rho-max", "inf"), "rho_max"),
-    (("verify", "--equation", "born-infeld", "--family", "log", "--margin", "nan"),
-     "margin"),
-    (("verify", "--equation", "membrane", "--family", "sphere-plus", "--margin", "nan"),
-     "margin"),
-    (("verify", "--equation", "membrane", "--family", "sphere-plus",
-      "--rho-max", "nan"), "rho_max"),
-    (("verify", "--equation", "spacelike", "--family", "arctan-corrected",
-      "--margin", "nan"), "margin"),
-    (("verify", "--equation", "spacelike", "--family", "log-claimed",
-      "--rho-max", "nan"), "rho_max"),
-    (("scaling", "--lambdas", "nan,1,2"), "lambdas"),
-    (("scaling", "--lambdas", "inf,1,2"), "lambdas"),
-    (("scaling", "--window=-inf,0.3"), "window"),
-], ids=["profile-rho-max-nan", "profile-rho-max-inf", "verify-log-margin-nan",
-        "verify-cap-margin-nan", "verify-cap-rho-max-nan",
-        "verify-spacelike-margin-nan", "verify-spacelike-rho-max-nan",
-        "scaling-lambdas-nan", "scaling-lambdas-inf", "scaling-window-inf"])
+], ids=["profile-rho-max-nan", "profile-rho-max-inf"])
 def test_non_finite_flags_exit_two_naming_the_setting(tmp_path, capsys, argv, setting):
     code, out, err = run_cli(capsys, *argv, "--json", str(tmp_path / "out.json"))
     assert (code, out) == (2, "")
     assert setting in err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("verify", "--margin", "0.02"),
+    ("verify", "--rho-max", "0.95"),
+    ("scaling", "--lambdas", "0.5,1,2,4"),
+    ("scaling", "--k", "0.3"),
+    ("scaling", "--T", "1"),
+    ("scaling", "--t0", "0.5"),
+    ("scaling", "--window", "-0.2,0.3"),
+])
+def test_sampling_flags_are_unrecognized(capsys, command, flag, value):
+    """verify's sample geometry and scaling's measured member, slice and
+    window are fixed in code: setting one, even to its value, exits 2."""
+    required = {"verify": ("--equation", "born-infeld", "--family", "log"), "scaling": ()}
+    code, out, err = run_cli(capsys, command, *required[command], f"{flag}={value}")
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag}={value}\n" in err
 
 
 def test_audit_and_verify_run_without_mpmath(tmp_path):

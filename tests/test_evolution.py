@@ -343,6 +343,27 @@ def test_membrane_lightlike_sphere_data_refused():
             blowup_time=1.0, t_end=0.5, equation=EquationId.RADIAL_MEMBRANE))
 
 
+@pytest.mark.parametrize("t0", (0.5, 0.6))
+def test_run_refuses_to_start_at_or_past_t_end(t0):
+    """From t0 >= t_end no step is taken, so a "completed" run would report
+    a t_final at or past t_end."""
+    with pytest.raises(DomainError, match=f"got t0 = {t0}, t_end = 0.5"):
+        run_evolution(string_state(100, lo=-0.3, hi=0.3, t0=t0),
+                      EvolutionConfig(blowup_time=1.0, t_end=0.5))
+
+
+@pytest.mark.parametrize("hi", (0.4, 0.5))
+def test_membrane_refuses_negative_radii(hi):
+    """The radial flow's 1/r terms read a window left of the axis as radii:
+    through r = 0 the run divides by zero, and short of it it is
+    meaningless."""
+    sol = ClosedFormSolution(family=Family.CONSTANT_PROFILE, T=1.0, k=0.3)
+    state = initial_state_from_solution(sol, Grid1D(lo=-0.5, hi=hi, n=200))
+    with pytest.raises(DomainError, match="got lo = -0.5"):
+        run_evolution(state, EvolutionConfig(
+            blowup_time=1.0, t_end=0.8, equation=EquationId.RADIAL_MEMBRANE))
+
+
 def test_membrane_perturbed_sphere_stops_at_floor():
     """Data kicked off the lightlike cone runs, then degenerates again."""
     sph = ClosedFormSolution(family=Family.MEMBRANE_SPHERE_PLUS, T=1.0)

@@ -19,8 +19,6 @@ from zmclab.closedform import (
 from zmclab.errors import DegeneracyError, DomainError, RegularityError, SingularPointError
 from zmclab.numerics import Jet2
 from zmclab.residuals import (
-    MARGIN,
-    RHO_MAX,
     VERIFY_PAIRINGS,
     EquationId,
     ResidualReport,
@@ -115,7 +113,7 @@ def test_axis_regularity_guard():
 
 def test_sweep_born_infeld_certifies():
     sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=1.0)
-    rep, within = certify(EquationId.BORN_INFELD, sol, 20, 20, 0.02, 0.95)
+    rep, within = certify(EquationId.BORN_INFELD, sol, 20, 20)
     assert rep.n_points == 400
     assert within and rep.max_abs <= 1e-9
     assert rep.rms <= rep.max_abs
@@ -123,14 +121,14 @@ def test_sweep_born_infeld_certifies():
 
 def test_sweep_membrane_certifies():
     sol = ClosedFormSolution(Family.MEMBRANE_SPHERE_MINUS, T=1.0)
-    rep, within = certify(EquationId.RADIAL_MEMBRANE, sol, 20, 20, 0.02, 0.95)
+    rep, within = certify(EquationId.RADIAL_MEMBRANE, sol, 20, 20)
     assert within and rep.max_abs <= 1e-9
 
 
 def test_sweep_flags_non_solution():
     sol = ClosedFormSolution(Family.SPACELIKE_LOG_CLAIMED, T=1.0, k=1.0)
-    pts = sample_points(sol.family, 1.0, 15, 15, 0.02, 0.95)  # [0, 0.5]^2
-    rep, within = certify(EquationId.SPACELIKE_GRAPH, sol, 15, 15, 0.02, 0.95)
+    pts = sample_points(sol.family, 1.0, 15, 15)  # [0, 0.5]^2
+    rep, within = certify(EquationId.SPACELIKE_GRAPH, sol, 15, 15)
     assert within and rep.max_abs >= 0.1
     # worst point is attained where the report says it is
     worst = rep.worst_point
@@ -148,7 +146,7 @@ def test_sweep_flags_non_solution():
 
 def test_sweep_report_serializes():
     sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=0.2)
-    rep, _ = certify(EquationId.BORN_INFELD, sol, 5, 5, 0.05, 0.95)
+    rep, _ = certify(EquationId.BORN_INFELD, sol, 5, 5)
     d = rep.to_json_dict()
     assert set(d) == {"equation", "n_points", "max_abs", "rms", "worst_point"}
 
@@ -201,11 +199,11 @@ def _certification_sweeps():
         argv = ["verify", "--equation", eq_names[eq], "--family", fam_names[fam]]
         args = parser.parse_args(argv)
         side = max(2, int(args.samples**0.5))
-        grid = (side, side, args.margin, args.rho_max)
-        yield " ".join(argv), eq, ClosedFormSolution(fam, T=args.T, k=args.k), grid
+        sol = ClosedFormSolution(fam, T=args.T, k=args.k)
+        yield " ".join(argv), eq, sol, (side, side)
     for k in (0.2, 1.0, -3.0):
         sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=k)
-        yield f"audit log k={k}", EquationId.BORN_INFELD, sol, (*SWEEP_GRID, MARGIN, RHO_MAX)
+        yield f"audit log k={k}", EquationId.BORN_INFELD, sol, SWEEP_GRID
 
 
 def test_double_double_sweeps_match_mpmath_oracle():
