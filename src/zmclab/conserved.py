@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import ClosedFormSolution, Family, evaluate_jet
-from .errors import ArityError, DomainError
+from .errors import DomainError
 from .numerics import log_log_fit, trapezoid
 
 CLAIMED_ENERGY_SCALING_EXPONENT = 1.0
@@ -29,6 +29,9 @@ SCALING_NODES = 2001  # window nodes of each energy quadrature
 SCALING_MEMBER = ClosedFormSolution(family=Family.BORN_INFELD_LOG, T=1.0, k=0.3)
 SCALING_T0 = 0.5
 SCALING_WINDOW = (-0.2, 0.3)
+# the scale factors lambda of the measured members; dyadic, so the rescaled
+# nodes stay exact in floating point
+SCALING_LAMBDAS = (0.5, 1.0, 2.0, 4.0)
 
 
 class QuadratureWeight(enum.Enum):
@@ -61,9 +64,9 @@ def quadratic_energy(p, q, xs, weight=QuadratureWeight.UNWEIGHTED):
 
 @dataclass(frozen=True)
 class ScalingMeasurement:
-    """Fitted power law E(lambda) ~ lambda^exponent for the scaling family."""
+    """Fitted power law E(lambda) ~ lambda^exponent for the scaling family,
+    one energy per lambda of SCALING_LAMBDAS."""
 
-    lambdas: tuple
     energies: tuple
     weight: QuadratureWeight
     exponent: float
@@ -75,7 +78,7 @@ class ScalingMeasurement:
 
     def to_json_dict(self):
         return {
-            "lambdas": list(self.lambdas),
+            "lambdas": list(SCALING_LAMBDAS),
             "energies": list(self.energies),
             "weight": self.weight.value,
             "exponent": self.exponent,
@@ -89,7 +92,6 @@ def measure_scaling_exponent(
     sol: ClosedFormSolution,
     t0: float,
     window,
-    lambdas=(0.5, 1.0, 2.0, 4.0),
     weight: QuadratureWeight = QuadratureWeight.UNWEIGHTED,
 ) -> ScalingMeasurement:
     """Measure how the windowed quadratic energy of the rescaled family scales.
@@ -98,14 +100,8 @@ def measure_scaling_exponent(
     first derivatives at (t0/lambda, x/lambda) coincide with those of the
     base solution at (t0, x), so each member is sampled on the preimage of
     one fixed window and the energies are compared on covariant domains.
-    Dyadic lambdas keep the rescaled nodes exact in floating point.
+    The members are those of SCALING_LAMBDAS.
     """
-    if len(lambdas) < 3:
-        raise ArityError("need at least 3 lambdas to fit a power law")
-    if len(set(lambdas)) != len(lambdas):
-        raise DomainError("lambdas must be distinct")
-    if any(not (0 < lam < np.inf) for lam in lambdas):
-        raise DomainError("lambdas must be finite and positive")
     lo, hi = window
     if not (-np.inf < lo < hi < np.inf):
         raise DomainError("window must be finite and increasing")
@@ -114,13 +110,12 @@ def measure_scaling_exponent(
     p, q = evaluate_jet(sol, (t0, base_xs)).d1
 
     energies = []
-    for lam in lambdas:
+    for lam in SCALING_LAMBDAS:
         xs = base_xs / lam
         energies.append(float(quadratic_energy(p, q, xs, weight)))
 
-    fit = log_log_fit(np.asarray(lambdas, dtype=float), np.array(energies))
+    fit = log_log_fit(np.asarray(SCALING_LAMBDAS), np.array(energies))
     return ScalingMeasurement(
-        lambdas=tuple(float(l) for l in lambdas),
         energies=tuple(energies),
         weight=weight,
         exponent=fit.slope,

@@ -173,13 +173,7 @@ def rk4_integrate(derivative, t0: float, state0, t_end: float, dt: float):
     return np.asarray(ts), np.asarray(states, dtype=float)
 
 
-def rk4_adaptive_step(
-    derivative,
-    t: float,
-    state,
-    dt: float,
-    abs_tol: float = 1e-10,
-):
+def rk4_adaptive_step(derivative, t: float, state, dt: float, abs_tol: float):
     """One accepted RK4 step with step-doubling error control.
 
     Compares a full step against two half steps; halves dt until the

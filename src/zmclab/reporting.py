@@ -99,7 +99,13 @@ def write_csv(path, header, rows) -> None:
             writer.writerow(cells)
 
 
-def diagnostics_rows(run):
+DIAGNOSTICS_HEADER = (
+    "t", "sup_q", "q_at_origin", "min_discriminant",
+    "momentum_integral", "momentum_corrected",
+)
+
+
+def write_diagnostics_csv(path, run) -> None:
     """Per-step time series of an evolution run.
 
     Columns: t, sup_q, q_at_origin, min_discriminant, momentum_integral,
@@ -108,23 +114,11 @@ def diagnostics_rows(run):
     conservation check bounds; the raw integral is kept beside it because the
     difference between the two is the whole story of the excision.
     """
-    return [
-        (t, s, c, d, m, inv)
-        for t, s, c, d, m, inv in zip(
-            run.times, run.sup_slope, run.center_series,
-            run.min_disc, run.momentum, run.invariant,
-        )
-    ]
-
-
-DIAGNOSTICS_HEADER = (
-    "t", "sup_q", "q_at_origin", "min_discriminant",
-    "momentum_integral", "momentum_corrected",
-)
-
-
-def write_diagnostics_csv(path, run) -> None:
-    write_csv(path, DIAGNOSTICS_HEADER, diagnostics_rows(run))
+    rows = zip(
+        run.times, run.sup_slope, run.center_series,
+        run.min_disc, run.momentum, run.invariant,
+    )
+    write_csv(path, DIAGNOSTICS_HEADER, rows)
 
 
 SNAPSHOT_HEADER = ("x", "u", "p", "q")

@@ -131,29 +131,25 @@ def residual_at_axis(jet: Jet2) -> float:
 # domain samplers
 
 
-def lightcone_interior_points(
-    T: float, n_time: int, n_space: int, margin: float
-) -> np.ndarray:
+def lightcone_interior_points(T: float, n_time: int, n_space: int) -> np.ndarray:
     """Tensor-style sampling of the interior lightcone: n_time time slices,
-    each carrying n_space points spanning |x| <= T - t - margin."""
-    if not (margin > 0 and T - 2 * margin > 0):
-        raise DomainError(f"margin {margin} leaves no room inside T={T}")
-    tg = np.linspace(0.0, T - 2 * margin, n_time)
-    half = T - tg - margin
+    each carrying n_space points spanning |x| <= T - t - MARGIN."""
+    if not T - 2 * MARGIN > 0:
+        raise DomainError(f"T={T} leaves no room inside the lightcone: needs T > {2 * MARGIN:g}")
+    tg = np.linspace(0.0, T - 2 * MARGIN, n_time)
+    half = T - tg - MARGIN
     xs = np.linspace(-half, half, n_space, axis=1)
     return np.column_stack([np.repeat(tg, n_space), xs.ravel()])
 
 
-def backward_cone_points(
-    T: float, n_time: int, n_space: int, margin: float, rho_max: float
-) -> np.ndarray:
+def backward_cone_points(T: float, n_time: int, n_space: int) -> np.ndarray:
     """Sampling of the backward lightcone at similarity radii
-    rho = r/(T-t) in [RHO_MIN, rho_max]; RHO_MIN stays off the axis because
+    rho = r/(T-t) in [RHO_MIN, RHO_MAX]; RHO_MIN stays off the axis because
     the expanded membrane residual has 1/r terms."""
-    if not (margin > 0 and T - 2 * margin > margin):
-        raise DomainError(f"margin {margin} leaves no room inside T={T}")
-    tg = np.linspace(margin, T - 2 * margin, n_time)
-    rhog = np.linspace(RHO_MIN, rho_max, n_space)
+    if not T - 2 * MARGIN > MARGIN:
+        raise DomainError(f"T={T} leaves no room inside the cone: needs T > {3 * MARGIN:g}")
+    tg = np.linspace(MARGIN, T - 2 * MARGIN, n_time)
+    rhog = np.linspace(RHO_MIN, RHO_MAX, n_space)
     return np.column_stack([np.repeat(tg, n_space), np.outer(T - tg, rhog).ravel()])
 
 
@@ -219,10 +215,10 @@ def sample_points(family: Family, T, n_time, n_space) -> np.ndarray:
     (both at MARGIN, the cone out to RHO_MAX), and the square [0, T/2]^2 of
     the spacelike half plane."""
     if family is Family.BORN_INFELD_LOG:
-        return lightcone_interior_points(T, n_time, n_space, MARGIN)
+        return lightcone_interior_points(T, n_time, n_space)
     if family in (Family.SPACELIKE_LOG_CLAIMED, Family.SPACELIKE_ARCTAN_CORRECTED):
         return rectangle_points((0.0, T / 2), (0.0, T / 2), n_time, n_space)
-    return backward_cone_points(T, n_time, n_space, MARGIN, RHO_MAX)
+    return backward_cone_points(T, n_time, n_space)
 
 
 def certify(

@@ -1,9 +1,11 @@
 """Similarity coordinates and the reduced equations living in them.
 
-The coordinate map is (tau, rho) = (-log(T-t), x/(T-t)) for the hyperbolic
-problems and the analogous (-log(T-x), y/(T-x)) for the spacelike one. Two
-field scalings ride on top of the map and must be named explicitly at every
-call, because the source material switches between them silently:
+The similarity coordinates are (tau, rho) = (-log(T-t), x/(T-t)) for the
+hyperbolic problems and the analogous (-log(T-x), y/(T-x)) for the spacelike
+one; the functions that move points and jets into them take the blow-up
+time T directly. Two field scalings ride on top of the coordinates and must
+be named explicitly at every call, because the source material switches
+between them silently:
 
 * NONE:   v(tau, rho) = u  (used for the wave and elliptic reductions);
 * LINEAR: v(tau, rho) = e^tau * u, equivalently u = (T-t) * profile.
@@ -21,17 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
+from .closedform import ClosedFormSolution, Family, evaluate_jet
 from .errors import DomainError, SingularPointError
 from .numerics import Jet2, rk4_integrate
-
-
-class Orientation(Enum):
-    TIME_BASED = "time"  # tau = -log(T-t), rho = x/(T-t)
-    SPACE_BASED = "space"  # tau = -log(T-x), rho = y/(T-x)
 
 
 class FrameScaling(Enum):
@@ -52,36 +49,29 @@ class SimilarityEquation(Enum):
     ELLIPTIC = "elliptic-similarity"  # reduction of the spacelike graph equation
 
 
-@dataclass(frozen=True)
-class SimilarityMap:
-    T: float
-    orientation: Orientation = Orientation.TIME_BASED
-
-    def __post_init__(self) -> None:
-        if not (self.T > 0):
-            raise DomainError(f"similarity map needs T > 0, got {self.T}")
-
-
-def to_similarity(smap: SimilarityMap, point) -> tuple[float, float]:
-    """(t, x) -> (tau, rho), defined while the first coordinate stays below T."""
-    a, b = float(point[0]), float(point[1])
-    gap = smap.T - a
+def _gap(T: float, a: float) -> float:
+    """T - a, refused where the frame ends (a >= T)."""
+    gap = T - a
     if gap <= 0.0:
-        name = "t" if smap.orientation is Orientation.TIME_BASED else "x"
-        raise DomainError(f"{name} < T violated: {name}={a}, T={smap.T}")
-    return (-math.log(gap), b / gap)
+        raise DomainError(f"similarity frame undefined at first coordinate {a} >= T={T}")
+    return gap
 
 
-def from_similarity(smap: SimilarityMap, sim_point) -> tuple[float, float]:
+def to_similarity(T: float, point) -> tuple[float, float]:
+    """(a, b) -> (tau, rho) = (-log(T-a), b/(T-a)), defined while the first
+    coordinate stays below T."""
+    gap = _gap(T, float(point[0]))
+    return (-math.log(gap), float(point[1]) / gap)
+
+
+def from_similarity(T: float, sim_point) -> tuple[float, float]:
     """Inverse map; composes with to_similarity to the identity."""
     tau, rho = float(sim_point[0]), float(sim_point[1])
     gap = math.exp(-tau)
-    return (smap.T - gap, rho * gap)
+    return (T - gap, rho * gap)
 
 
-def transform_field_jet(
-    smap: SimilarityMap, point, jet: Jet2, scaling: FrameScaling
-) -> Jet2:
+def transform_field_jet(T: float, point, jet: Jet2, scaling: FrameScaling) -> Jet2:
     """Push a physical 2-jet at `point` into the similarity frame.
 
     The returned jet is ordered (tau, rho): d1 = (v_tau, v_rho),
@@ -89,11 +79,8 @@ def transform_field_jet(
     chain-rule list of the reduction and were derived by hand from
     t = T - e^{-tau}, x = rho e^{-tau}.
     """
-    a_coord, b_coord = float(point[0]), float(point[1])
-    gap = smap.T - a_coord
-    if gap <= 0.0:
-        raise DomainError(f"similarity frame undefined at first coordinate {a_coord} >= T={smap.T}")
-    rho = b_coord / gap
+    gap = _gap(T, float(point[0]))
+    rho = float(point[1]) / gap
     u = jet.value
     ut, ux = jet.d1
     utt, utx, uxx = jet.d2
@@ -119,29 +106,6 @@ def transform_field_jet(
         return Jet2(v, (v_tau, v_rho), (v_tautau, v_taurho, v_rhorho))
 
     raise DomainError(f"unknown scaling {scaling!r}")
-
-
-class SteadyPair(NamedTuple):
-    """Claimed and corrected closed forms of a steady ODE solution.
-
-    For the timelike reduction the two entries agree (the printed family is
-    correct); for the spacelike reduction `claimed` is the printed
-    k*asinh(rho), which does NOT satisfy the steady ODE, and `corrected` is
-    k*arctan(rho), which does.
-    """
-
-    claimed: float
-    corrected: float
-
-
-def steady_ode_closed_form(ode: SteadyOdeId, k: float, rho: float) -> SteadyPair:
-    rho = float(rho)
-    if ode is SteadyOdeId.BORN_INFELD_STEADY:
-        if not (abs(rho) < 1.0):
-            raise DomainError(f"|rho| < 1 violated: rho={rho}")
-        val = k * math.log((1.0 + rho) / (1.0 - rho))
-        return SteadyPair(claimed=val, corrected=val)
-    return SteadyPair(claimed=k * math.asinh(rho), corrected=k * math.atan(rho))
 
 
 @dataclass(frozen=True)
@@ -189,18 +153,23 @@ def steady_family_errors(k: float, drho: float) -> tuple[float, float, float]:
     """Largest deviations of the printed steady families from RK4 runs of
     their ODEs at step drho, started from the families' data at rho = 0:
     (timelike log family on [0, 0.9], printed spacelike k*asinh(rho) on
-    [0, 2], corrected k*arctan(rho) on [0, 2])."""
-    timelike_ode = SteadyOdeId.BORN_INFELD_STEADY
-    spacelike_ode = SteadyOdeId.SPACELIKE_STEADY
-    timelike = steady_ode_integrate(timelike_ode, (0.0, 2.0 * k), (0.0, 0.9), drho)
-    spacelike = steady_ode_integrate(spacelike_ode, (0.0, k), (0.0, 2.0), drho)
-    log_family = [steady_ode_closed_form(timelike_ode, k, r).claimed for r in timelike.rhos]
-    claimed, corrected = zip(
-        *(steady_ode_closed_form(spacelike_ode, k, r) for r in spacelike.rhos)
+    [0, 2], corrected k*arctan(rho) on [0, 2]).
+
+    The steady families are the closed forms at T = 1 on the slice t = 0
+    (x = 0 for the spacelike ones), whose second coordinate is rho."""
+    timelike = steady_ode_integrate(
+        SteadyOdeId.BORN_INFELD_STEADY, (0.0, 2.0 * k), (0.0, 0.9), drho
     )
+    spacelike = steady_ode_integrate(SteadyOdeId.SPACELIKE_STEADY, (0.0, k), (0.0, 2.0), drho)
     return tuple(
-        float(np.max(np.abs(run.v - np.array(exact))))
-        for run, exact in ((timelike, log_family), (spacelike, claimed), (spacelike, corrected))
+        float(np.max(np.abs(
+            run.v - evaluate_jet(ClosedFormSolution(family, 1.0, k), (0.0, run.rhos)).value
+        )))
+        for run, family in (
+            (timelike, Family.BORN_INFELD_LOG),
+            (spacelike, Family.SPACELIKE_LOG_CLAIMED),
+            (spacelike, Family.SPACELIKE_ARCTAN_CORRECTED),
+        )
     )
 
 

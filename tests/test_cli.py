@@ -86,6 +86,22 @@ def test_misuse_invalid_pairing_exits_two(capsys):
     assert "cannot be verified" in err
 
 
+@pytest.mark.parametrize("equation, family, T, least", [
+    ("born-infeld", "log", "0.03", "0.04"),
+    ("membrane", "sphere-plus", "0.05", "0.06"),
+])
+def test_verify_small_T_refusal_names_the_least_valid_T(capsys, equation, family, T, least):
+    """A T too small for the sample set exits 2 naming T and the bound on it,
+    not the sampler's margin, which no flag sets."""
+    code, out, err = run_cli(
+        capsys, "verify", "--equation", equation, "--family", family, "--T", T,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"T={T}" in err and f"needs T > {least}" in err
+    assert "margin" not in err
+
+
 def test_misuse_config_missing_equation_exits_two(tmp_path, capsys):
     cfg = tmp_path / "no_eq.cfg"
     cfg.write_text("family = log\nk = 0.2\n")

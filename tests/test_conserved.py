@@ -9,7 +9,7 @@ from zmclab.conserved import (
     momentum_flux,
     quadratic_energy,
 )
-from zmclab.errors import ArityError, DomainError
+from zmclab.errors import DomainError
 from zmclab.numerics import trapezoid
 
 HALF_OVER_ROOT_THREE_QUARTERS = 0.5773502691896258
@@ -106,12 +106,6 @@ def test_scaling_exponent_coordinate_weight():
 
 def test_scaling_exponent_guards():
     sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=0.3)
-    with pytest.raises(ArityError):
-        measure_scaling_exponent(sol, 0.5, (-0.2, 0.2), lambdas=(1.0, 2.0))
-    with pytest.raises(DomainError):
-        measure_scaling_exponent(sol, 0.5, (-0.2, 0.2), lambdas=(1.0, 1.0, 2.0))
-    with pytest.raises(DomainError):
-        measure_scaling_exponent(sol, 0.5, (-0.2, 0.2), lambdas=(-1.0, 1.0, 2.0))
     with pytest.raises(DomainError):
         measure_scaling_exponent(sol, 0.5, (0.2, -0.2))
 

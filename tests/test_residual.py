@@ -19,6 +19,9 @@ from zmclab.closedform import (
 from zmclab.errors import DegeneracyError, DomainError, RegularityError, SingularPointError
 from zmclab.numerics import Jet2
 from zmclab.residuals import (
+    MARGIN,
+    RHO_MAX,
+    RHO_MIN,
     VERIFY_PAIRINGS,
     EquationId,
     ResidualReport,
@@ -230,18 +233,16 @@ def test_double_double_sweeps_match_mpmath_oracle():
                     assert error <= 1e-20, (label, pick[i], error)
 
 
-@pytest.mark.parametrize("T, n_time, n_space, margin", [
-    (0.7, 3, 7, 0.01), (1.0, 20, 20, 0.02), (2.5, 17, 5, 0.1),
-])
-def test_cone_samplers_match_per_slice_loop(T, n_time, n_space, margin):
+@pytest.mark.parametrize("T, n_time, n_space", [(0.7, 3, 7), (1.0, 20, 20), (2.5, 17, 5)])
+def test_cone_samplers_match_per_slice_loop(T, n_time, n_space):
     """The whole-array samplers give the points of one linspace per slice."""
-    rhog = np.linspace(0.01, 0.95, n_space)
-    light = [(t, x) for t in np.linspace(0.0, T - 2 * margin, n_time)
-             for x in np.linspace(-(T - t - margin), T - t - margin, n_space)]
-    cone = [(t, x) for t in np.linspace(margin, T - 2 * margin, n_time)
+    rhog = np.linspace(RHO_MIN, RHO_MAX, n_space)
+    light = [(t, x) for t in np.linspace(0.0, T - 2 * MARGIN, n_time)
+             for x in np.linspace(-(T - t - MARGIN), T - t - MARGIN, n_space)]
+    cone = [(t, x) for t in np.linspace(MARGIN, T - 2 * MARGIN, n_time)
             for x in rhog * (T - t)]
-    assert np.array_equal(lightcone_interior_points(T, n_time, n_space, margin), light)
-    assert np.array_equal(backward_cone_points(T, n_time, n_space, margin, 0.95), cone)
+    assert np.array_equal(lightcone_interior_points(T, n_time, n_space), light)
+    assert np.array_equal(backward_cone_points(T, n_time, n_space), cone)
 
 
 def test_report_rejects_rms_above_max():

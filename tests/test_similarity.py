@@ -10,12 +10,10 @@ from zmclab.numerics import Jet2
 from zmclab.residuals import EquationId, residual_at
 from zmclab.similarity import (
     FrameScaling,
-    Orientation,
     SimilarityEquation,
-    SimilarityMap,
     SteadyOdeId,
     from_similarity,
-    steady_ode_closed_form,
+    steady_family_errors,
     steady_ode_integrate,
     to_similarity,
     transform_field_jet,
@@ -32,40 +30,39 @@ ASINH_STEADY_RESIDUAL_0P7 = 0.5734623443633283
 
 
 def test_map_basic_points():
-    smap = SimilarityMap(T=1.0)
-    assert to_similarity(smap, (0.0, 0.0)) == (0.0, 0.0)
-    tau, rho = to_similarity(smap, (1.0 - math.exp(-1.0), 0.5 * math.exp(-1.0)))
+    assert to_similarity(1.0, (0.0, 0.0)) == (0.0, 0.0)
+    tau, rho = to_similarity(1.0, (1.0 - math.exp(-1.0), 0.5 * math.exp(-1.0)))
     assert abs(tau - 1.0) < 1e-12
     assert abs(rho - 0.5) < 1e-12
 
 
 def test_map_round_trip():
     rng = np.random.default_rng(3)
-    smap = SimilarityMap(T=2.0, orientation=Orientation.SPACE_BASED)
     for _ in range(50):
         pt = (rng.uniform(-1.0, 1.9), rng.uniform(-3.0, 3.0))
-        back = from_similarity(smap, to_similarity(smap, pt))
+        back = from_similarity(2.0, to_similarity(2.0, pt))
         assert abs(back[0] - pt[0]) <= 1e-12 * max(1.0, abs(pt[0]))
         assert abs(back[1] - pt[1]) <= 1e-12 * max(1.0, abs(pt[1]))
 
 
 def test_map_rejects_past_blowup():
-    smap = SimilarityMap(T=1.0)
     with pytest.raises(DomainError):
-        to_similarity(smap, (1.0, 0.0))
+        to_similarity(1.0, (1.0, 0.0))
     with pytest.raises(DomainError):
-        to_similarity(smap, (1.5, 0.0))
+        to_similarity(1.0, (1.5, 0.0))
+    with pytest.raises(DomainError):
+        transform_field_jet(1.0, (1.0, 0.0), Jet2(0.0, (0.0, 0.0), (0.0, 0.0, 0.0)),
+                            FrameScaling.NONE)
 
 
 def test_constant_field_transforms():
-    smap = SimilarityMap(T=1.0)
     const_jet = Jet2(2.5, (0.0, 0.0), (0.0, 0.0, 0.0))
-    v = transform_field_jet(smap, (0.3, 0.1), const_jet, FrameScaling.NONE)
+    v = transform_field_jet(1.0, (0.3, 0.1), const_jet, FrameScaling.NONE)
     assert v.value == 2.5
     assert v.d1 == (0.0, 0.0)
     assert v.d2 == (0.0, 0.0, 0.0)
     # linear scaling turns a constant into e^tau * c, so v_tau = v
-    w = transform_field_jet(smap, (0.3, 0.1), const_jet, FrameScaling.LINEAR)
+    w = transform_field_jet(1.0, (0.3, 0.1), const_jet, FrameScaling.LINEAR)
     assert abs(w.value - 2.5 / 0.7) < 1e-14
     assert abs(w.d1[0] - w.value) < 1e-14
 
@@ -73,11 +70,10 @@ def test_constant_field_transforms():
 def test_log_family_is_steady_in_similarity_frame():
     """The log family becomes k log((1+rho)/(1-rho)) with no tau dependence."""
     sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=0.7)
-    smap = SimilarityMap(T=1.0)
     for (t, x) in [(0.0, 0.3), (0.5, 0.2), (0.9, -0.05)]:
         jet = evaluate_jet(sol, (t, x))
-        v = transform_field_jet(smap, (t, x), jet, FrameScaling.NONE)
-        tau, rho = to_similarity(smap, (t, x))
+        v = transform_field_jet(1.0, (t, x), jet, FrameScaling.NONE)
+        tau, rho = to_similarity(1.0, (t, x))
         expect = 0.7 * math.log((1 + rho) / (1 - rho))
         assert abs(v.value - expect) < 1e-12
         assert abs(v.d1[0]) < 1e-12  # v_tau = 0
@@ -86,10 +82,9 @@ def test_log_family_is_steady_in_similarity_frame():
 
 def test_sphere_becomes_the_branch_profile():
     sol = ClosedFormSolution(Family.MEMBRANE_SPHERE_PLUS, T=1.0)
-    smap = SimilarityMap(T=1.0)
     for (t, r) in [(0.2, 0.3), (0.6, 0.1), (0.1, 0.6)]:
         jet = evaluate_jet(sol, (t, r))
-        v = transform_field_jet(smap, (t, r), jet, FrameScaling.LINEAR)
+        v = transform_field_jet(1.0, (t, r), jet, FrameScaling.LINEAR)
         rho = r / (1.0 - t)
         assert abs(v.value - math.sqrt(1 - rho * rho)) < 1e-12
         assert abs(v.d1[0]) < 1e-12  # tau-independent
@@ -97,15 +92,32 @@ def test_sphere_becomes_the_branch_profile():
 
 
 def test_steady_closed_forms():
-    pair = steady_ode_closed_form(SteadyOdeId.BORN_INFELD_STEADY, k=2.0, rho=0.5)
-    assert abs(pair.claimed - TWO_LN3) < 1e-12
-    assert pair.claimed == pair.corrected
-    assert steady_ode_closed_form(SteadyOdeId.BORN_INFELD_STEADY, 1.0, 0.0).claimed == 0.0
-    sp = steady_ode_closed_form(SteadyOdeId.SPACELIKE_STEADY, k=1.0, rho=1.0)
-    assert abs(sp.claimed - ASINH_1) < 1e-12
-    assert abs(sp.corrected - PI_OVER_4) < 1e-12
+    """The closed forms at T = 1 on the slice t = 0 (x = 0 for the spacelike
+    families) are the printed steady families of the similarity radius."""
+
+    def steady(family, k, rho):
+        return evaluate_jet(ClosedFormSolution(family, 1.0, k), (0.0, rho)).value
+
+    assert abs(steady(Family.BORN_INFELD_LOG, 2.0, 0.5) - TWO_LN3) < 1e-12
+    assert steady(Family.BORN_INFELD_LOG, 1.0, 0.0) == 0.0
+    assert abs(steady(Family.SPACELIKE_LOG_CLAIMED, 1.0, 1.0) - ASINH_1) < 1e-12
+    assert abs(steady(Family.SPACELIKE_ARCTAN_CORRECTED, 1.0, 1.0) - PI_OVER_4) < 1e-12
     with pytest.raises(DomainError):
-        steady_ode_closed_form(SteadyOdeId.BORN_INFELD_STEADY, 1.0, 1.0)
+        steady(Family.BORN_INFELD_LOG, 1.0, 1.0)
+
+
+def test_steady_family_errors_match_scalar_closed_forms():
+    """The array closed forms give the errors the printed scalar formulas give."""
+    k, drho = 0.7, 1e-3
+    timelike = steady_ode_integrate(SteadyOdeId.BORN_INFELD_STEADY, (0.0, 2 * k), (0.0, 0.9), drho)
+    spacelike = steady_ode_integrate(SteadyOdeId.SPACELIKE_STEADY, (0.0, k), (0.0, 2.0), drho)
+    scalar = (
+        max(abs(v - k * math.log((1 + r) / (1 - r))) for r, v in zip(timelike.rhos, timelike.v)),
+        max(abs(v - k * math.asinh(r)) for r, v in zip(spacelike.rhos, spacelike.v)),
+        max(abs(v - k * math.atan(r)) for r, v in zip(spacelike.rhos, spacelike.v)),
+    )
+    for got, want in zip(steady_family_errors(k, drho), scalar):
+        assert abs(got - want) <= 1e-15, (got, want)
 
 
 def steady_jet(v, vp, vpp):
@@ -249,7 +261,6 @@ def test_physical_similarity_residual_covariance():
     """Each printed reduction is the physical residual times a power of
     T - t = e^{-tau}: the square for the unscaled wave reduction, the first
     power for the linear-scaled membrane reduction (off the axis r = 0)."""
-    smap = SimilarityMap(T=1.0)
     cases = (
         (SimilarityEquation.WAVE, FrameScaling.NONE, EquationId.BORN_INFELD, 2,
          [(0.0, 0.2), (0.4, -0.3), (0.75, 0.1)]),
@@ -260,11 +271,11 @@ def test_physical_similarity_residual_covariance():
     for sim_eq, scaling, phys_eq, power, points in cases:
         for (t, x) in points:
             u_jet = manufactured_physical_jet(t, x)
-            tau, rho = to_similarity(smap, (t, x))
-            v_jet = transform_field_jet(smap, (t, x), u_jet, scaling)
+            tau, rho = to_similarity(1.0, (t, x))
+            v_jet = transform_field_jet(1.0, (t, x), u_jet, scaling)
             phys = residual_at(phys_eq, u_jet, (t, x))
             sim = transformed_equation_residual(sim_eq, v_jet, (tau, rho))
-            expect = (smap.T - t) ** power * phys
+            expect = (1.0 - t) ** power * phys
             assert abs(sim - expect) <= 1e-8 * max(1.0, abs(sim)), (sim_eq, t, x)
 
 
@@ -272,13 +283,12 @@ def test_chain_rule_consistency_by_refinement():
     """transform_field_jet agrees with finite differences taken directly in
     (tau, rho), at second order."""
     sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=0.4)
-    smap = SimilarityMap(T=1.0)
     t0, x0 = 0.35, 0.15
-    tau0, rho0 = to_similarity(smap, (t0, x0))
-    analytic = transform_field_jet(smap, (t0, x0), evaluate_jet(sol, (t0, x0)), FrameScaling.NONE)
+    tau0, rho0 = to_similarity(1.0, (t0, x0))
+    analytic = transform_field_jet(1.0, (t0, x0), evaluate_jet(sol, (t0, x0)), FrameScaling.NONE)
 
     def v_of(tau, rho):
-        t, x = from_similarity(smap, (tau, rho))
+        t, x = from_similarity(1.0, (tau, rho))
         return evaluate_jet(sol, (t, x)).value
 
     errs = []
