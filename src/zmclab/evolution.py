@@ -127,7 +127,8 @@ def characteristic_speeds(p, q):
     The evolution forms the discriminant, its floor and W here only: the
     momentum density and flux divide by the root returned with the speeds.
     """
-    disc = 1.0 - p * p + q * q
+    qq = q * q
+    disc = 1.0 - p * p + qq
     worst = float(disc.min())
     if worst <= MIN_DISC_FLOOR:
         raise DegeneracyError(
@@ -135,8 +136,9 @@ def characteristic_speeds(p, q):
             f"{worst:.3e} <= floor {MIN_DISC_FLOOR:.1e}"
         )
     root = np.sqrt(disc)
-    denom = 1.0 + q * q
-    return (-p * q - root) / denom, (-p * q + root) / denom, disc, root
+    denom = 1.0 + qq
+    mpq = -p * q
+    return (mpq - root) / denom, (mpq + root) / denom, disc, root
 
 
 def _ghosts(f, parity_left):

@@ -183,13 +183,6 @@ def test_rk4_nonfinite_stage_reported():
     with pytest.raises(NonFiniteError, match="stage 1"):
         rk4_step(1.0, bad, 0.0, 0.1)
 
-    def bad_after_start(t, s):
-        return (s[1], math.inf if t > 0.0 else 0.0)
-
-    # a tuple state is checked in Python floats and names the component too
-    with pytest.raises(NonFiniteError, match=r"stage 2, .*component\(s\) \[1\]"):
-        rk4_step((1.0, 0.0), bad_after_start, 0.0, 0.1)
-
 
 def test_rk4_adaptive_step_matches_reference():
     t, y, used, nxt = rk4_adaptive_step(lambda t, y: y, 0.0, 1.0, 0.5, abs_tol=1e-12)
@@ -242,6 +235,40 @@ def same_bits(floats, array):
 
 def is_float_tuple(state):
     return type(state) is tuple and all(type(v) is float for v in state)
+
+
+@pytest.mark.parametrize("component", [0, 1])
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_rk4_pair_names_the_non_finite_stage_and_component(stage, component):
+    """Each stage's inline check fires on its own call, for either component."""
+    calls = []
+
+    def slope(t, s):
+        calls.append(t)
+        k = [s[1], -s[0]]
+        if len(calls) == stage:
+            k[component] = math.nan
+        return tuple(k)
+
+    stage_t = {1: 0.0, 2: 0.25, 3: 0.25, 4: 0.5}[stage]
+    with pytest.raises(NonFiniteError) as exc:
+        rk4_step((1.0, 0.0), slope, 0.0, 0.5)
+    assert str(exc.value) == (
+        f"non-finite derivative at RK4 stage {stage}, t={stage_t} "
+        f"(component(s) [{component}])"
+    )
+    assert len(calls) == stage
+
+
+@pytest.mark.parametrize("state", [(), (1.0,), (1.0, 0.0, 0.0)], ids=["0", "1", "3"])
+def test_rk4_tuple_state_must_be_a_pair(state):
+    def slope(t, s):
+        raise AssertionError("a refused state is never differentiated")
+
+    with pytest.raises(ArityError, match=rf"got length {len(state)}$"):
+        rk4_step(state, slope, 0.0, 0.1)
+    with pytest.raises(ArityError, match=rf"got length {len(state)}$"):
+        rk4_integrate(slope, 0.0, state, 1.0, 0.1)
 
 
 @pytest.mark.parametrize("case", sorted(TUPLE_CASES))
