@@ -19,7 +19,7 @@ class DomainError(LabError, ValueError):
 
 
 class ArityError(LabError, ValueError):
-    """Too few data points for the requested operation (fits, windows)."""
+    """Data of the wrong size: too few points, or a state or table of the wrong shape."""
 
 
 class SingularPointError(LabError, ValueError):

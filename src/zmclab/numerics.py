@@ -118,9 +118,9 @@ def rk4_step(state, derivative, t: float, dt: float):
     6.4 us (timeit on a 2-vCPU Xeon, Python 3.11). A float or an ndarray
     (the (3, n) evolution state) is stepped in numpy. Both do the same
     operations in the same order, so they agree bit for bit. Local error is
-    O(dt^5) on smooth systems. A tuple state that is not a pair raises
-    ArityError; a non-finite stage value raises NonFiniteError naming the
-    stage and component.
+    O(dt^5) on smooth systems. A tuple state, or a stage's derivative of
+    one, that is not a pair raises ArityError; a non-finite stage value
+    raises NonFiniteError naming the stage and component.
     """
     if dt <= 0:
         raise DomainError(f"rk4_step needs dt > 0, got {dt}")
@@ -139,22 +139,44 @@ def rk4_step(state, derivative, t: float, dt: float):
     )
 
 
+def _pair_arity_error(k, stage: str) -> ArityError:
+    got = f"length {len(k)}" if hasattr(k, "__len__") else f"a {type(k).__name__}"
+    return ArityError(f"derivative of a pair state returned {got} at RK4 {stage}")
+
+
 def _rk4_step_pair(y, derivative, t: float, dt: float):
-    """rk4_step on a pair of floats, each stage written out per component."""
+    """rk4_step on a pair of floats, each stage written out per component.
+    Only the unpacking is guarded: the derivative's own errors pass through."""
     if len(y) != 2:
         raise ArityError(f"a tuple state must be a pair, got length {len(y)}")
     a0, a1 = y
     half = 0.5 * dt
-    p0, p1 = derivative(t, y)
+    k = derivative(t, y)
+    try:
+        p0, p1 = k
+    except (TypeError, ValueError):
+        raise _pair_arity_error(k, "stage 1") from None
     if not (math.isfinite(p0) and math.isfinite(p1)):
         _check_stage_finite((p0, p1), "stage 1", t)
-    q0, q1 = derivative(t + half, (a0 + half * p0, a1 + half * p1))
+    k = derivative(t + half, (a0 + half * p0, a1 + half * p1))
+    try:
+        q0, q1 = k
+    except (TypeError, ValueError):
+        raise _pair_arity_error(k, "stage 2") from None
     if not (math.isfinite(q0) and math.isfinite(q1)):
         _check_stage_finite((q0, q1), "stage 2", t + half)
-    r0, r1 = derivative(t + half, (a0 + half * q0, a1 + half * q1))
+    k = derivative(t + half, (a0 + half * q0, a1 + half * q1))
+    try:
+        r0, r1 = k
+    except (TypeError, ValueError):
+        raise _pair_arity_error(k, "stage 3") from None
     if not (math.isfinite(r0) and math.isfinite(r1)):
         _check_stage_finite((r0, r1), "stage 3", t + half)
-    s0, s1 = derivative(t + dt, (a0 + dt * r0, a1 + dt * r1))
+    k = derivative(t + dt, (a0 + dt * r0, a1 + dt * r1))
+    try:
+        s0, s1 = k
+    except (TypeError, ValueError):
+        raise _pair_arity_error(k, "stage 4") from None
     if not (math.isfinite(s0) and math.isfinite(s1)):
         _check_stage_finite((s0, s1), "stage 4", t + dt)
     sixth = dt / 6.0

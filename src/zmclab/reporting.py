@@ -68,35 +68,28 @@ def write_json(path, obj) -> None:
         fh.write(dumps_json(obj))
 
 
-def format_number(x) -> str:
-    """Shortest round-trip decimal form. Non-finite values are refused:
-    CSV rows carry measurements, and a measurement that does not exist
+def write_csv(path, header, columns) -> None:
+    """CSV with CRLF line endings, one 1-D numeric column per header name,
+    cells in shortest round-trip form. The table is checked whole before the
+    path is opened, so a refused table leaves the path untouched: a ragged
+    table is a bug in the caller, and a non-finite value a measurement that
     should have stopped the run before reaching the writer."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"cannot format non-finite value {x!r} into CSV")
-    return repr(x)
-
-
-def write_csv(path, header, rows) -> None:
-    """CSV with CRLF line endings and a fixed column count.
-
-    Every row must match the header width; a ragged table is a bug in the
-    caller, not something to smooth over.
-    """
     header = [str(h) for h in header]
-    if not header:
-        raise ArityError("CSV needs at least one column")
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    shapes = [c.shape for c in columns]
+    if len(shapes) != len(header) or len(set(shapes)) != 1 or len(shapes[0]) != 1:
+        raise ArityError(
+            "CSV needs one 1-D column per header name, all of one length: "
+            f"header {header}, column shapes {shapes}"
+        )
+    table = np.column_stack(columns)
+    bad = table[~np.isfinite(table)]  # row order, as the rows are written
+    if bad.size:
+        raise DomainError(f"cannot format non-finite value {float(bad[0])!r} into CSV")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            cells = [c if isinstance(c, str) else format_number(c) for c in row]
-            if len(cells) != len(header):
-                raise ArityError(
-                    f"row has {len(cells)} cells, header has {len(header)}"
-                )
-            writer.writerow(cells)
+        csv.writer(fh).writerow(header)
+        cells = zip(*(map(repr, c.tolist()) for c in columns))
+        fh.writelines(",".join(row) + "\r\n" for row in cells)
 
 
 DIAGNOSTICS_HEADER = (
@@ -114,11 +107,10 @@ def write_diagnostics_csv(path, run) -> None:
     conservation check bounds; the raw integral is kept beside it because the
     difference between the two is the whole story of the excision.
     """
-    rows = zip(
+    write_csv(path, DIAGNOSTICS_HEADER, (
         run.times, run.sup_slope, run.center_series,
         run.min_disc, run.momentum, run.invariant,
-    )
-    write_csv(path, DIAGNOSTICS_HEADER, rows)
+    ))
 
 
 SNAPSHOT_HEADER = ("x", "u", "p", "q")
@@ -126,8 +118,7 @@ SNAPSHOT_HEADER = ("x", "u", "p", "q")
 
 def write_snapshot_csv(path, state) -> None:
     """One field snapshot: x, u, p, q at the state's time."""
-    rows = zip(state.xs, state.u, state.p, state.q)
-    write_csv(path, SNAPSHOT_HEADER, rows)
+    write_csv(path, SNAPSHOT_HEADER, (state.xs, state.u, state.p, state.q))
 
 
 PROFILE_HEADER = ("rho", "phi", "dphi", "degeneracy_gap")
@@ -136,4 +127,4 @@ PROFILE_HEADER = ("rho", "phi", "dphi", "degeneracy_gap")
 def write_profile_csv(path, run) -> None:
     """Profile trace with the gap 1 - rho^2 - phi^2 spelled out per row."""
     gap = 1.0 - run.rhos**2 - run.phi**2
-    write_csv(path, PROFILE_HEADER, zip(run.rhos, run.phi, run.dphi, gap))
+    write_csv(path, PROFILE_HEADER, (run.rhos, run.phi, run.dphi, gap))

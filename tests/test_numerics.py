@@ -271,6 +271,36 @@ def test_rk4_tuple_state_must_be_a_pair(state):
         rk4_integrate(slope, 0.0, state, 1.0, 0.1)
 
 
+@pytest.mark.parametrize("stage", [1, 3])
+@pytest.mark.parametrize(
+    "wrong, got",
+    [((1.0,), "length 1"), ((1.0, 2.0, 3.0), "length 3"), (1.0, "a float")],
+    ids=["1", "3", "float"],
+)
+def test_rk4_pair_refuses_a_derivative_of_the_wrong_arity(stage, wrong, got):
+    calls = []
+
+    def slope(t, s):
+        calls.append(t)
+        return wrong if len(calls) == stage else (s[1], -s[0])
+
+    with pytest.raises(ArityError) as exc:
+        rk4_step((1.0, 0.0), slope, 0.0, 0.5)
+    assert str(exc.value) == (
+        f"derivative of a pair state returned {got} at RK4 stage {stage}"
+    )
+    assert len(calls) == stage
+
+
+@pytest.mark.parametrize("error", [TypeError, ValueError])
+def test_rk4_pair_passes_the_derivatives_own_errors_through(error):
+    def slope(t, s):
+        raise error("raised inside the derivative")
+
+    with pytest.raises(error, match="^raised inside the derivative$"):
+        rk4_step((1.0, 0.0), slope, 0.0, 0.5)
+
+
 @pytest.mark.parametrize("case", sorted(TUPLE_CASES))
 def test_rk4_step_on_tuples_matches_array_path(case):
     slope, t, y = TUPLE_CASES[case]

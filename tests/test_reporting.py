@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from csv_reference import reference_write_csv
 
 from zmclab.closedform import ClosedFormSolution, Family
 from zmclab.errors import ArityError, DomainError
@@ -14,7 +15,6 @@ from zmclab.numerics import Grid1D
 from zmclab.reporting import (
     DIAGNOSTICS_HEADER,
     dumps_json,
-    format_number,
     sanitize_for_json,
     write_csv,
     write_diagnostics_csv,
@@ -22,6 +22,11 @@ from zmclab.reporting import (
     write_snapshot_csv,
 )
 from zmclab.profiles import shoot_profile
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 def test_sanitize_nulls_nonfinite_dict_values_with_reason():
@@ -62,29 +67,79 @@ def test_dumps_json_is_sorted_and_newline_terminated():
     assert "NaN" not in dumps_json({"x": float("nan")})
 
 
-def test_format_number_round_trips_and_refuses_nonfinite():
-    assert float(format_number(0.1)) == 0.1
-    assert float(format_number(np.float64(3.0))) == 3.0
+def test_write_csv_round_trips_and_refuses_nonfinite(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("a", "b"), ([0.1], np.array([np.float64(3.0)])))
+    rows = read_rows(path)
+    assert float(rows[1][0]) == 0.1
+    assert float(rows[1][1]) == 3.0
     with pytest.raises(DomainError):
-        format_number(float("inf"))
+        write_csv(tmp_path / "inf.csv", ("a",), ([float("inf")],))
+
+
+ADVERSARIAL_COLUMNS = {
+    "negative-zero": [-0.0, 0.0, -0.0],
+    "subnormal": [5e-324, -5e-324, 2.2250738585072014e-308],
+    "decimal-switch": [1e15, 1e16, 1e22, 1e-4, 1e-5, 1.5e300],
+    "tenth": [0.1, 0.2, 0.1 + 0.2],
+    "integer-valued": [3.0, -7.0, 2.0**53, 2.0**53 + 2.0],
+    "float64-scalars": [np.float64(0.1), np.float64(-2.5), np.float64(1e22)],
+    "float64-array": np.array([1.0 / 3.0, -1e-300, 123456789.0]),
+    "no-rows": np.array([]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_COLUMNS))
+def test_write_csv_matches_the_per_cell_reference(tmp_path, name):
+    column = ADVERSARIAL_COLUMNS[name]
+    columns = (column, column[::-1], [-c for c in column])
+    write_csv(tmp_path / "fast.csv", ("a", "b c", 'quote"d'), columns)
+    reference_write_csv(tmp_path / "slow.csv", ("a", "b c", 'quote"d'), columns)
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "slow.csv").read_bytes()
+    assert fast.count(b"\r\n") == 1 + len(column)
 
 
 def test_write_csv_constant_column_count(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ("a", "b"), [(1.0, 2.0), (3.0, 4.0)])
-    rows = list(csv.reader(open(path, newline="")))
+    write_csv(path, ("a", "b"), ([1.0, 3.0], [2.0, 4.0]))
+    rows = read_rows(path)
     assert rows[0] == ["a", "b"]
     assert len(rows) == 3
     assert {len(r) for r in rows} == {2}
-    raw = open(path, "rb").read()
+    raw = path.read_bytes()
     assert b"\r\n" in raw
 
 
 def test_write_csv_rejects_ragged_rows(tmp_path):
     with pytest.raises(ArityError):
-        write_csv(tmp_path / "bad.csv", ("a", "b"), [(1.0,)])
+        write_csv(tmp_path / "bad.csv", ("a", "b"), ([1.0],))
     with pytest.raises(ArityError):
-        write_csv(tmp_path / "empty.csv", (), [])
+        write_csv(tmp_path / "empty.csv", (), ())
+    with pytest.raises(ArityError, match=r"column shapes \[\(2,\), \(1,\)\]$"):
+        write_csv(tmp_path / "unequal.csv", ("a", "b"), ([1.0, 2.0], [3.0]))
+    with pytest.raises(ArityError):
+        write_csv(tmp_path / "table.csv", ("a",), (np.ones((2, 2)),))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_csv_refuses_before_opening(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("a", "b"), ([1.0, 3.0], [2.0, 4.0]))
+    good = path.read_bytes()
+    with pytest.raises(DomainError) as exc:
+        write_csv(path, ("a", "b"), ([1.0, 3.0], [2.0, float("nan")]))
+    assert str(exc.value) == "cannot format non-finite value nan into CSV"
+    assert path.read_bytes() == good
+    with pytest.raises(ArityError):
+        write_csv(path, ("a", "b"), ([1.0, 3.0, 5.0], [2.0, 4.0]))
+    assert path.read_bytes() == good
+
+
+def test_write_csv_names_the_first_non_finite_value_in_row_order(tmp_path):
+    columns = ([1.0, -math.inf], [math.nan, 2.0], [math.inf, 3.0])
+    with pytest.raises(DomainError, match="^cannot format non-finite value nan into CSV$"):
+        write_csv(tmp_path / "t.csv", ("a", "b", "c"), columns)
 
 
 def test_diagnostics_csv_shape(tmp_path):
@@ -93,7 +148,7 @@ def test_diagnostics_csv_shape(tmp_path):
     run = run_evolution(state, EvolutionConfig(blowup_time=1.0, t_end=0.2))
     path = tmp_path / "diag.csv"
     write_diagnostics_csv(path, run)
-    rows = list(csv.reader(open(path, newline="")))
+    rows = read_rows(path)
     assert rows[0] == list(DIAGNOSTICS_HEADER)
     assert len(rows) == 1 + run.times.size
     assert {len(r) for r in rows} == {6}
@@ -107,7 +162,7 @@ def test_snapshot_csv_round_trip(tmp_path):
     state = initial_state_from_solution(sol, Grid1D(lo=-0.5, hi=0.5, n=20))
     path = tmp_path / "snap.csv"
     write_snapshot_csv(path, state)
-    rows = list(csv.reader(open(path, newline="")))
+    rows = read_rows(path)
     assert rows[0] == ["x", "u", "p", "q"]
     assert len(rows) == 22
     xs = np.array([float(r[0]) for r in rows[1:]])
@@ -118,7 +173,7 @@ def test_profile_csv_gap_column(tmp_path):
     run = shoot_profile(0.3, 0.5, 1e-3)
     path = tmp_path / "p.csv"
     write_profile_csv(path, run)
-    rows = list(csv.reader(open(path, newline="")))
+    rows = read_rows(path)
     assert rows[0] == ["rho", "phi", "dphi", "degeneracy_gap"]
     rho, phi, _, gap = (float(v) for v in rows[-1])
     assert abs(gap - (1.0 - rho * rho - phi * phi)) <= 1e-15
