@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 from exact_error import sup_error_against
 from rhs_reference import reference_rhs
+from step_reference import reference_step
 
 import zmclab.evolution
 from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet
 from zmclab.errors import ArityError, ConsistencyError, DegeneracyError, DomainError
 from zmclab.evolution import (
+    DISSIPATION,
     EvolutionConfig,
     EvolutionState,
     RunStatus,
@@ -31,7 +33,7 @@ from zmclab.evolution import (
     _ghosts,
     _rhs,
 )
-from zmclab.numerics import Grid1D
+from zmclab.numerics import Grid1D, rk4_step
 from zmclab.residuals import EquationId
 
 # lambda_{-+} = (-pq -+ sqrt(1 - p^2 + q^2)) / (1 + q^2) at p=0.6, q=0.8
@@ -123,6 +125,36 @@ def test_rhs_matches_reference_bit_for_bit(window, sigma, size):
     assert got.shape == want.shape == (3, size)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def rhs_window_state(window, size):
+    """A smooth state on one of RHS_WINDOWS: (equation, xs, (u, p, q), h)."""
+    equation, x0 = RHS_WINDOWS[window]
+    rng = np.random.default_rng(size)
+    h = 0.002
+    xs = x0 + h * np.arange(size)
+    amp, freq = rng.uniform(0.1, 0.4, size=3), rng.uniform(1.0, 4.0, size=3)
+    u = amp[0] * np.cos(freq[0] * xs)
+    p = amp[1] * np.cos(freq[1] * xs) - 0.1
+    q = amp[2] * np.sin(freq[2] * xs)  # odd: exactly zero on the axis
+    return equation, xs, (u, p, q), h
+
+
+@pytest.mark.parametrize("dt", (1e-3, 3.7e-4, 2.5e-2))
+@pytest.mark.parametrize("size", (3, 5, 6, 201))
+@pytest.mark.parametrize("window", sorted(RHS_WINDOWS))
+def test_rk4_step_matches_reference_bit_for_bit(window, size, dt):
+    """The array path of rk4_step over _rhs is tests/step_reference.py's
+    plain step to the last bit, and leaves its input state alone."""
+    equation, xs, fields, h = rhs_window_state(window, size)
+    y = np.stack(fields)
+    before = y.copy()
+    got = rk4_step(y, lambda t, s: _rhs(equation, xs, *s, h, DISSIPATION), 0.25, dt)
+    want = reference_step(equation, xs, y, h, DISSIPATION, dt)
+    assert got.shape == want.shape == (3, size)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(y, before)
 
 
 @pytest.mark.parametrize("size", (3, 4, 5, 9))
