@@ -141,9 +141,11 @@ def characteristic_speeds(p, q):
     return (mpq - root) / denom, (mpq + root) / denom, disc, root
 
 
-def _ghosts(f, parity_left):
-    """The values extending f by one node per side: parity mirror (left
-    only) or quartic extrapolation.
+def _ghosts(head, end, parity_left):
+    """The values extending a row by one node per side: parity mirror (left
+    only) or quartic extrapolation, from the row's first and last
+    min(n, 5) values as lists of floats (end read from the last node
+    inward).
 
     A free excision edge has no boundary data by design, so the ghost can
     only extrapolate.  The nodes within reach of the edge stencils carry an
@@ -153,64 +155,103 @@ def _ghosts(f, parity_left):
     extrapolation degree.  Low-degree ghosts make it large enough to drag
     the excision edges measurably inward, so spend the extra degree.
     """
-    tail = _GHOST_TAILS[min(f.size, 5)]
-    head = f[:len(tail)].tolist()
+    if len(head) == 5:
+        # the quartic of _GHOST_TAILS[5], written out: one term at a time
+        # from 0.0, as the loop below sums it
+        h0, h1, h2, h3, h4 = head
+        e0, e1, e2, e3, e4 = end
+        left = (0.0 + 5 * h0 - 10 * h1 + 10 * h2 - 5 * h3 + h4 if parity_left is None
+                else parity_left * h1)
+        return left, 0.0 + 5 * e0 - 10 * e1 + 10 * e2 - 5 * e3 + e4
+    tail = _GHOST_TAILS[len(head)]
     # summed in order from 0.0; builtin sum() compensates Python floats
     # from 3.12 on, which would move the last bit
     left = (reduce(add, map(mul, tail, head), 0.0) if parity_left is None
             else parity_left * head[1])
-    return left, reduce(add, map(mul, tail, f[:-len(tail) - 1:-1].tolist()), 0.0)
+    return left, reduce(add, map(mul, tail, end), 0.0)
 
 
 def _rhs(equation, xs, u, p, q, h, sigma):
-    """(udot, pdot, qdot) as the rows of one (3, n) array.
+    """(udot, pdot, qdot) of the fields u, p and q: _derivative of their
+    stacked state."""
+    return _derivative(equation, xs, np.stack((u, p, q)), h, sigma)
 
-    A numpy call costs about a microsecond here whatever the array length,
-    so p and q share one ghosted buffer and each stencil is one flattened
-    pass over it (entries straddling the two rows are never read); every
-    node gets tests/rhs_reference.py's operations in the same order.
+
+def _derivative(equation, xs, y, h, sigma):
+    """d/dt of the (3, n) state y = (u, p, q), as the rows of one (3, n) array.
+
+    A numpy call costs about a microsecond here, and a strided 2-D one
+    twice that, so each operation runs once over p and q as one flat run of
+    2n values (entries straddling the two rows are overwritten before they
+    are read), and the values that reach past the window (the ghosts of
+    the edge differences, the axis nodes of the dissipation stencil) are
+    sums of Python floats. Every node gets tests/rhs_reference.py's
+    operations in the same order.
     """
     axis = equation is EquationId.RADIAL_MEMBRANE and xs[0] == 0.0
-    n = u.size
-    # rows p and q with one ghost per side; at the axis a second parity
-    # ghost on the left lets the dissipation stencil reach the axis nodes
-    k = 2 if axis else 1
-    g = np.empty((2, n + k + 1))
-    for row, f, parity in ((g[0], p, 1.0), (g[1], q, -1.0)):
-        row[k:-1] = f
-        row[k - 1], row[-1] = _ghosts(f, parity if axis else None)
-        if axis:
-            row[0] = parity * f[2]
-    flat, w = g.ravel(), n + k + 1
-    dfdx = (flat[k + 1:] - flat[k - 1:-2]) / (2.0 * h)
-    dp, dq = dfdx[:n], dfdx[w:w + n]
-    pp, qq = p * p, q * q
+    n = xs.size
+    f, p, q = y[1:].ravel(), y[1], y[2]
+    # rows udot, pdot, qdot and q_x: rows 2 and 3 are the centred
+    # differences p_x and q_x, and the first three rows are returned
+    out = np.empty((4, n))
+    out[0] = p
+    d = out[2:].ravel()
+    np.subtract(f[2:], f[:-2], out=d[1:-1])
+    m = min(n, 5)
+    (hp, hq), (ep, eq) = y[1:, :m].tolist(), y[1:, :-m - 1:-1].tolist()
+    left, right = _ghosts(hp, ep, 1.0 if axis else None)
+    d[0], d[n - 1] = hp[1] - left, right - ep[1]
+    left, right = _ghosts(hq, eq, -1.0 if axis else None)
+    d[n], d[-1] = hq[1] - left, right - eq[1]
+    d /= 2.0 * h
+    dp, dq = d[:n], d[n:]
+    sq = f * f
+    pp, qq = sq[:n], sq[n:]
     denom = 1.0 + qq
-    out = np.empty((3, n))
-    out[0], out[2] = p, dp
-    _, pdot, qdot = out
-    np.multiply(1.0 - pp, dq, out=pdot)
-    pdot += 2.0 * p * q * dp
+    pdot = out[1]
+    a = 1.0 - pp
+    np.multiply(a, dq, out=pdot)
+    cross = p * 2.0
+    cross *= q
+    cross *= dp
+    pdot += cross
     pdot /= denom
     if equation is EquationId.RADIAL_MEMBRANE:
-        ratio = np.empty_like(q)
+        ratio = np.empty(n)
         nz = slice(1, None) if axis else slice(None)
-        ratio[nz] = q[nz] / xs[nz]
+        np.divide(q[nz], xs[nz], out=ratio[nz])
         if axis:
             ratio[0] = dq[0]  # q/r -> q_r at the axis
-        pdot += ratio * (1.0 - pp + qq) / denom
+        a += qq
+        a *= ratio
+        a /= denom
+        pdot += a
     if sigma > 0.0 and n >= 5:
-        f = flat[2 - k:]  # each row from the first node the stencil reads
-        delta4 = f[:-4] - 4.0 * f[1:-3] + 6.0 * f[2:-2] - 4.0 * f[3:-1] + f[4:]
-        delta4 *= sigma / (16.0 * h)
-        m = n + 2 * k - 6  # stencil values per row
-        for fdot, d in ((pdot, delta4[:m]), (qdot, delta4[w:w + m])):
-            # the excision edges need damping most: the nodes the stencil
-            # cannot centre on take its end values
-            fdot[-2 - m:-2] -= d
-            fdot[:-2 - m] -= d[0]
-            fdot[-2:] -= d[-1]
-    return out
+        scale = sigma / (16.0 * h)
+        # the stencil value centred on flat node j goes to delta4[j]
+        delta4 = np.empty(2 * n)
+        inner = delta4[2:-2]
+        f4 = f * 4.0
+        np.subtract(f[:-4], f4[1:-3], out=inner)
+        inner += f[2:-2] * 6.0
+        inner -= f4[3:-1]
+        inner += f[4:]
+        inner *= scale
+        # the excision edges need damping most: the nodes the stencil
+        # cannot centre on take its end values
+        if axis:
+            # parity ghosts across the axis let it centre on nodes 0 and 1
+            for i, (f0, f1, f2, f3, _), par in ((0, hp, 1.0), (n, hq, -1.0)):
+                delta4[i] = (((par * f2 - 4.0 * (par * f1)) + 6.0 * f0) - 4.0 * f1 + f2) * scale
+                delta4[i + 1] = (((par * f1 - 4.0 * f0) + 6.0 * f1) - 4.0 * f2 + f3) * scale
+        else:
+            delta4[:2] = delta4[2]
+            delta4[n:n + 2] = delta4[n + 2]
+        delta4[n - 2:n] = delta4[n - 3]
+        delta4[-2:] = delta4[-3]
+        fdot = out[1:3].ravel()
+        fdot -= delta4
+    return out[:3]
 
 
 def _quadratic_tail(f0, f1, f2, d):
@@ -330,7 +371,7 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
         ))
 
     def rhs(_, y):
-        return _rhs(config.equation, xs, *y, h, DISSIPATION)
+        return _derivative(config.equation, xs, y, h, DISSIPATION)
 
     record(t, xs, state.q, momentum, momentum, disc)
     while t < config.t_end - 1e-13:

@@ -102,10 +102,26 @@ def _check_stage_finite(value, stage: str, t: float):
     if not np.isfinite(arr).all():
         if arr.ndim == 0:
             where = "scalar state"
-        else:
+        elif arr.ndim == 1:
             bad = np.flatnonzero(~np.isfinite(arr))
             where = f"component(s) {bad[:5].tolist()}"
+        else:
+            bad = np.argwhere(~np.isfinite(arr))[:5].tolist()
+            where = f"(row, node) {', '.join(map(str, map(tuple, bad)))}"
         raise NonFiniteError(f"non-finite derivative at RK4 {stage}, t={t} ({where})")
+
+
+def _stage_slope(k, shape, stage: str, t: float):
+    """A stage's derivative as an array of the state's shape, checked finite."""
+    k = np.asarray(k)
+    if k.shape != shape:
+        raise ArityError(
+            f"derivative returned shape {k.shape} for a state of shape {shape} "
+            f"at RK4 {stage}"
+        )
+    if not np.isfinite(k).all():
+        _check_stage_finite(k, stage, t)
+    return k
 
 
 def rk4_step(state, derivative, t: float, dt: float):
@@ -119,24 +135,38 @@ def rk4_step(state, derivative, t: float, dt: float):
     (the (3, n) evolution state) is stepped in numpy. Both do the same
     operations in the same order, so they agree bit for bit. Local error is
     O(dt^5) on smooth systems. A tuple state, or a stage's derivative of
-    one, that is not a pair raises ArityError; a non-finite stage value
-    raises NonFiniteError naming the stage and component.
+    one, that is not a pair raises ArityError, as does an array derivative
+    of another shape than the state; a non-finite stage value raises
+    NonFiniteError naming the stage and the component, or for a 2-D state
+    the (row, node).
     """
     if dt <= 0:
         raise DomainError(f"rk4_step needs dt > 0, got {dt}")
     if isinstance(state, tuple):
         return _rk4_step_pair(state, derivative, t, dt)
-    k1 = derivative(t, state)
-    _check_stage_finite(k1, "stage 1", t)
-    k2 = derivative(t + 0.5 * dt, state + 0.5 * dt * np.asarray(k1))
-    _check_stage_finite(k2, "stage 2", t + 0.5 * dt)
-    k3 = derivative(t + 0.5 * dt, state + 0.5 * dt * np.asarray(k2))
-    _check_stage_finite(k3, "stage 3", t + 0.5 * dt)
-    k4 = derivative(t + dt, state + dt * np.asarray(k3))
-    _check_stage_finite(k4, "stage 4", t + dt)
-    return state + (dt / 6.0) * (
-        np.asarray(k1) + 2.0 * np.asarray(k2) + 2.0 * np.asarray(k3) + np.asarray(k4)
-    )
+    # each stage is state + c * k, formed as c * k then += state in a new
+    # array (both products and sums commute exactly); the derivative's own
+    # arrays are never written, since it may return its input or keep it
+    shape = state.shape if isinstance(state, np.ndarray) else np.shape(state)
+    half = 0.5 * dt
+    k1 = _stage_slope(derivative(t, state), shape, "stage 1", t)
+    y = k1 * half
+    y += state
+    k2 = _stage_slope(derivative(t + half, y), shape, "stage 2", t + half)
+    y = k2 * half
+    y += state
+    k3 = _stage_slope(derivative(t + half, y), shape, "stage 3", t + half)
+    y = k3 * dt
+    y += state
+    k4 = _stage_slope(derivative(t + dt, y), shape, "stage 4", t + dt)
+    # state + (dt / 6) * (((k1 + 2 k2) + 2 k3) + k4)
+    y = k2 * 2.0
+    y += k1
+    y += k3 * 2.0
+    y += k4
+    y *= dt / 6.0
+    y += state
+    return y
 
 
 def _pair_arity_error(k, stage: str) -> ArityError:

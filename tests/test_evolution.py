@@ -164,12 +164,13 @@ def test_ghosts_extrapolate_polynomials_exactly(size):
     m = min(size, 5)
     poly = np.polynomial.Polynomial(np.random.default_rng(size).integers(-9, 10, m))
     f = poly(np.arange(size, dtype=float))
-    left, right = _ghosts(f, None)
+    ends = f[:m].tolist(), f[::-1][:m].tolist()
+    left, right = _ghosts(*ends, None)
     assert left == poly(-1.0)
     assert right == poly(float(size))
     # the axis ghost mirrors the first node off the axis instead
     for parity in (1.0, -1.0):
-        assert _ghosts(f, parity) == (parity * f[1], right)
+        assert _ghosts(*ends, parity) == (parity * f[1], right)
 
 
 def test_rhs_constant_slopes_are_stationary():
