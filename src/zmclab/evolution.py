@@ -35,9 +35,10 @@ from .errors import (
     ConsistencyError,
     DegeneracyError,
     DomainError,
+    NonFiniteError,
     StepFloorError,
 )
-from .numerics import FitResult, Grid1D, log_log_fit, rk4_step, trapezoid
+from .numerics import FitResult, Grid1D, log_log_fit, rk4_step, trapezoid_terms
 from .residuals import EquationId
 
 # smallest window the edge ghosts can still close over
@@ -96,12 +97,19 @@ def initial_state_from_solution(sol: ClosedFormSolution, grid: Grid1D, t0=0.0):
 
 
 def check_state(state: EvolutionState):
-    """Refuse initial data that is degenerate or internally inconsistent.
+    """Refuse initial data that is not finite, degenerate or internally
+    inconsistent.
 
     The stored q array must agree with differences of u to the accuracy a
     second-order stencil can deliver, bounded through the third differences
     of the data itself.
     """
+    for name in ("u", "p", "q"):
+        f = getattr(state, name)
+        finite = np.isfinite(f)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise NonFiniteError(f"initial data not finite: {name}[{i}] = {f[i]}")
     disc = state.min_discriminant()
     if disc <= MIN_DISC_FLOOR:
         raise DegeneracyError(
@@ -121,15 +129,20 @@ def check_state(state: EvolutionState):
 
 
 def characteristic_speeds(p, q):
-    """Both characteristic speeds, the discriminant 1 - p^2 + q^2 and its
-    root W = sqrt(1 - p^2 + q^2).
+    """Both characteristic speeds as the rows (lambda-, lambda+) of one
+    (2, n) array, the discriminant 1 - p^2 + q^2 and its root
+    W = sqrt(1 - p^2 + q^2).
 
     The evolution forms the discriminant, its floor and W here only: the
     momentum density and flux divide by the root returned with the speeds.
+    A non-finite discriminant raises NonFiniteError: a NaN fails every
+    comparison with the floor, so it would otherwise pass for hyperbolic.
     """
     qq = q * q
     disc = 1.0 - p * p + qq
     worst = float(disc.min())
+    if not math.isfinite(worst):
+        raise NonFiniteError(f"non-finite discriminant: min(1 - p^2 + q^2) = {worst}")
     if worst <= MIN_DISC_FLOOR:
         raise DegeneracyError(
             f"evolution left the hyperbolic regime: min discriminant "
@@ -138,7 +151,13 @@ def characteristic_speeds(p, q):
     root = np.sqrt(disc)
     denom = 1.0 + qq
     mpq = -p * q
-    return (mpq - root) / denom, (mpq + root) / denom, disc, root
+    speeds = np.empty((2, p.size))
+    slow, fast = speeds[0], speeds[1]
+    np.subtract(mpq, root, out=slow)
+    slow /= denom
+    np.add(mpq, root, out=fast)
+    fast /= denom
+    return speeds, disc, root
 
 
 def _ghosts(head, end, parity_left):
@@ -273,9 +292,10 @@ def _edge_offset(n_nodes):
 def _advance_edge(edge, nodes, xs, speeds, speeds_new, h, dt):
     """Heun step of a float edge at the incoming characteristic speed.
 
-    nodes slices the three nodes from the edge inward (step 1 from the
-    start on the left, -1 from the end on the right), just inside the edge
-    error layer; the edge sits up to one spacing outside the outermost
+    speeds and speeds_new are characteristic_speeds' (2, n) blocks at the
+    start and the end of the step; nodes slices the three nodes from the
+    edge inward (step 1 from the start on the left, -1 from the end on the
+    right), just inside the edge error layer; the edge sits up to one spacing outside the outermost
     retained node.  Both speeds are extrapolated to the edge quadratically
     (the tail must carry the curvature of the speed profile, a linear one
     biases the edge measurably).  Exterior information comes in at the
@@ -287,22 +307,13 @@ def _advance_edge(edge, nodes, xs, speeds, speeds_new, h, dt):
     side = nodes.step
     incoming = max if side > 0 else min
     x_node = float(xs[nodes.start])
-
-    def speed(speeds, x_edge):
-        d = side * (x_node - x_edge) / h
-        tails = (_quadratic_tail(*s[nodes].tolist(), d) for s in speeds)
-        return incoming(0.0, *tails)
-
-    v0 = speed(speeds, edge)
-    v1 = speed(speeds_new, edge + dt * v0)
+    slow, fast = speeds[:, nodes].tolist()
+    d = side * (x_node - edge) / h
+    v0 = incoming(0.0, _quadratic_tail(*slow, d), _quadratic_tail(*fast, d))
+    slow, fast = speeds_new[:, nodes].tolist()
+    d = side * (x_node - (edge + dt * v0)) / h
+    v1 = incoming(0.0, _quadratic_tail(*slow, d), _quadratic_tail(*fast, d))
     return edge + 0.5 * dt * (v0 + v1)
-
-
-def _center_series_value(equation, xs, q, h):
-    """q at the origin for the string; the axis curvature u_rr for the membrane."""
-    if equation is EquationId.RADIAL_MEMBRANE and xs[0] == 0.0:
-        return float(q[1]) / h  # odd extension: (q1 - (-q1)) / 2h
-    return float(q[int(np.abs(xs).argmin())])
 
 
 @dataclass
@@ -340,16 +351,21 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
 
     t = state.t
     xs, y, h = state.xs, np.stack([state.u, state.p, state.q]), state.spacing
+    # the window's node gaps for the trapezoid rule: slices of the grid's
+    gaps = xs[1:] - xs[:-1]
+    # the first node nearest x = 0; the window only shrinks, so while it
+    # holds that node no earlier node is as near
+    nearest = int(np.abs(xs).argmin())
     left_edge = float(xs[0])
     right_edge = float(xs[-1])
     # per-node quantities are computed once, on the full post-step arrays,
     # and their kept slices serve as the next step's old values
-    *speeds, disc, root = characteristic_speeds(state.p, state.q)
+    speeds, disc, root = characteristic_speeds(state.p, state.q)
     if track_momentum:
         flux = momentum_flux(state.q, root)
         m = momentum_density(state.p, root)
-        mass_scale = float(trapezoid(np.abs(m), xs))
-        momentum = float(trapezoid(m, xs))
+        mass_scale = float(np.add.reduce(trapezoid_terms(np.abs(m), gaps)))
+        momentum = float(np.add.reduce(trapezoid_terms(m, gaps)))
     else:
         mass_scale = momentum = 0.0
     flux_acc = 0.0
@@ -358,33 +374,36 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
     status = RunStatus.COMPLETED
     rows = []
 
-    def record(t, xs, q, momentum, invariant, disc):
-        # one value per diagnostics field of EvolutionRun, in field order
+    def record(t, q, momentum, invariant, disc):
+        # one value per diagnostics field of EvolutionRun, in field order;
+        # the centre series is q at the origin for the string and the axis
+        # curvature u_rr for the membrane
         rows.append((
             t,
             float(np.abs(q).max()),
-            _center_series_value(config.equation, xs, q, h),
+            float(q[1]) / h if axis_pinned else float(q[nearest]),  # odd: (q1 + q1) / 2h
             momentum,
             invariant,
             float(disc.min()),
-            xs.size,
+            q.size,
         ))
 
     def rhs(_, y):
         return _derivative(config.equation, xs, y, h, DISSIPATION)
 
-    record(t, xs, state.q, momentum, momentum, disc)
+    record(t, state.q, momentum, momentum, disc)
     while t < config.t_end - 1e-13:
-        fastest = max(float(np.abs(s).max()) for s in speeds)
+        # lambda- <= lambda+ at every node, so this is the largest |speed|
+        fastest = max(float(speeds[1].max()), -float(speeds[0].min()))
         dt = CFL * h / max(fastest, 1e-30)
         if dt < DT_FLOOR:
             raise StepFloorError(f"time step {dt:.3e} below floor at t = {t:.6f}")
         dt = min(dt, config.t_end - t)
 
         y_new = rk4_step(y, rhs, t, dt)
-        _, p_new, q_new = y_new
+        p_new, q_new = y_new[1], y_new[2]
         try:
-            *speeds_new, disc, root = characteristic_speeds(p_new, q_new)
+            speeds_new, disc, root = characteristic_speeds(p_new, q_new)
         except DegeneracyError:
             status = RunStatus.DEGENERACY_FLOOR
             break
@@ -411,19 +430,26 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
             status = RunStatus.DOMAIN_EXHAUSTED
             break
         if track_momentum:
+            # the dropped strips and the kept window integrate runs of one
+            # pass of trapezoid terms
+            terms = trapezoid_terms(m, gaps)
             if lo > 0:
-                strip_acc += float(trapezoid(m[: lo + 1], xs[: lo + 1]))
+                strip_acc += float(np.add.reduce(terms[:lo]))
             if hi < xs.size:
-                strip_acc += float(trapezoid(m[hi - 1:], xs[hi - 1:]))
+                strip_acc += float(np.add.reduce(terms[hi - 1:]))
             flux = flux_new[lo:hi]
-            momentum = float(trapezoid(m[lo:hi], xs[lo:hi]))
+            momentum = float(np.add.reduce(terms[lo:hi - 1]))
 
         t += dt
-        xs = xs[lo:hi]
-        y = y_new[:, lo:hi]
-        speeds = [s[lo:hi] for s in speeds_new]
+        xs, gaps = xs[lo:hi], gaps[lo:hi - 1]
+        # the next step's numpy calls run fastest on one contiguous block
+        y = np.ascontiguousarray(y_new[:, lo:hi])
+        speeds = speeds_new[:, lo:hi]
+        nearest -= lo
+        if not 0 <= nearest < xs.size:
+            nearest = int(np.abs(xs).argmin())
         n_steps += 1
-        record(t, xs, y[2], momentum, momentum + strip_acc - flux_acc, disc[lo:hi])
+        record(t, y[2], momentum, momentum + strip_acc - flux_acc, disc[lo:hi])
 
     u, p, q = y
     final = EvolutionState(t=t, xs=xs, u=u, p=p, q=q, spacing=h)

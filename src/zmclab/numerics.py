@@ -299,5 +299,18 @@ def log_log_fit(abscissae, ordinates) -> FitResult:
 def trapezoid(values, xs) -> float:
     """Plain trapezoid rule over explicitly given abscissae: numpy's own
     expression (np.trapezoid, formerly np.trapz), to the same bits."""
-    y, x = np.asarray(values, dtype=float), np.asarray(xs, dtype=float)
-    return float(((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0).sum())
+    x = np.asarray(xs, dtype=float)
+    terms = trapezoid_terms(np.asarray(values, dtype=float), x[1:] - x[:-1])
+    return float(np.add.reduce(terms))
+
+
+def trapezoid_terms(values, gaps):
+    """The trapezoid rule's term (x[i+1] - x[i]) * (y[i+1] + y[i]) / 2 per
+    interval, given the gaps x[1:] - x[:-1]. Summed with np.add.reduce
+    (which ndarray.sum is), any run of them is trapezoid over that run of
+    nodes, to the same bits: so windows of one grid share its gaps and
+    one pass of terms."""
+    terms = values[1:] + values[:-1]
+    terms *= gaps
+    terms /= 2.0
+    return terms

@@ -49,13 +49,13 @@ def string_state(n, lo=-0.5, hi=0.5, t0=0.0):
 
 
 def test_characteristic_speeds_frozen_values():
-    lo, hi, disc, root = characteristic_speeds(np.array([0.6]), np.array([0.8]))
+    (lo, hi), disc, root = characteristic_speeds(np.array([0.6]), np.array([0.8]))
     assert math.isclose(lo[0], SPEED_LO_AT_0P6_0P8, rel_tol=0, abs_tol=1e-15)
     assert math.isclose(hi[0], SPEED_HI_AT_0P6_0P8, rel_tol=0, abs_tol=1e-15)
     assert disc[0] == 1.0 - 0.6 * 0.6 + 0.8 * 0.8
     assert root[0] == math.sqrt(disc[0])
     # flat state: unit lightcone
-    lo, hi, disc, root = characteristic_speeds(np.zeros(3), np.zeros(3))
+    (lo, hi), disc, root = characteristic_speeds(np.zeros(3), np.zeros(3))
     assert np.all(lo == -1.0) and np.all(hi == 1.0)
     assert np.all(disc == 1.0) and np.all(root == 1.0)
 
@@ -69,7 +69,7 @@ def test_characteristic_speeds_never_exceed_background_cone():
     rng = np.random.default_rng(20260817)
     p = rng.uniform(-0.99, 0.99, size=2000)
     q = rng.uniform(-3.0, 3.0, size=2000)
-    lo, hi, _, _ = characteristic_speeds(p, q)
+    (lo, hi), _, _ = characteristic_speeds(p, q)
     assert np.all(lo < 0) and np.all(hi > 0)
     assert np.max(np.abs(lo)) <= 1.0 + 1e-12
     assert np.max(np.abs(hi)) <= 1.0 + 1e-12
@@ -202,7 +202,7 @@ def test_zero_data_stays_zero_and_takes_unit_cfl_steps():
 
 def test_single_step_tracks_closed_form():
     state = string_state(200)
-    lo, hi, _, _ = characteristic_speeds(state.p, state.q)
+    (lo, hi), _, _ = characteristic_speeds(state.p, state.q)
     dt = 0.5 * state.spacing / max(np.max(np.abs(lo)), np.max(np.abs(hi)))
     run = run_evolution(state, EvolutionConfig(blowup_time=1.0, t_end=float(0.999 * dt)))
     assert run.n_steps == 1
@@ -249,7 +249,7 @@ def test_speeds_and_fluxes_are_computed_once_per_step(monkeypatch):
     for name, made in calls.items():
         assert run.n_steps < len(made) <= run.n_steps + 2, name
     # each speeds call is followed by one momentum pair dividing by its root
-    roots = [result[3] for _, result in calls["characteristic_speeds"]]
+    roots = [result[2] for _, result in calls["characteristic_speeds"]]
     for name in ("momentum_flux", "momentum_density"):
         given = [args[1] for args, _ in calls[name]]
         assert len(given) == len(roots), name
@@ -272,8 +272,10 @@ def test_right_edge_rule_is_left_rule_on_mirrored_window(k):
     rng = np.random.default_rng(20261018 + k)
     n, h, dt = 12, 0.01, 0.004
     xs = np.arange(n) * h - 0.05
-    pairs = [tuple(rng.uniform(-0.9, 0.9, (2, n))) for _ in range(2)]
-    mirrored = [(-hi[::-1], -lo[::-1]) for lo, hi in pairs]
+    # (lambda-, lambda+) blocks at the start and the end of the step; the
+    # mirror swaps the rows, reverses the nodes and negates
+    pairs = [rng.uniform(-0.9, 0.9, (2, n)) for _ in range(2)]
+    mirrored = [-pair[::-1, ::-1] for pair in pairs]
     for edge in xs[-1] + h * rng.uniform(0.0, 1.0, 20):
         right = _advance_edge(edge, slice(-1 - k, -4 - k, -1), xs, *pairs, h, dt)
         left = _advance_edge(-edge, slice(k, k + 3, 1), -xs[::-1], *mirrored, h, dt)
