@@ -107,7 +107,7 @@ def _check_stage_finite(value, stage: str, t: float):
             where = f"component(s) {bad[:5].tolist()}"
         else:
             bad = np.argwhere(~np.isfinite(arr))[:5].tolist()
-            where = f"(row, node) {', '.join(map(str, map(tuple, bad)))}"
+            where = f"(row, node) {list(map(tuple, bad))}"
         raise NonFiniteError(f"non-finite derivative at RK4 {stage}, t={t} ({where})")
 
 
@@ -312,5 +312,5 @@ def trapezoid_terms(values, gaps):
     one pass of terms."""
     terms = values[1:] + values[:-1]
     terms *= gaps
-    terms /= 2.0
+    terms *= 0.5  # x * 0.5 is x / 2.0 to the bit, at half the cost
     return terms

@@ -8,6 +8,7 @@ errors are measured at fixed earlier times or at the surviving nodes.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from step_reference import reference_step
 
 import zmclab.evolution
 from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet
-from zmclab.errors import ArityError, ConsistencyError, DegeneracyError, DomainError
+from zmclab.errors import (
+    ArityError,
+    ConsistencyError,
+    DegeneracyError,
+    DomainError,
+    NonFiniteError,
+)
 from zmclab.evolution import (
     DISSIPATION,
     EvolutionConfig,
@@ -78,6 +85,15 @@ def test_characteristic_speeds_never_exceed_background_cone():
 def test_characteristic_speeds_refuse_degenerate_state():
     with pytest.raises(DegeneracyError):
         characteristic_speeds(np.array([1.0]), np.array([0.0]))
+
+
+def test_characteristic_speeds_refuse_non_finite_discriminant():
+    """A NaN fails every comparison with the floor: it is refused as
+    non-finite, never reported as a degeneracy."""
+    p, q = np.full(9, 0.3), np.full(9, 0.2)
+    p[7] = math.nan
+    with pytest.raises(NonFiniteError, match=r"= nan$"):
+        characteristic_speeds(p, q)
 
 
 def test_rhs_matches_exact_time_derivatives():
@@ -155,6 +171,39 @@ def test_rk4_step_matches_reference_bit_for_bit(window, size, dt):
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert np.array_equal(y, before)
+
+
+def perturbed_sphere_state(n):
+    """Membrane data off the lightlike sphere, with q != 0 next to the axis."""
+    sph = ClosedFormSolution(family=Family.MEMBRANE_SPHERE_PLUS, T=1.0)
+    base = initial_state_from_solution(sph, Grid1D(lo=0.0, hi=0.5, n=n), t0=0.2)
+    return EvolutionState(t=0.2, xs=base.xs, u=base.u, p=0.99 * base.p, q=base.q,
+                          spacing=base.spacing)
+
+
+@pytest.mark.parametrize("equation, state", [
+    (EquationId.BORN_INFELD, string_state(200, lo=-0.1, hi=0.5)),
+    (EquationId.RADIAL_MEMBRANE, perturbed_sphere_state(64)),
+], ids=["string-off-centre", "membrane-axis"])
+def test_run_evolution_step_is_the_reference_step(equation, state):
+    """run_evolution's own step (its derivative on the stacked state, its
+    kept window) is tests/step_reference.py's plain step to the bit."""
+    (lo, hi), _, _ = characteristic_speeds(state.p, state.q)
+    dt = 0.999 * 0.5 * state.spacing / max(np.max(np.abs(lo)), np.max(np.abs(hi)))
+    t_end = state.t + dt
+    run = run_evolution(state, EvolutionConfig(
+        blowup_time=1.0, t_end=t_end, equation=equation))
+    assert run.n_steps == 1
+    y = np.stack([state.u, state.p, state.q])
+    want = reference_step(equation, state.xs, y, state.spacing, DISSIPATION,
+                          t_end - state.t)
+    f = run.final
+    first = int(np.searchsorted(state.xs, f.xs[0]))
+    kept = want[:, first:first + f.xs.size]
+    assert np.array_equal(f.xs, state.xs[first:first + f.xs.size])
+    for got, ref in zip((f.u, f.p, f.q), kept):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 @pytest.mark.parametrize("size", (3, 4, 5, 9))
@@ -425,6 +474,41 @@ def test_check_state_rejects_inconsistent_slope_array():
                          p=state.p, q=state.q + 0.05, spacing=state.spacing)
     with pytest.raises(ConsistencyError):
         check_state(bad)
+
+
+@pytest.mark.parametrize("field", ("u", "p", "q"))
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_check_state_refuses_non_finite_data(field, bad):
+    """A NaN passes the discriminant floor and the consistency check (it
+    fails both comparisons), so the fields are checked first, by name and
+    node."""
+    state = string_state(40)
+    fields = {"u": state.u.copy(), "p": state.p.copy(), "q": state.q.copy()}
+    fields[field][7] = bad
+    fields[field][30] = bad
+    bad_state = EvolutionState(t=state.t, xs=state.xs, spacing=state.spacing, **fields)
+    message = f"initial data not finite: {field}[7] = {bad}"
+    with pytest.raises(NonFiniteError) as exc:
+        check_state(bad_state)
+    assert str(exc.value) == message
+    with pytest.raises(NonFiniteError, match=re.escape(message)):
+        run_evolution(bad_state, EvolutionConfig(blowup_time=1.0, t_end=0.5))
+
+
+def test_non_finite_stage_names_row_and_node():
+    """A 2-D state's non-finite derivative is located by (row, node): a NaN
+    at p[7] of a 41-node state reaches u_t at node 7 and the stencils of
+    p_t around it."""
+    state = string_state(40)
+    y = np.stack([state.u, state.p, state.q])
+    y[1, 7] = math.nan
+    with pytest.raises(NonFiniteError) as exc:
+        rk4_step(y, lambda t, s: _rhs(EquationId.BORN_INFELD, state.xs, *s,
+                                       state.spacing, DISSIPATION), 0.0, 1e-3)
+    assert str(exc.value) == (
+        "non-finite derivative at RK4 stage 1, t=0.0 "
+        "((row, node) [(0, 7), (1, 5), (1, 6), (1, 7), (1, 8)])"
+    )
 
 
 def test_config_validation():

@@ -184,6 +184,50 @@ def test_rk4_nonfinite_stage_reported():
         rk4_step(1.0, bad, 0.0, 0.1)
 
 
+@pytest.mark.parametrize("stage", [1, 3])
+@pytest.mark.parametrize("wrong", [(5,), (2, 5), (3, 1), (1, 5)], ids=str)
+def test_rk4_array_derivative_must_have_the_state_shape(stage, wrong):
+    """A wrong-shaped derivative used to broadcast into the stage sums (or
+    fail inside numpy); it is refused, naming the stage and both shapes."""
+    calls = []
+
+    def slope(t, y):
+        calls.append(t)
+        return np.zeros(wrong) if len(calls) == stage else -y
+
+    with pytest.raises(ArityError) as exc:
+        rk4_step(np.ones((3, 5)), slope, 0.0, 0.1)
+    assert str(exc.value) == (
+        f"derivative returned shape {wrong} for a state of shape (3, 5) "
+        f"at RK4 stage {stage}"
+    )
+    assert len(calls) == stage
+
+
+def test_rk4_array_path_leaves_the_derivatives_arrays_alone():
+    """The stage sums and the final combination run in place on arrays the
+    step owns: a derivative that returns (a view of) its input, or keeps
+    the arrays it returned, sees none of them written, and the step is the
+    plain formula to the bit."""
+    state = np.array([[1.0, -0.5, 0.25], [0.3, 0.7, -1.1]])
+    returned = []
+
+    def identity(t, y):
+        returned.append((y, y.copy()))
+        return y
+
+    got = rk4_step(state, identity, 0.0, 0.1)
+    for k, snapshot in returned:
+        assert np.array_equal(k, snapshot)
+    k1 = state
+    k2 = state + 0.5 * 0.1 * k1
+    k3 = state + 0.5 * 0.1 * k2
+    k4 = state + 0.1 * k3
+    want = state + (0.1 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.array_equal(got, want)
+    assert all(got is not k for k, _ in returned)
+
+
 def test_rk4_adaptive_step_matches_reference():
     t, y, used, nxt = rk4_adaptive_step(lambda t, y: y, 0.0, 1.0, 0.5, abs_tol=1e-12)
     assert abs(y - math.exp(t)) < 1e-10
