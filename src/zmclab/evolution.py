@@ -176,7 +176,7 @@ def _ghosts(head, end, parity_left):
     """
     if len(head) == 5:
         # the quartic of _GHOST_TAILS[5], written out: one term at a time
-        # from 0.0, as the loop below sums it
+        # from 0.0, as the reduce below sums it
         h0, h1, h2, h3, h4 = head
         e0, e1, e2, e3, e4 = end
         left = (0.0 + 5 * h0 - 10 * h1 + 10 * h2 - 5 * h3 + h4 if parity_left is None
@@ -217,11 +217,11 @@ def _derivative(equation, xs, y, h, sigma):
     d = out[2:].ravel()
     np.subtract(f[2:], f[:-2], out=d[1:-1])
     m = min(n, 5)
-    (hp, hq), (ep, eq) = y[1:, :m].tolist(), y[1:, :-m - 1:-1].tolist()
-    left, right = _ghosts(hp, ep, 1.0 if axis else None)
-    d[0], d[n - 1] = hp[1] - left, right - ep[1]
-    left, right = _ghosts(hq, eq, -1.0 if axis else None)
-    d[n], d[-1] = hq[1] - left, right - eq[1]
+    (head_p, head_q), (end_p, end_q) = y[1:, :m].tolist(), y[1:, :-m - 1:-1].tolist()
+    left, right = _ghosts(head_p, end_p, 1.0 if axis else None)
+    d[0], d[n - 1] = head_p[1] - left, right - end_p[1]
+    left, right = _ghosts(head_q, end_q, -1.0 if axis else None)
+    d[n], d[-1] = head_q[1] - left, right - end_q[1]
     d /= 2.0 * h
     dp, dq = d[:n], d[n:]
     sq = f * f
@@ -260,7 +260,7 @@ def _derivative(equation, xs, y, h, sigma):
         # cannot centre on take its end values
         if axis:
             # parity ghosts across the axis let it centre on nodes 0 and 1
-            for i, (f0, f1, f2, f3, _), par in ((0, hp, 1.0), (n, hq, -1.0)):
+            for i, (f0, f1, f2, f3, _), par in ((0, head_p, 1.0), (n, head_q, -1.0)):
                 delta4[i] = (((par * f2 - 4.0 * (par * f1)) + 6.0 * f0) - 4.0 * f1 + f2) * scale
                 delta4[i + 1] = (((par * f1 - 4.0 * f0) + 6.0 * f1) - 4.0 * f2 + f3) * scale
         else:
@@ -295,8 +295,8 @@ def _advance_edge(edge, nodes, xs, speeds, speeds_new, h, dt):
     speeds and speeds_new are characteristic_speeds' (2, n) blocks at the
     start and the end of the step; nodes slices the three nodes from the
     edge inward (step 1 from the start on the left, -1 from the end on the
-    right), just inside the edge error layer; the edge sits up to one spacing outside the outermost
-    retained node.  Both speeds are extrapolated to the edge quadratically
+    right), just inside the edge error layer; the edge sits up to one
+    spacing outside the outermost retained node.  Both speeds are extrapolated to the edge quadratically
     (the tail must carry the curvature of the speed profile, a linear one
     biases the edge measurably).  Exterior information comes in at the
     fastest rightward speed at the left edge and the fastest leftward one
@@ -381,7 +381,8 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
         rows.append((
             t,
             float(np.abs(q).max()),
-            float(q[1]) / h if axis_pinned else float(q[nearest]),  # odd: (q1 + q1) / 2h
+            # u_rr on the axis by the odd extension: (q1 - (-q1)) / 2h
+            float(q[1]) / h if axis_pinned else float(q[nearest]),
             momentum,
             invariant,
             float(disc.min()),
@@ -442,8 +443,7 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
 
         t += dt
         xs, gaps = xs[lo:hi], gaps[lo:hi - 1]
-        # the next step's numpy calls run fastest on one contiguous block
-        y = np.ascontiguousarray(y_new[:, lo:hi])
+        y = y_new[:, lo:hi]
         speeds = speeds_new[:, lo:hi]
         nearest -= lo
         if not 0 <= nearest < xs.size:

@@ -37,6 +37,7 @@ from zmclab.evolution import (
     initial_state_from_solution,
     run_evolution,
     _advance_edge,
+    _derivative,
     _ghosts,
     _rhs,
 )
@@ -247,6 +248,21 @@ def test_zero_data_stays_zero_and_takes_unit_cfl_steps():
     # flat state: fastest speed is exactly 1, so the first step is CFL * h
     assert math.isclose(run.times[1] - run.times[0], 0.5 * state.spacing,
                         rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("slope", (0.3, -0.3))
+def test_cfl_step_takes_the_fastest_speed_of_either_family(slope):
+    """On the travelling plane u = slope x - 0.1 t the two speeds differ in
+    size, the faster being lambda+ for slope > 0 and lambda- for slope < 0;
+    the first step is CFL * h over the faster one."""
+    xs = np.linspace(-0.5, 0.5, 41)
+    state = EvolutionState(t=0.0, xs=xs, u=slope * xs, p=np.full(41, -0.1),
+                           q=np.full(41, slope), spacing=xs[1] - xs[0])
+    (lo, hi), _, _ = characteristic_speeds(state.p, state.q)
+    assert (abs(lo[0]) < abs(hi[0])) == (slope > 0)
+    run = run_evolution(state, EvolutionConfig(blowup_time=10.0, t_end=0.05))
+    fastest = max(np.max(np.abs(lo)), np.max(np.abs(hi)))
+    assert run.times[1] - run.times[0] == 0.5 * state.spacing / fastest
 
 
 def test_single_step_tracks_closed_form():
@@ -503,8 +519,8 @@ def test_non_finite_stage_names_row_and_node():
     y = np.stack([state.u, state.p, state.q])
     y[1, 7] = math.nan
     with pytest.raises(NonFiniteError) as exc:
-        rk4_step(y, lambda t, s: _rhs(EquationId.BORN_INFELD, state.xs, *s,
-                                       state.spacing, DISSIPATION), 0.0, 1e-3)
+        rk4_step(y, lambda t, s: _derivative(EquationId.BORN_INFELD, state.xs, s,
+                                              state.spacing, DISSIPATION), 0.0, 1e-3)
     assert str(exc.value) == (
         "non-finite derivative at RK4 stage 1, t=0.0 "
         "((row, node) [(0, 7), (1, 5), (1, 6), (1, 7), (1, 8)])"
