@@ -210,7 +210,7 @@ def _derivative(equation, xs, y, h, sigma):
     axis = equation is EquationId.RADIAL_MEMBRANE and xs[0] == 0.0
     n = xs.size
     f, p, q = y[1:].ravel(), y[1], y[2]
-    # rows udot, pdot, qdot and q_x: rows 2 and 3 are the centred
+    # rows udot, pdot, qdot and q_x; rows 2 and 3 start as the centred
     # differences p_x and q_x, and the first three rows are returned
     out = np.empty((4, n))
     out[0] = p
@@ -228,7 +228,7 @@ def _derivative(equation, xs, y, h, sigma):
     pp, qq = sq[:n], sq[n:]
     denom = 1.0 + qq
     pdot = out[1]
-    a = 1.0 - pp
+    a = 1.0 - pp  # the membrane's ratio term reuses it
     np.multiply(a, dq, out=pdot)
     cross = p * 2.0
     cross *= q
