@@ -147,7 +147,7 @@ def rk4_step(state, derivative, t: float, dt: float):
     # each stage is state + c * k, formed as c * k then += state in a new
     # array (both products and sums commute exactly); the derivative's own
     # arrays are never written, since it may return its input or keep it
-    shape = state.shape if isinstance(state, np.ndarray) else np.shape(state)
+    shape = np.shape(state)
     half = 0.5 * dt
     k1 = _stage_slope(derivative(t, state), shape, "stage 1", t)
     y = k1 * half
