@@ -230,10 +230,7 @@ def _derivative(equation, xs, y, h, sigma):
     pdot = out[1]
     a = 1.0 - pp  # the membrane's ratio term reuses it
     np.multiply(a, dq, out=pdot)
-    cross = p * 2.0
-    cross *= q
-    cross *= dp
-    pdot += cross
+    pdot += 2.0 * p * q * dp
     pdot /= denom
     if equation is EquationId.RADIAL_MEMBRANE:
         ratio = np.empty(n)
@@ -241,10 +238,7 @@ def _derivative(equation, xs, y, h, sigma):
         np.divide(q[nz], xs[nz], out=ratio[nz])
         if axis:
             ratio[0] = dq[0]  # q/r -> q_r at the axis
-        a += qq
-        a *= ratio
-        a /= denom
-        pdot += a
+        pdot += ratio * (a + qq) / denom
     if sigma > 0.0 and n >= 5:
         scale = sigma / (16.0 * h)
         # the stencil value centred on flat node j goes to delta4[j]
