@@ -14,7 +14,7 @@ from rhs_reference import reference_rhs
 
 
 def reference_step(equation, xs, y, h, sigma, dt):
-    """(u, p, q) one RK4 step of length dt on from the (3, n) state y."""
+    """The (3, n) state (u, p, q) one RK4 step of length dt after y."""
     def slope(state):
         k = np.stack(reference_rhs(equation, xs, *state, h, sigma))
         assert np.isfinite(k).all()

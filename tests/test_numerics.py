@@ -206,9 +206,9 @@ def test_rk4_array_derivative_must_have_the_state_shape(stage, wrong):
 
 def test_rk4_array_path_leaves_the_derivatives_arrays_alone():
     """The stage sums and the final combination run in place on arrays the
-    step owns: a derivative that returns (a view of) its input, or keeps
-    the arrays it returned, sees none of them written, and the step is the
-    plain formula to the bit."""
+    step owns: a derivative that returns its own input sees none of the
+    arrays it returned written, and the step is the plain formula to the
+    bit."""
     state = np.array([[1.0, -0.5, 0.25], [0.3, 0.7, -1.1]])
     returned = []
 
