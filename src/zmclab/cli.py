@@ -5,13 +5,17 @@ evolve (excised evolution from a key=value config file), stability
 (mode report), scaling (energy scaling measurement), audit (the
 consolidated claims audit).
 
+Each subcommand prints its report as JSON on stdout, the only JSON it
+writes; CSV paths (profile --csv, evolve's diagnostics_csv and
+snapshots_csv) are opened exactly as given.
+
 Exit codes are a three-way contract: 0 for success or an expected finding,
-1 for a tolerance or expectation failure, 2 for usage and config errors.
+1 for a tolerance or expectation failure, 2 for usage and config errors,
+including an output path that cannot be written.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -21,7 +25,6 @@ from .closedform import ClosedFormSolution, Family
 from .errors import (
     ArityError,
     ConfigError,
-    DegenerateStartError,
     DegeneracyError,
     DomainError,
     LabError,
@@ -45,7 +48,6 @@ from .profiles import shoot_profile
 from .reporting import (
     dumps_json,
     write_diagnostics_csv,
-    write_json,
     write_profile_csv,
     write_snapshot_csv,
 )
@@ -56,10 +58,11 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_USAGE = 2
 
-OUTPUT_DIR_ENV = "ZMCLAB_OUTPUT_DIR"
 # verify's sample cap: a sample point costs about 270 B of peak memory, so
 # 10**6 points stay near 0.3 GB
 MAX_SAMPLES = 10**6
+# evolve's blow-up fit reads the center gradient over this time window
+FIT_WINDOW = (0.4, 0.95)
 
 FAMILY_BY_NAME = {
     "log": Family.BORN_INFELD_LOG,
@@ -78,23 +81,8 @@ EQUATION_BY_NAME = {
 }
 
 
-def resolve_output(path: str) -> str:
-    """Relative output paths land in $ZMCLAB_OUTPUT_DIR when it is set."""
-    if os.path.isabs(path):
-        return path
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if not base:
-        return path
-    os.makedirs(base, exist_ok=True)
-    return os.path.join(base, path)
-
-
-def _emit(args, payload: dict) -> None:
-    text = dumps_json(payload)
-    sys.stdout.write(text)
-    json_path = getattr(args, "json", None)
-    if json_path:
-        write_json(resolve_output(json_path), payload)
+def _emit(payload: dict) -> None:
+    sys.stdout.write(dumps_json(payload))
 
 
 def cmd_verify(args) -> int:
@@ -122,14 +110,13 @@ def cmd_verify(args) -> int:
         "within_expectation": within,
         "report": report.to_json_dict(),
     }
-    _emit(args, payload)
+    _emit(payload)
     return EXIT_OK if within else EXIT_TOLERANCE
 
 
 def cmd_profile(args) -> int:
     run = shoot_profile(args.a, args.rho_max, args.drho, tolerance=args.tolerance)
-    csv_path = resolve_output(args.csv)
-    write_profile_csv(csv_path, run)
+    write_profile_csv(args.csv, run)
     final = run.final_state()
     payload = {
         "height": args.a,
@@ -138,9 +125,9 @@ def cmd_profile(args) -> int:
         "n_points": int(run.rhos.size),
         "final": {"rho": final.rho, "phi": final.phi, "dphi": final.dphi},
         "max_drift_from_height": float(np.max(np.abs(run.phi - args.a))),
-        "csv": csv_path,
+        "csv": args.csv,
     }
-    _emit(args, payload)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -152,7 +139,7 @@ def cmd_stability(args) -> int:
         "growth_probe_exponent": symmetry.exponent,
         "time_translation_residual": symmetry.max_residual,
     }
-    _emit(args, payload)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -160,13 +147,13 @@ def cmd_scaling(args) -> int:
     m = measure_scaling_exponent(
         SCALING_MEMBER, SCALING_T0, SCALING_WINDOW, weight=QuadratureWeight(args.weight)
     )
-    _emit(args, m.to_json_dict())
+    _emit(m.to_json_dict())
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
     report = run_audit()
-    _emit(args, report.to_json_dict())
+    _emit(report.to_json_dict())
     return EXIT_OK if report.all_as_expected else EXIT_TOLERANCE
 
 
@@ -178,13 +165,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# evolve config schema: key -> (parser, default); equation is required.
+# evolve config schema: key -> (parser, default); a default of None marks a
+# required key. The run starts at t = 0.
 CONFIG_SCHEMA = {
     "equation": (str, None),
-    "family": (str, "zero"),
+    "family": (str, None),
     "k": (float, 0.2),
     "T": (float, 1.0),
-    "t0": (float, 0.0),
     "t_end": (float, 0.5),
     "lo": (float, -0.5),
     "hi": (float, 0.5),
@@ -192,8 +179,6 @@ CONFIG_SCHEMA = {
     "diagnostics_csv": (str, "diagnostics.csv"),
     "snapshots_csv": (str, ""),
     "fit": (_parse_bool, False),
-    "fit_lo": (float, 0.4),
-    "fit_hi": (float, 0.95),
 }
 
 
@@ -242,41 +227,25 @@ def _apply_overrides(values: dict, overrides) -> None:
 
 def _build_initial_state(cfgv) -> EvolutionState:
     grid = Grid1D(lo=cfgv["lo"], hi=cfgv["hi"], n=cfgv["n"])
-    if cfgv["family"] == "zero":
-        xs = grid.nodes()
-        z = np.zeros_like(xs)
-        return EvolutionState(
-            t=cfgv["t0"], xs=xs, u=z.copy(), p=z.copy(), q=z.copy(),
-            spacing=grid.spacing,
-        )
     family = FAMILY_BY_NAME.get(cfgv["family"])
     if family is None:
         raise ConfigError(f"unknown family {cfgv['family']!r}")
     sol = ClosedFormSolution(family=family, T=cfgv["T"], k=cfgv["k"])
-    return initial_state_from_solution(sol, grid, t0=cfgv["t0"])
+    return initial_state_from_solution(sol, grid)
 
 
 def cmd_evolve(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-    values = parse_config_text(text)
+    with open(args.config, "r", encoding="utf-8") as fh:
+        values = parse_config_text(fh.read())
     _apply_overrides(values, args.set)
-    if "equation" not in values:
-        raise ConfigError("config is missing the required key 'equation'")
     for key, (_, default) in CONFIG_SCHEMA.items():
-        if default is not None:
-            values.setdefault(key, default)
+        if key not in values:
+            if default is None:
+                raise ConfigError(f"config is missing the required key {key!r}")
+            values[key] = default
     equation = EQUATION_BY_NAME.get(values["equation"])
     if equation is None:
         raise ConfigError(f"unknown equation {values['equation']!r}")
-    if not (-np.inf < values["fit_lo"] < values["fit_hi"] < np.inf):
-        raise ConfigError(
-            f"fit window needs finite fit_lo < fit_hi, got fit_lo={values['fit_lo']}, "
-            f"fit_hi={values['fit_hi']}"
-        )
 
     try:
         state = _build_initial_state(values)
@@ -296,19 +265,16 @@ def cmd_evolve(args) -> int:
     except DegeneracyError as exc:
         # expected for the exactly lightlike sphere caps: refusing to step
         # degenerate data is a finding, not a failure
-        _emit(args, {
+        _emit({
             "status": "refused-degenerate-initial-data",
             "detail": str(exc),
             "min_discriminant": state.min_discriminant(),
         })
         return EXIT_OK
 
-    diagnostics_path = resolve_output(values["diagnostics_csv"])
-    write_diagnostics_csv(diagnostics_path, run)
-    snapshot_path = None
+    write_diagnostics_csv(values["diagnostics_csv"], run)
     if values["snapshots_csv"]:
-        snapshot_path = resolve_output(values["snapshots_csv"])
-        write_snapshot_csv(snapshot_path, run.final)
+        write_snapshot_csv(values["snapshots_csv"], run.final)
 
     payload = {
         "status": run.status.value,
@@ -317,17 +283,17 @@ def cmd_evolve(args) -> int:
         "active_nodes_final": int(run.active_nodes[-1]),
         "min_discriminant_final": float(run.min_disc[-1]),
         "relative_momentum_drift": run.relative_momentum_drift,
-        "diagnostics_csv": diagnostics_path,
-        "snapshots_csv": snapshot_path,
+        "diagnostics_csv": values["diagnostics_csv"],
+        "snapshots_csv": values["snapshots_csv"] or None,
         "fit": None,
     }
     if values["fit"]:
         try:
-            fit = fit_blowup_rate(run, (values["fit_lo"], values["fit_hi"]))
+            fit = fit_blowup_rate(run, FIT_WINDOW)
             payload["fit"] = fit.to_json_dict()
         except ArityError as exc:
             payload["fit_skipped_reason"] = str(exc)
-    _emit(args, payload)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -365,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--samples", type=_positive(int, MAX_SAMPLES), default=400,
                    help=f"approximate total sample count, at most {MAX_SAMPLES}")
-    p.add_argument("--json", help="also write the report to this path")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("profile", help="shoot the profile equation from the axis")
@@ -375,28 +340,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=_positive(float), default=None,
                    help="enable adaptive stepping at this local tolerance")
     p.add_argument("--csv", default="profile.csv")
-    p.add_argument("--json")
     p.set_defaults(handler=cmd_profile)
 
     p = sub.add_parser("evolve", help="run the excised evolution from a config file")
     p.add_argument("config", help="path to a key=value config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config key (repeatable)")
-    p.add_argument("--json")
     p.set_defaults(handler=cmd_evolve)
 
     p = sub.add_parser("stability", help="separable mode report")
-    p.add_argument("--json")
     p.set_defaults(handler=cmd_stability)
 
     p = sub.add_parser("scaling", help="measure the energy scaling exponent")
     p.add_argument("--weight", choices=("unweighted", "coordinate"),
                    default="unweighted")
-    p.add_argument("--json")
     p.set_defaults(handler=cmd_scaling)
 
     p = sub.add_parser("audit", help="audit every quantitative claim")
-    p.add_argument("--json")
     p.set_defaults(handler=cmd_audit)
 
     return parser
@@ -410,7 +370,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except (ConfigError, DegenerateStartError, DomainError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except LabError as exc:

@@ -37,11 +37,6 @@ class DegeneracyError(LabError, ValueError):
     degeneracy threshold, so the requested quantity is not defined."""
 
 
-class DegenerateStartError(LabError, ValueError):
-    """Shooting was started exactly on (or inside the tolerance band of) the
-    degenerate constraint manifold; use the analytic branch verifier instead."""
-
-
 class StepFloorError(LabError, ArithmeticError):
     """An adaptive integrator halved its step below the configured floor."""
 

@@ -136,13 +136,16 @@ def characteristic_speeds(p, q):
     The evolution forms the discriminant, its floor and W here only: the
     momentum density and flux divide by the root returned with the speeds.
     A non-finite discriminant raises NonFiniteError: a NaN fails every
-    comparison with the floor, so it would otherwise pass for hyperbolic.
+    comparison with the floor, so it would otherwise pass for hyperbolic,
+    and a +inf (from an infinite q) shows only in the maximum.
     """
     qq = q * q
     disc = 1.0 - p * p + qq
-    worst = float(disc.min())
-    if not math.isfinite(worst):
-        raise NonFiniteError(f"non-finite discriminant: min(1 - p^2 + q^2) = {worst}")
+    worst, top = float(disc.min()), float(disc.max())
+    if not (math.isfinite(worst) and math.isfinite(top)):
+        raise NonFiniteError(
+            f"non-finite discriminant: min(1 - p^2 + q^2) = {worst}, max = {top}"
+        )
     if worst <= MIN_DISC_FLOOR:
         raise DegeneracyError(
             f"evolution left the hyperbolic regime: min discriminant "

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import (
     DegeneracyError,
-    DegenerateStartError,
     DomainError,
     NonFiniteError,
     SingularPointError,
@@ -218,7 +217,7 @@ def shoot_profile(
     if not math.isfinite(height):
         raise DomainError("height must be finite")
     if 1.0 - height * height <= EPS_DEGENERATE_GAP:
-        raise DegenerateStartError(
+        raise DomainError(
             f"height {height!r} starts on or outside the degenerate circle"
         )
     start = ProfileState(rho=RHO_START_FACTOR * drho, phi=height, dphi=0.0)

@@ -63,11 +63,6 @@ def dumps_json(obj) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(dumps_json(obj))
-
-
 def write_csv(path, header, columns) -> None:
     """CSV with CRLF line endings, one 1-D numeric column per header name,
     cells in shortest round-trip form. The table is checked whole before the

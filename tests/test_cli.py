@@ -22,8 +22,6 @@ T = 1.0
 n = 200
 t_end = 0.8
 fit = true
-fit_lo = 0.4
-fit_hi = 0.95
 """
 
 
@@ -110,6 +108,15 @@ def test_misuse_config_missing_equation_exits_two(tmp_path, capsys):
     assert "equation" in err
 
 
+def test_misuse_config_missing_family_exits_two(tmp_path, capsys):
+    """No family means no initial data: family is required like equation."""
+    cfg = tmp_path / "no_family.cfg"
+    cfg.write_text("equation = born-infeld\nT = 10.0\nt_end = 0.2\n")
+    code, out, err = run_cli(capsys, "evolve", str(cfg))
+    assert (code, out) == (2, "")
+    assert "config is missing the required key 'family'" in err
+
+
 def test_misuse_config_parse_failure_names_the_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("equation = born-infeld\nnot a key value pair\n")
@@ -126,17 +133,18 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert "wavelength" in err
 
 
-def test_evolve_reference_run(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ZMCLAB_OUTPUT_DIR", str(tmp_path))
+def test_evolve_reference_run(tmp_path, capsys):
     cfg = tmp_path / "ref.cfg"
     cfg.write_text(REFERENCE_CONFIG)
-    code, out, _ = run_cli(capsys, "evolve", str(cfg))
+    diag = tmp_path / "diagnostics.csv"
+    code, out, _ = run_cli(capsys, "evolve", str(cfg), "--set", f"diagnostics_csv={diag}")
     assert code == 0
     doc = json.loads(out)
     assert doc["status"] == "domain-exhausted"
     assert abs(doc["fit"]["exponent"] - 1.0) <= 0.05
     assert abs(doc["fit"]["amplitude"] - 0.4) <= 0.02
-    rows = list(csv.reader(open(tmp_path / "diagnostics.csv", newline="")))
+    assert doc["fit"]["window"] == [0.4, 0.95]
+    rows = list(csv.reader(open(diag, newline="")))
     assert len(rows) >= 100
     assert {len(r) for r in rows} == {6}
 
@@ -158,28 +166,11 @@ def test_evolve_flag_overrides_win(tmp_path, capsys):
     assert diag.exists()
 
 
-def test_evolve_zero_data_gives_zero_diagnostics(tmp_path, capsys):
-    cfg = tmp_path / "zero.cfg"
-    diag = tmp_path / "zd.csv"
-    cfg.write_text(
-        f"equation = born-infeld\nT = 10.0\nt_end = 0.2\n"
-        f"diagnostics_csv = {diag}\n"
-    )
-    code, out, _ = run_cli(capsys, "evolve", str(cfg))
-    assert code == 0
-    rows = list(csv.reader(open(diag, newline="")))[1:]
-    assert rows
-    for row in rows:
-        assert float(row[1]) == 0.0  # sup_q
-        assert float(row[2]) == 0.0  # q_at_origin
-        assert float(row[4]) == 0.0  # momentum
-
-
 def test_evolve_refuses_lightlike_sphere_data_gracefully(tmp_path, capsys):
     cfg = tmp_path / "sph.cfg"
     cfg.write_text(
         "equation = membrane\nfamily = sphere-plus\nT = 1.0\n"
-        "t0 = 0.2\nlo = 0.0\nhi = 0.5\nt_end = 0.5\n"
+        "lo = 0.0\nhi = 0.5\nt_end = 0.5\n"
     )
     code, out, _ = run_cli(capsys, "evolve", str(cfg))
     assert code == 0
@@ -212,18 +203,15 @@ def test_stability_is_byte_identical_and_grows_at_the_top_root(capsys):
     assert doc["time_translation_residual"] <= 1e-12
 
 
-def test_audit_json_file_matches_stdout(tmp_path, capsys):
-    target = tmp_path / "audit.json"
-    code, out, _ = run_cli(capsys, "audit", "--json", str(target))
-    assert code == 0
-    assert target.read_text(encoding="utf-8") == out
-
-
 def test_profile_writes_flat_phi_column(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ZMCLAB_OUTPUT_DIR", str(tmp_path))
-    code, out, _ = run_cli(capsys, "profile", "--a", "0.5", "--rho-max", "0.9")
+    """A relative --csv path is read against the working directory and
+    echoed as given."""
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "profile", "--a", "0.5", "--rho-max", "0.9",
+                           "--csv", "profile.csv")
     assert code == 0
     doc = json.loads(out)
+    assert doc["csv"] == "profile.csv"
     assert doc["max_drift_from_height"] <= 1e-8
     rows = list(csv.reader(open(tmp_path / "profile.csv", newline="")))
     phis = [float(r[1]) for r in rows[1:]]
@@ -281,9 +269,7 @@ def refused_override_error(tmp_path, capsys, *overrides):
     return err
 
 
-@pytest.mark.parametrize("override", [
-    "hi=inf", "fit_lo=nan", "fit_hi=inf", "fit_lo=0.99",
-])
+@pytest.mark.parametrize("override", ["hi=inf"])
 def test_evolve_refuses_non_finite_settings(tmp_path, capsys, override):
     err = refused_override_error(tmp_path, capsys, override)
     assert override.partition("=")[0] in err
@@ -291,16 +277,17 @@ def test_evolve_refuses_non_finite_settings(tmp_path, capsys, override):
 
 @pytest.mark.parametrize("override", [
     "cfl=0.4", "dissipation=nan", "dissipation=inf", "max_gradient=nan",
-    "min_disc_floor=nan", "dt_floor=nan",
+    "min_disc_floor=nan", "dt_floor=nan", "t0=0.0", "fit_lo=0.4", "fit_hi=0.95",
 ])
 def test_evolve_refuses_method_keys_as_unknown(tmp_path, capsys, override):
-    """The evolution's method is fixed in code: a config cannot set it."""
+    """The evolution's method, its start time t = 0 and the blow-up fit
+    window are fixed in code: a config cannot set them, even to their value."""
     err = refused_override_error(tmp_path, capsys, override)
     assert f"unknown key {override.partition('=')[0]!r}" in err
 
 
 @pytest.mark.parametrize("overrides, message", [
-    (("t0=0.6", "t_end=0.5", "lo=-0.3", "hi=0.3"), "need t0 < t_end, got t0 = 0.6, t_end = 0.5"),
+    (("t_end=-0.1",), "need 0 < t_end < blowup_time"),
     (("equation=membrane", "family=constant"), "a radial window needs lo >= 0, got lo = -0.5"),
 ], ids=["t0-past-t_end", "membrane-negative-lo"])
 def test_evolve_refuses_a_run_it_cannot_start(tmp_path, capsys, overrides, message):
@@ -312,12 +299,32 @@ def test_evolve_refuses_a_run_it_cannot_start(tmp_path, capsys, overrides, messa
     (("profile", "--a", "0.5", "--rho-max", "inf"), "rho_max"),
 ], ids=["profile-rho-max-nan", "profile-rho-max-inf"])
 def test_non_finite_flags_exit_two_naming_the_setting(tmp_path, capsys, argv, setting):
-    code, out, err = run_cli(capsys, *argv, "--json", str(tmp_path / "out.json"))
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert setting in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("profile", "--a", "0.5", "--csv", "{missing}/p.csv"),
+    ("evolve", "{cfg}", "--set", "diagnostics_csv={missing}/d.csv"),
+    ("evolve", "{cfg}", "--set", "diagnostics_csv={tmp}/d.csv",
+     "--set", "snapshots_csv={missing}/s.csv"),
+], ids=["profile-csv", "diagnostics_csv", "snapshots_csv"])
+def test_unwritable_output_path_exits_two(tmp_path, capsys, argv):
+    """An output path that cannot be opened is a usage error: exit 2 with
+    the path named on stderr and nothing on stdout."""
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(REFERENCE_CONFIG + "t_end = 0.1\n")
+    missing = tmp_path / "missing"
+    argv = [arg.format(missing=missing, cfg=cfg, tmp=tmp_path) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(missing) in err
+
+
 @pytest.mark.parametrize("command, flag, value", [
+    *((command, "--json", "out.json") for command in
+      ("verify", "profile", "evolve", "stability", "scaling", "audit")),
     ("verify", "--margin", "0.02"),
     ("verify", "--rho-max", "0.95"),
     ("scaling", "--lambdas", "0.5,1,2,4"),
@@ -328,9 +335,14 @@ def test_non_finite_flags_exit_two_naming_the_setting(tmp_path, capsys, argv, se
 ])
 def test_sampling_flags_are_unrecognized(capsys, command, flag, value):
     """verify's sample geometry and scaling's measured member, slice and
-    window are fixed in code: setting one, even to its value, exits 2."""
-    required = {"verify": ("--equation", "born-infeld", "--family", "log"), "scaling": ()}
-    code, out, err = run_cli(capsys, command, *required[command], f"{flag}={value}")
+    window are fixed in code: setting one, even to its value, exits 2. So
+    does --json on any subcommand: stdout is the one JSON channel."""
+    required = {
+        "verify": ("--equation", "born-infeld", "--family", "log"),
+        "profile": ("--a", "0.5"),
+        "evolve": ("run.cfg",),
+    }
+    code, out, err = run_cli(capsys, command, *required.get(command, ()), f"{flag}={value}")
     assert (code, out) == (2, "")
     assert f"unrecognized arguments: {flag}={value}\n" in err
 

@@ -90,11 +90,14 @@ def test_characteristic_speeds_refuse_degenerate_state():
 
 def test_characteristic_speeds_refuse_non_finite_discriminant():
     """A NaN fails every comparison with the floor: it is refused as
-    non-finite, never reported as a degeneracy."""
+    non-finite, never reported as a degeneracy. A +inf, from an infinite q,
+    leaves the minimum finite and is refused by the maximum."""
     p, q = np.full(9, 0.3), np.full(9, 0.2)
     p[7] = math.nan
     with pytest.raises(NonFiniteError, match=r"= nan$"):
         characteristic_speeds(p, q)
+    with pytest.raises(NonFiniteError, match=r"max = inf$"):
+        characteristic_speeds(np.array([0.1] * 3), np.array([0.1, np.inf, 0.1]))
 
 
 def test_rhs_matches_exact_time_derivatives():

@@ -7,7 +7,6 @@ from fd_oracles import observed_orders
 from profile_forms import profile_residual_regrouped, verify_branch
 from zmclab.errors import (
     DegeneracyError,
-    DegenerateStartError,
     DomainError,
     SingularPointError,
 )
@@ -140,9 +139,9 @@ def test_shoot_short_range_reaches_end():
 
 
 def test_degenerate_start_rejected():
-    with pytest.raises(DegenerateStartError):
+    with pytest.raises(DomainError):
         shoot_profile(1.0, rho_max=0.5, drho=1e-3)
-    with pytest.raises(DegenerateStartError):
+    with pytest.raises(DomainError):
         shoot_profile(-1.0001, rho_max=0.5, drho=1e-3)
 
 
