@@ -16,6 +16,7 @@ including an output path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -235,8 +236,15 @@ def _build_initial_state(cfgv) -> EvolutionState:
 
 
 def cmd_evolve(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        values = parse_config_text(fh.read())
+    with open(args.config, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{args.config}: not UTF-8 at byte offset {exc.start}: {exc.reason}"
+        ) from exc
+    values = parse_config_text(text)
     _apply_overrides(values, args.set)
     for key, (_, default) in CONFIG_SCHEMA.items():
         if key not in values:
@@ -316,6 +324,7 @@ def _positive(kind, most=None):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zmclab",
@@ -363,9 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand and return its exit code.
+
+    The parser is built at the first call and shared by every later call in
+    the process, so each subcommand's handler is bound at that first build.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -72,7 +72,10 @@ class EvolutionConfig:
         if self.equation not in (EquationId.BORN_INFELD, EquationId.RADIAL_MEMBRANE):
             raise DomainError(f"cannot evolve {self.equation.value}: not a flow")
         if not 0.0 < self.t_end < self.blowup_time:
-            raise DomainError("need 0 < t_end < blowup_time")
+            raise DomainError(
+                f"need 0 < t_end < blowup_time, got t_end={self.t_end}, "
+                f"blowup_time={self.blowup_time}"
+            )
 
 
 @dataclass

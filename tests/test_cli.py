@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import zmclab
-from zmclab.cli import main
+from zmclab.cli import build_parser, main
 
 REFERENCE_CONFIG = """\
 # logarithmic string data, excised run
@@ -123,6 +123,16 @@ def test_misuse_config_parse_failure_names_the_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "evolve", str(cfg))
     assert code == 2
     assert "line 2" in err
+
+
+def test_misuse_config_not_utf8_names_the_byte(tmp_path, capsys):
+    """A config that is not UTF-8 text is a config error, exit 2, naming the
+    file and the offset of the first byte that does not decode."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"equation = born-infeld\nfamily = log\n# \xff\xfe\n")
+    code, out, err = run_cli(capsys, "evolve", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}: not UTF-8 at byte offset 38: invalid start byte\n"
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
@@ -287,7 +297,7 @@ def test_evolve_refuses_method_keys_as_unknown(tmp_path, capsys, override):
 
 
 @pytest.mark.parametrize("overrides, message", [
-    (("t_end=-0.1",), "need 0 < t_end < blowup_time"),
+    (("t_end=-0.1",), "need 0 < t_end < blowup_time, got t_end=-0.1, blowup_time=1.0"),
     (("equation=membrane", "family=constant"), "a radial window needs lo >= 0, got lo = -0.5"),
 ], ids=["t0-past-t_end", "membrane-negative-lo"])
 def test_evolve_refuses_a_run_it_cannot_start(tmp_path, capsys, overrides, message):
@@ -345,6 +355,29 @@ def test_sampling_flags_are_unrecognized(capsys, command, flag, value):
     code, out, err = run_cli(capsys, command, *required.get(command, ()), f"{flag}={value}")
     assert (code, out) == (2, "")
     assert f"unrecognized arguments: {flag}={value}\n" in err
+
+
+def test_calls_sharing_the_parser_stay_independent(tmp_path, capsys):
+    """main builds its parser once per process: a flag given to one call
+    leaves no trace in the next, and a refused flag leaves none either."""
+    assert build_parser() is build_parser()
+
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(REFERENCE_CONFIG + f"t_end = 0.1\ndiagnostics_csv = {tmp_path / 'd.csv'}\n")
+    plain = run_cli(capsys, "evolve", str(cfg))
+    finer = run_cli(capsys, "evolve", str(cfg), "--set", "n=400")
+    assert plain[0] == finer[0] == 0 and plain[1] != finer[1]
+    assert run_cli(capsys, "evolve", str(cfg)) == plain
+
+    verify = ("verify", "--equation", "born-infeld", "--family", "log")
+    plain = run_cli(capsys, *verify)
+    assert run_cli(capsys, *verify, "--k", "-3")[0] == 0
+    assert run_cli(capsys, *verify) == plain
+    assert json.loads(plain[1])["k"] == 1.0
+
+    plain = run_cli(capsys, "audit")
+    assert run_cli(capsys, "audit", "--bogus")[0] == 2
+    assert run_cli(capsys, "audit") == plain
 
 
 def test_audit_and_verify_run_without_mpmath(tmp_path):
