@@ -2,9 +2,8 @@
 
 The second-order equations are run as first-order systems in
 (u, p, q) = (graph, time slope, space slope).  Space derivatives are
-second-order finite differences (one-sided at the window edges), time
-stepping is RK4 under a CFL condition on the characteristic speeds, and
-a small fourth-difference dissipation keeps odd-even modes down.
+second-order finite differences (one-sided at the window edges), and time
+stepping is RK4 under a CFL condition on the characteristic speeds.
 
 There are no artificial boundary conditions anywhere.  Each step the
 window edges move inward at the local speed of the characteristics that
@@ -43,10 +42,9 @@ from .residuals import EquationId
 
 # smallest window the edge ghosts can still close over
 MIN_ACTIVE_NODES = 3
-# the method: dt = CFL * h / fastest speed, fourth-difference dissipation
-# coefficient, and the floors on the discriminant 1 - p^2 + q^2 and on dt
+# the method: dt = CFL * h / fastest speed, and the floors on the
+# discriminant 1 - p^2 + q^2 and on dt
 CFL = 0.5
-DISSIPATION = 0.01
 MIN_DISC_FLOOR = 1e-6
 DT_FLOOR = 1e-12
 
@@ -196,22 +194,21 @@ def _ghosts(head, end, parity_left):
     return left, reduce(add, map(mul, tail, end), 0.0)
 
 
-def _rhs(equation, xs, u, p, q, h, sigma):
+def _rhs(equation, xs, u, p, q, h):
     """(udot, pdot, qdot) of the fields u, p and q: _derivative of their
     stacked state."""
-    return _derivative(equation, xs, np.stack((u, p, q)), h, sigma)
+    return _derivative(equation, xs, np.stack((u, p, q)), h)
 
 
-def _derivative(equation, xs, y, h, sigma):
+def _derivative(equation, xs, y, h):
     """d/dt of the (3, n) state y = (u, p, q), as the rows of one (3, n) array.
 
     A numpy call costs about a microsecond here, and a strided 2-D one
     twice that, so each operation runs once over p and q as one flat run of
     2n values (entries straddling the two rows are overwritten before they
-    are read), and the values that reach past the window (the ghosts of
-    the edge differences, the axis nodes of the dissipation stencil) are
-    sums of Python floats. Every node gets tests/rhs_reference.py's
-    operations in the same order.
+    are read), and the ghosts of the edge differences, the values that
+    reach past the window, are sums of Python floats. Every node gets
+    tests/rhs_reference.py's operations in the same order.
     """
     axis = equation is EquationId.RADIAL_MEMBRANE and xs[0] == 0.0
     n = xs.size
@@ -245,31 +242,6 @@ def _derivative(equation, xs, y, h, sigma):
         if axis:
             ratio[0] = dq[0]  # q/r -> q_r at the axis
         pdot += ratio * (a + qq) / denom
-    if sigma > 0.0 and n >= 5:
-        scale = sigma / (16.0 * h)
-        # the stencil value centred on flat node j goes to delta4[j]
-        delta4 = np.empty(2 * n)
-        inner = delta4[2:-2]
-        f4 = f * 4.0
-        np.subtract(f[:-4], f4[1:-3], out=inner)
-        inner += f[2:-2] * 6.0
-        inner -= f4[3:-1]
-        inner += f[4:]
-        inner *= scale
-        # the excision edges need damping most: the nodes the stencil
-        # cannot centre on take its end values
-        if axis:
-            # parity ghosts across the axis let it centre on nodes 0 and 1
-            for i, (f0, f1, f2, f3, _), par in ((0, head_p, 1.0), (n, head_q, -1.0)):
-                delta4[i] = (((par * f2 - 4.0 * (par * f1)) + 6.0 * f0) - 4.0 * f1 + f2) * scale
-                delta4[i + 1] = (((par * f1 - 4.0 * f0) + 6.0 * f1) - 4.0 * f2 + f3) * scale
-        else:
-            delta4[:2] = delta4[2]
-            delta4[n:n + 2] = delta4[n + 2]
-        delta4[n - 2:n] = delta4[n - 3]
-        delta4[-2:] = delta4[-3]
-        fdot = out[1:3].ravel()
-        fdot -= delta4
     return out[:3]
 
 
@@ -390,7 +362,7 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
         ))
 
     def rhs(_, y):
-        return _derivative(config.equation, xs, y, h, DISSIPATION)
+        return _derivative(config.equation, xs, y, h)
 
     record(t, state.q, momentum, momentum, disc)
     while t < config.t_end - 1e-13:

@@ -34,7 +34,7 @@ def _first_derivative(f, h, parity_left):
     return (fe[2:] - fe[:-2]) / (2.0 * h)
 
 
-def reference_rhs(equation, xs, u, p, q, h, sigma):
+def reference_rhs(equation, xs, u, p, q, h):
     """(udot, pdot, qdot) as three separate arrays."""
     axis = equation is EquationId.RADIAL_MEMBRANE and xs[0] == 0.0
     dp = _first_derivative(p, h, +1.0 if axis else None)
@@ -48,18 +48,4 @@ def reference_rhs(equation, xs, u, p, q, h, sigma):
         if axis:
             ratio[0] = dq[0]  # q/r -> q_r at the axis
         pdot = pdot + ratio * (1.0 - p * p + q * q) / denom
-    qdot = dp.copy()
-    udot = p.copy()
-    if sigma > 0.0 and u.size >= 5:
-        scale = sigma / (16.0 * h)
-        for f, fdot, parity in ((p, pdot, 1.0), (q, qdot, -1.0)):
-            # ghosts across the axis let the stencil reach the axis nodes
-            fe = np.concatenate([parity * f[2:0:-1], f]) if axis else f
-            delta4 = fe[:-4] - 4.0 * fe[1:-3] + 6.0 * fe[2:-2] - 4.0 * fe[3:-1] + fe[4:]
-            # the excision edges need damping most: the nodes the stencil
-            # cannot centre on take its end values
-            inner = slice(-2 - delta4.size, -2)
-            fdot[inner] -= scale * delta4
-            fdot[: inner.start] -= scale * delta4[0]
-            fdot[-2:] -= scale * delta4[-1]
-    return udot, pdot, qdot
+    return p, pdot, dp

@@ -13,10 +13,10 @@ import numpy as np
 from rhs_reference import reference_rhs
 
 
-def reference_step(equation, xs, y, h, sigma, dt):
+def reference_step(equation, xs, y, h, dt):
     """The (3, n) state (u, p, q) one RK4 step of length dt after y."""
     def slope(state):
-        k = np.stack(reference_rhs(equation, xs, *state, h, sigma))
+        k = np.stack(reference_rhs(equation, xs, *state, h))
         assert np.isfinite(k).all()
         return k
 

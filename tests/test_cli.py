@@ -299,7 +299,7 @@ def test_evolve_refuses_method_keys_as_unknown(tmp_path, capsys, override):
 @pytest.mark.parametrize("overrides, message", [
     (("t_end=-0.1",), "need 0 < t_end < blowup_time, got t_end=-0.1, blowup_time=1.0"),
     (("equation=membrane", "family=constant"), "a radial window needs lo >= 0, got lo = -0.5"),
-], ids=["t0-past-t_end", "membrane-negative-lo"])
+], ids=["t_end-below-start", "membrane-negative-lo"])
 def test_evolve_refuses_a_run_it_cannot_start(tmp_path, capsys, overrides, message):
     assert message in refused_override_error(tmp_path, capsys, *overrides)
 
