@@ -299,7 +299,9 @@ def cmd_evolve(args) -> int:
         try:
             fit = fit_blowup_rate(run, FIT_WINDOW)
             payload["fit"] = fit.to_json_dict()
-        except ArityError as exc:
+        except (ArityError, DomainError) as exc:
+            # a window with fewer than 2 samples, or a centre series with a
+            # zero in it (the constant family's is zero throughout)
             payload["fit_skipped_reason"] = str(exc)
     _emit(payload)
     return EXIT_OK

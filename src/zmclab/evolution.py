@@ -142,7 +142,7 @@ def characteristic_speeds(p, q):
     """
     qq = q * q
     disc = 1.0 - p * p + qq
-    worst, top = float(disc.min()), float(disc.max())
+    worst, top = float(np.minimum.reduce(disc)), float(np.maximum.reduce(disc))
     if not (math.isfinite(worst) and math.isfinite(top)):
         raise NonFiniteError(
             f"non-finite discriminant: min(1 - p^2 + q^2) = {worst}, max = {top}"
@@ -166,9 +166,10 @@ def characteristic_speeds(p, q):
 
 def _ghosts(head, end, parity_left):
     """The values extending a row by one node per side: parity mirror (left
-    only) or quartic extrapolation, from the row's first and last
-    min(n, 5) values as lists of floats (end read from the last node
-    inward).
+    only) or extrapolation through the row's first and last min(n, 5)
+    values, given as lists of floats (end read from the last node inward).
+    _derivative calls it on 3- and 4-node windows and writes the quartic
+    of longer ones out.
 
     A free excision edge has no boundary data by design, so the ghost can
     only extrapolate.  The nodes within reach of the edge stencils carry an
@@ -178,14 +179,6 @@ def _ghosts(head, end, parity_left):
     extrapolation degree.  Low-degree ghosts make it large enough to drag
     the excision edges measurably inward, so spend the extra degree.
     """
-    if len(head) == 5:
-        # the quartic of _GHOST_TAILS[5], written out: one term at a time
-        # from 0.0, as the reduce below sums it
-        h0, h1, h2, h3, h4 = head
-        e0, e1, e2, e3, e4 = end
-        left = (0.0 + 5 * h0 - 10 * h1 + 10 * h2 - 5 * h3 + h4 if parity_left is None
-                else parity_left * h1)
-        return left, 0.0 + 5 * e0 - 10 * e1 + 10 * e2 - 5 * e3 + e4
     tail = _GHOST_TAILS[len(head)]
     # summed in order from 0.0; builtin sum() compensates Python floats
     # from 3.12 on, which would move the last bit
@@ -204,44 +197,62 @@ def _derivative(equation, xs, y, h):
     """d/dt of the (3, n) state y = (u, p, q), as the rows of one (3, n) array.
 
     A numpy call costs about a microsecond here, and a strided 2-D one
-    twice that, so each operation runs once over p and q as one flat run of
-    2n values (entries straddling the two rows are overwritten before they
-    are read), and the ghosts of the edge differences, the values that
-    reach past the window, are sums of Python floats. Every node gets
-    tests/rhs_reference.py's operations in the same order.
+    twice that, so each pass runs once over p and q as one flat run of 2n
+    values (entries straddling the two rows are overwritten before they
+    are read): the centred differences d = [p_x | q_x], the squares
+    [p^2 | q^2], and the product [2pq | 1 - p^2] * d of both terms of p_t,
+    which then takes one sum and one division. The ghosts of the edge
+    differences, the values that reach past the window, are sums of Python
+    floats, written out for the quartic of a window of 5 or more nodes.
+    Every node gets tests/rhs_reference.py's operations in the same order.
     """
-    axis = equation is EquationId.RADIAL_MEMBRANE and xs[0] == 0.0
+    membrane = equation is EquationId.RADIAL_MEMBRANE
+    axis = membrane and xs[0] == 0.0
     n = xs.size
     f, p, q = y[1:].ravel(), y[1], y[2]
-    # rows udot, pdot, qdot and q_x; rows 2 and 3 start as the centred
-    # differences p_x and q_x, and the first three rows are returned
+    # rows 0 and 1 hold the factors c of p_t and rows 2 and 3 the
+    # differences d; the first three rows are returned as udot, pdot, qdot
     out = np.empty((4, n))
-    out[0] = p
-    d = out[2:].ravel()
+    c, d = out[:2].ravel(), out[2:].ravel()
     np.subtract(f[2:], f[:-2], out=d[1:-1])
-    m = min(n, 5)
-    (head_p, head_q), (end_p, end_q) = y[1:, :m].tolist(), y[1:, :-m - 1:-1].tolist()
-    left, right = _ghosts(head_p, end_p, 1.0 if axis else None)
-    d[0], d[n - 1] = head_p[1] - left, right - end_p[1]
-    left, right = _ghosts(head_q, end_q, -1.0 if axis else None)
-    d[n], d[-1] = head_q[1] - left, right - end_q[1]
+    m = n if n < 5 else 5
+    (hp, hq), (ep, eq) = y[1:, :m].tolist(), y[1:, :-m - 1:-1].tolist()
+    if m < 5:
+        lp, rp = _ghosts(hp, ep, 1.0 if axis else None)
+        lq, rq = _ghosts(hq, eq, -1.0 if axis else None)
+    else:
+        # _GHOST_TAILS[5] written out, summed from 0.0 in _ghosts' order;
+        # on the axis the parity mirrors
+        (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = hp, hq
+        lp = a1 if axis else 0.0 + 5 * a0 - 10 * a1 + 10 * a2 - 5 * a3 + a4
+        lq = -b1 if axis else 0.0 + 5 * b0 - 10 * b1 + 10 * b2 - 5 * b3 + b4
+        (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = ep, eq
+        rp = 0.0 + 5 * a0 - 10 * a1 + 10 * a2 - 5 * a3 + a4
+        rq = 0.0 + 5 * b0 - 10 * b1 + 10 * b2 - 5 * b3 + b4
+    d[0], d[n - 1], d[n], d[-1] = hp[1] - lp, rp - ep[1], hq[1] - lq, rq - eq[1]
     d /= 2.0 * h
-    dp, dq = d[:n], d[n:]
     sq = f * f
-    pp, qq = sq[:n], sq[n:]
+    qq = sq[n:]
     denom = 1.0 + qq
-    pdot = out[1]
-    a = 1.0 - pp  # the membrane's ratio term reuses it
-    np.multiply(a, dq, out=pdot)
-    pdot += 2.0 * p * q * dp
+    udot, pdot = out[0], out[1]
+    np.add(p, p, out=udot)  # 2p, as 2.0 * p to the bit
+    udot *= q
+    np.subtract(1.0, sq[:n], out=pdot)
+    # the membrane term's 1 - p^2 + q^2, before the product overwrites 1 - p^2
+    disc = pdot + qq if membrane else None
+    c *= d
+    np.add(udot, pdot, out=pdot)
     pdot /= denom
-    if equation is EquationId.RADIAL_MEMBRANE:
+    if membrane:
         ratio = np.empty(n)
         nz = slice(1, None) if axis else slice(None)
         np.divide(q[nz], xs[nz], out=ratio[nz])
         if axis:
-            ratio[0] = dq[0]  # q/r -> q_r at the axis
-        pdot += ratio * (a + qq) / denom
+            ratio[0] = d[n]  # q/r -> q_r at the axis
+        ratio *= disc
+        ratio /= denom
+        pdot += ratio
+    udot[:] = p
     return out[:3]
 
 
@@ -352,12 +363,12 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
         # curvature u_rr for the membrane
         rows.append((
             t,
-            float(np.abs(q).max()),
+            float(np.maximum.reduce(np.abs(q))),
             # u_rr on the axis by the odd extension: (q1 - (-q1)) / 2h
             float(q[1]) / h if axis_pinned else float(q[nearest]),
             momentum,
             invariant,
-            float(disc.min()),
+            float(np.minimum.reduce(disc)),
             q.size,
         ))
 
@@ -367,7 +378,8 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
     record(t, state.q, momentum, momentum, disc)
     while t < config.t_end - 1e-13:
         # lambda- <= lambda+ at every node, so this is the largest |speed|
-        fastest = max(float(speeds[1].max()), -float(speeds[0].min()))
+        fastest = max(float(np.maximum.reduce(speeds[1])),
+                      -float(np.minimum.reduce(speeds[0])))
         dt = CFL * h / max(fastest, 1e-30)
         if dt < DT_FLOOR:
             raise StepFloorError(f"time step {dt:.3e} below floor at t = {t:.6f}")

@@ -119,7 +119,7 @@ def _stage_slope(k, shape, stage: str, t: float):
             f"derivative returned shape {k.shape} for a state of shape {shape} "
             f"at RK4 {stage}"
         )
-    if not np.isfinite(k).all():
+    if not np.logical_and.reduce(np.isfinite(k), axis=None):
         _check_stage_finite(k, stage, t)
     return k
 

@@ -2,10 +2,11 @@
 
 Each stage is `state + 0.5 * dt * k`, every expression allocates its
 result, each stage is checked finite on its own, and the derivative is
-tests/rhs_reference.py's per-field right-hand side. The package steps in
-place on buffers it owns and with a fused right-hand side; tests require
-the two to agree bit for bit, so any reordering of the stage arithmetic
-shows.
+tests/rhs_reference.py's per-field right-hand side. The package forms
+each stage in a new array, c * k with the state added in place, since a
+derivative may keep or return the array it was given, and its right-hand
+side is the fused one; tests require the two to agree bit for bit, so any
+reordering of the stage arithmetic shows.
 """
 from __future__ import annotations
 

@@ -176,6 +176,35 @@ def test_evolve_flag_overrides_win(tmp_path, capsys):
     assert diag.exists()
 
 
+README_CONFIG = REFERENCE_CONFIG.replace("n = 200", "n = 400")
+CONSTANT_CONFIG = "family = constant\nk = 0.3\nn = 200\nt_end = 0.8\nfit = true\n"
+
+
+@pytest.mark.parametrize("config, sets, reason", [
+    (README_CONFIG, ("--set", "t_end=0.3"), "fit window contains fewer than 2 samples"),
+    ("equation = born-infeld\n" + CONSTANT_CONFIG, (),
+     "log_log_fit needs strictly positive inputs (log scale)"),
+    ("equation = membrane\nlo = 0\nhi = 0.5\n" + CONSTANT_CONFIG, (),
+     "log_log_fit needs strictly positive inputs (log scale)"),
+], ids=["short-window", "string-constant", "membrane-constant"])
+def test_evolve_reports_a_skipped_fit(tmp_path, capsys, config, sets, reason):
+    """A blow-up fit that cannot be taken is reported, not refused: a run
+    that stops before the fit window holds 2 samples, and the constant
+    family, whose centre series is zero throughout and so has no log-log
+    fit, write their diagnostics and exit 0 with "fit": null and the
+    reason."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    diag = tmp_path / "diagnostics.csv"
+    code, out, err = run_cli(capsys, "evolve", str(cfg), *sets,
+                             "--set", f"diagnostics_csv={diag}")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["fit"] is None
+    assert doc["fit_skipped_reason"] == reason
+    assert diag.exists()
+
+
 def test_evolve_refuses_lightlike_sphere_data_gracefully(tmp_path, capsys):
     cfg = tmp_path / "sph.cfg"
     cfg.write_text(

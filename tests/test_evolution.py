@@ -223,6 +223,40 @@ def test_ghosts_extrapolate_polynomials_exactly(size):
         assert _ghosts(*ends, parity) == (parity * f[1], right)
 
 
+@pytest.mark.parametrize("size", (5, 6, 9))
+@pytest.mark.parametrize("axis", (False, True), ids=["string", "membrane-axis"])
+def test_derivative_edge_differences_continue_polynomials(size, axis):
+    """The edge entries of _derivative's centred differences read the
+    ghosts the data's own quartic puts at -1 and at n, and on the axis the
+    parity mirror instead (p even, q odd), exactly on integer data.  Every
+    node value is at least 1, so each ghost weight shows, and spacing 1/2
+    makes the difference quotient the plain difference.  p gives the
+    q_t = p_x row; q with p = 0 gives p_t = q_x / (1 + q^2), plus on the
+    membrane (q/r)(1 + q^2) / (1 + q^2) with q/r -> q_x on the axis."""
+    poly = np.polynomial.Polynomial(np.random.default_rng(size).integers(1, 10, 5))
+    f = poly(np.arange(size, dtype=float))
+    equation = EquationId.RADIAL_MEMBRANE if axis else EquationId.BORN_INFELD
+    h = 0.5
+    xs = h * np.arange(size)
+    zero = np.zeros(size)
+    right = poly(float(size)) - f[-2]
+
+    def left(parity):
+        return f[1] - parity * f[1] if axis else f[1] - poly(-1.0)
+
+    qdot = _derivative(equation, xs, np.stack((zero, f, zero)), h)[2]
+    assert (qdot[0], qdot[-1]) == (left(1.0), right)
+
+    pdot = _derivative(equation, xs, np.stack((zero, zero, f)), h)[1]
+    dq = np.array([left(-1.0), right])
+    denom = 1.0 + f[[0, -1]] * f[[0, -1]]
+    want = dq / denom
+    if axis:
+        ratio = np.array([dq[0], f[-1] / xs[-1]])
+        want += ratio * denom / denom
+    assert np.array_equal(pdot[[0, -1]], want)
+
+
 def test_rhs_constant_slopes_are_stationary():
     # a traveling plane: u = 0.3 x - 0.1 t has constant p, q
     xs = np.linspace(-1.0, 1.0, 41)

@@ -204,6 +204,29 @@ def test_rk4_array_derivative_must_have_the_state_shape(stage, wrong):
     assert len(calls) == stage
 
 
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_rk4_array_names_the_non_finite_stage_row_and_node(stage):
+    """Each stage's one finiteness check over the whole 2-D derivative fires
+    on its own call and names the (row, node) of the NaN."""
+    calls = []
+
+    def slope(t, y):
+        calls.append(t)
+        k = -y
+        if len(calls) >= stage:
+            k[1, 3] = math.nan
+        return k
+
+    stage_t = {1: 0.0, 2: 0.25, 3: 0.25, 4: 0.5}[stage]
+    with pytest.raises(NonFiniteError) as exc:
+        rk4_step(np.ones((3, 5)), slope, 0.0, 0.5)
+    assert str(exc.value) == (
+        f"non-finite derivative at RK4 stage {stage}, t={stage_t} "
+        f"((row, node) [(1, 3)])"
+    )
+    assert len(calls) == stage
+
+
 def test_rk4_array_path_leaves_the_derivatives_arrays_alone():
     """The stage sums and the final combination run in place on arrays the
     step owns: a derivative that returns its own input sees none of the
