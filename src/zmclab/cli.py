@@ -32,7 +32,6 @@ from .errors import (
 )
 from .evolution import (
     EvolutionConfig,
-    EvolutionState,
     fit_blowup_rate,
     initial_state_from_solution,
     run_evolution,
@@ -158,19 +157,22 @@ def cmd_audit(args) -> int:
     return EXIT_OK if report.all_as_expected else EXIT_TOLERANCE
 
 
-def _parse_bool(text: str) -> bool:
-    if text in ("true", "yes", "1"):
-        return True
-    if text in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+def _one_of(table):
+    """Config value parser: the entry of table named by the text."""
+
+    def parse(text: str):
+        if text not in table:
+            raise ValueError(f"{text!r} is not one of {', '.join(table)}")
+        return table[text]
+
+    return parse
 
 
 # evolve config schema: key -> (parser, default); a default of None marks a
 # required key. The run starts at t = 0.
 CONFIG_SCHEMA = {
-    "equation": (str, None),
-    "family": (str, None),
+    "equation": (_one_of(EQUATION_BY_NAME), None),
+    "family": (_one_of(FAMILY_BY_NAME), None),
     "k": (float, 0.2),
     "T": (float, 1.0),
     "t_end": (float, 0.5),
@@ -179,7 +181,8 @@ CONFIG_SCHEMA = {
     "n": (int, 400),
     "diagnostics_csv": (str, "diagnostics.csv"),
     "snapshots_csv": (str, ""),
-    "fit": (_parse_bool, False),
+    "fit": (_one_of({"true": True, "yes": True, "1": True,
+                     "false": False, "no": False, "0": False}), False),
 }
 
 
@@ -226,15 +229,6 @@ def _apply_overrides(values: dict, overrides) -> None:
         values[key] = value
 
 
-def _build_initial_state(cfgv) -> EvolutionState:
-    grid = Grid1D(lo=cfgv["lo"], hi=cfgv["hi"], n=cfgv["n"])
-    family = FAMILY_BY_NAME.get(cfgv["family"])
-    if family is None:
-        raise ConfigError(f"unknown family {cfgv['family']!r}")
-    sol = ClosedFormSolution(family=family, T=cfgv["T"], k=cfgv["k"])
-    return initial_state_from_solution(sol, grid)
-
-
 def cmd_evolve(args) -> int:
     with open(args.config, "rb") as fh:
         raw = fh.read()
@@ -251,13 +245,12 @@ def cmd_evolve(args) -> int:
             if default is None:
                 raise ConfigError(f"config is missing the required key {key!r}")
             values[key] = default
-    equation = EQUATION_BY_NAME.get(values["equation"])
-    if equation is None:
-        raise ConfigError(f"unknown equation {values['equation']!r}")
 
     try:
-        state = _build_initial_state(values)
-    except (DomainError, ConfigError):
+        grid = Grid1D(lo=values["lo"], hi=values["hi"], n=values["n"])
+        sol = ClosedFormSolution(family=values["family"], T=values["T"], k=values["k"])
+        state = initial_state_from_solution(sol, grid)
+    except DomainError:
         raise
     except LabError as exc:
         raise ConfigError(f"initial data construction failed: {exc}") from exc
@@ -265,7 +258,7 @@ def cmd_evolve(args) -> int:
     config = EvolutionConfig(
         blowup_time=values["T"],
         t_end=values["t_end"],
-        equation=equation,
+        equation=values["equation"],
     )
 
     try:

@@ -1,10 +1,11 @@
 """The evolution right-hand side as a plain per-field numpy expression.
 
-This is the straightforward form of `evolution._rhs`: each field gets its
-own ghosted copy through np.concatenate, every expression allocates its
-result, and the ghosts are summed over numpy scalars. The package's form
-shares buffers between p and q and works in place; tests require the two
-to agree bit for bit, so any reordering of a stencil's operations shows.
+This is the straightforward form of `evolution._derivative`: each field
+gets its own ghosted copy through np.concatenate, every expression
+allocates its result, and the ghosts are summed over numpy scalars. The
+package's form shares buffers between p and q and works in place; tests
+require the two to agree bit for bit, so any reordering of a stencil's
+operations shows.
 """
 from __future__ import annotations
 

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import zmclab
+import zmclab.cli
 from zmclab.cli import build_parser, main
+from zmclab.errors import NonFiniteError
 
 REFERENCE_CONFIG = """\
 # logarithmic string data, excised run
@@ -143,6 +145,47 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert "wavelength" in err
 
 
+# an entry each config key's parser refuses, and the reason it gives; a
+# blank entry sets nothing, which is refused in an override only (a blank
+# config line is skipped)
+CONFIG_REFUSALS = {
+    "fit": ("fit=maybe",
+            "bad value for fit: 'maybe' is not one of true, yes, 1, false, no, 0"),
+    "k": ("k=abc", "bad value for k: could not convert string to float: 'abc'"),
+    "equation": ("equation=string", "bad value for equation: 'string' is not one "
+                 "of born-infeld, membrane, spacelike, eikonal"),
+    "family": ("family=logg", "bad value for family: 'logg' is not one of log, "
+               "sphere-plus, sphere-minus, log-claimed, arctan-corrected, constant"),
+    "blank": ("  # nothing", "expected key=value"),
+}
+
+
+@pytest.mark.parametrize("case, where", [
+    *((case, where) for case in ("equation", "family", "fit", "k")
+      for where in ("file", "override")),
+    ("blank", "override"),
+])
+def test_evolve_refuses_a_bad_entry_naming_its_line_or_override(
+        tmp_path, capsys, case, where):
+    """An entry its key's parser refuses, a name outside its table included,
+    exits 2 before anything runs, naming the config line or the --set
+    override that holds it."""
+    entry, reason = CONFIG_REFUSALS[case]
+    cfg = tmp_path / "r.cfg"
+    diag = tmp_path / "d.csv"
+    if where == "file":
+        cfg.write_text(REFERENCE_CONFIG + entry + "\n")
+        place, sets = "line 9", ()
+    else:
+        cfg.write_text(REFERENCE_CONFIG)
+        place, sets = f"override {entry!r}", ("--set", entry)
+    code, out, err = run_cli(capsys, "evolve", str(cfg), *sets,
+                             "--set", f"diagnostics_csv={diag}")
+    assert (code, out) == (2, "")
+    assert err == f"error: {place}: {reason}\n"
+    assert not diag.exists()
+
+
 def test_evolve_reference_run(tmp_path, capsys):
     cfg = tmp_path / "ref.cfg"
     cfg.write_text(REFERENCE_CONFIG)
@@ -216,6 +259,8 @@ def test_evolve_refuses_lightlike_sphere_data_gracefully(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["status"] == "refused-degenerate-initial-data"
     assert doc["min_discriminant"] <= 1e-10
+    assert doc["detail"] == (f"not hyperbolic: min(1 - p^2 + q^2) = "
+                             f"{doc['min_discriminant']:.3e} <= floor 1.0e-06")
 
 
 def test_audit_is_byte_identical_across_runs(capsys):
@@ -255,6 +300,39 @@ def test_profile_writes_flat_phi_column(tmp_path, capsys, monkeypatch):
     rows = list(csv.reader(open(tmp_path / "profile.csv", newline="")))
     phis = [float(r[1]) for r in rows[1:]]
     assert max(abs(v - 0.5) for v in phis) <= 1e-8
+
+
+def test_adaptive_profile_stops_at_the_degeneracy(tmp_path, capsys):
+    """Valid --drho and --tolerance: the adaptive shoot of the flat profile
+    phi = 0.6 stops within 1e-6 short of its degenerate circle rho = 0.8
+    (phi^2 + rho^2 = 1), with one CSV row per point."""
+    path = tmp_path / "p.csv"
+    code, out, err = run_cli(capsys, "profile", "--a", "0.6", "--drho", "1e-3",
+                             "--tolerance", "1e-10", "--csv", str(path))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["termination"] == "degeneracy-hit"
+    assert 0.0 <= 0.8 - doc["degeneracy_location"] <= 1e-6
+    rows = list(csv.reader(open(path, newline="")))
+    assert len(rows) - 1 == doc["n_points"]
+
+
+def test_verify_takes_a_valid_sample_count(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--equation", "born-infeld",
+                           "--family", "log", "--samples", "16")
+    assert code == 0
+    assert json.loads(out)["report"]["n_points"] == 16
+
+
+def test_lab_failure_exits_one(capsys, monkeypatch):
+    """A LabError that is not a usage error is a failure: exit 1 with the
+    message on stderr and nothing on stdout."""
+
+    def fail():
+        raise NonFiniteError("injected")
+
+    monkeypatch.setattr(zmclab.cli, "run_audit", fail)
+    assert run_cli(capsys, "audit") == (1, "", "failure: injected\n")
 
 
 def test_profile_degenerate_start_is_usage_error(capsys):

@@ -38,7 +38,6 @@ from zmclab.evolution import (
     _advance_edge,
     _derivative,
     _ghosts,
-    _rhs,
 )
 from zmclab.numerics import Grid1D, rk4_step
 from zmclab.residuals import EquationId
@@ -110,7 +109,8 @@ def test_rhs_matches_exact_time_derivatives():
         q = np.array([j.d1[1] for j in jets])
         utt = np.array([j.d2[0] for j in jets])
         utx = np.array([j.d2[1] for j in jets])
-        _, pdot, qdot = _rhs(EquationId.BORN_INFELD, xs, u, p, q, h)
+        y = np.stack((u, p, q))
+        _, pdot, qdot = _derivative(EquationId.BORN_INFELD, xs, y, h)
         worst[h] = max(np.max(np.abs(pdot - utt)), np.max(np.abs(qdot - utx)))
     assert worst[0.005] <= 5e-4
     order = math.log2(worst[0.005] / worst[0.00125]) / 2.0
@@ -138,7 +138,7 @@ def test_rhs_matches_reference_bit_for_bit(window, size):
     u = amp[0] * np.cos(freq[0] * xs)
     p = amp[1] * np.cos(freq[1] * xs) - 0.1
     q = amp[2] * np.sin(freq[2] * xs)  # odd: exactly zero on the axis
-    got = _rhs(equation, xs, u, p, q, h)
+    got = _derivative(equation, xs, np.stack((u, p, q)), h)
     want = np.stack(reference_rhs(equation, xs, u, p, q, h))
     assert got.shape == want.shape == (3, size)
     assert np.array_equal(got, want)
@@ -162,12 +162,13 @@ def rhs_window_state(window, size):
 @pytest.mark.parametrize("size", (3, 5, 6, 201))
 @pytest.mark.parametrize("window", sorted(RHS_WINDOWS))
 def test_rk4_step_matches_reference_bit_for_bit(window, size, dt):
-    """The array path of rk4_step over _rhs is tests/step_reference.py's
-    plain step to the last bit, and leaves its input state alone."""
+    """The array path of rk4_step over _derivative is
+    tests/step_reference.py's plain step to the last bit, and leaves its
+    input state alone."""
     equation, xs, fields, h = rhs_window_state(window, size)
     y = np.stack(fields)
     before = y.copy()
-    got = rk4_step(y, lambda t, s: _rhs(equation, xs, *s, h), 0.25, dt)
+    got = rk4_step(y, lambda t, s: _derivative(equation, xs, s, h), 0.25, dt)
     want = reference_step(equation, xs, y, h, dt)
     assert got.shape == want.shape == (3, size)
     assert np.array_equal(got, want)
@@ -212,15 +213,15 @@ def test_ghosts_extrapolate_polynomials_exactly(size):
     """Through the m = min(size, 5) nodes at each end, the ghost weights
     continue any polynomial of degree m - 1; on integer data, exactly."""
     m = min(size, 5)
-    poly = np.polynomial.Polynomial(np.random.default_rng(size).integers(-9, 10, m))
-    f = poly(np.arange(size, dtype=float))
-    ends = f[:m].tolist(), f[::-1][:m].tolist()
-    left, right = _ghosts(*ends, None)
-    assert left == poly(-1.0)
-    assert right == poly(float(size))
-    # the axis ghost mirrors the first node off the axis instead
-    for parity in (1.0, -1.0):
-        assert _ghosts(*ends, parity) == (parity * f[1], right)
+    rng = np.random.default_rng(size)
+    polys = [np.polynomial.Polynomial(rng.integers(-9, 10, m)) for _ in "pq"]
+    fp, fq = (poly(np.arange(size, dtype=float)) for poly in polys)
+    rows = [f[:m].tolist() for f in (fp, fq, fp[::-1], fq[::-1])]
+    ghosts = [*(poly(-1.0) for poly in polys), *(poly(float(size)) for poly in polys)]
+    assert _ghosts(rows, False) == ghosts
+    # the axis ghosts mirror the first node off the axis instead, p even
+    # and q odd
+    assert _ghosts(rows, True) == [fp[1], -fq[1], *ghosts[2:]]
 
 
 @pytest.mark.parametrize("size", (5, 6, 9))
@@ -263,7 +264,8 @@ def test_rhs_constant_slopes_are_stationary():
     u = 0.3 * xs - 0.1
     p = np.full_like(xs, -0.1)
     q = np.full_like(xs, 0.3)
-    udot, pdot, qdot = _rhs(EquationId.BORN_INFELD, xs, u, p, q, 0.05)
+    y = np.stack((u, p, q))
+    udot, pdot, qdot = _derivative(EquationId.BORN_INFELD, xs, y, 0.05)
     # the ghost weights leave ulp-level crumbs on non-representable constants
     assert np.max(np.abs(pdot)) <= 1e-17
     assert np.max(np.abs(qdot)) <= 1e-17
@@ -556,9 +558,9 @@ def test_check_state_rejects_inconsistent_slope_array():
 @pytest.mark.parametrize("field", ("u", "p", "q"))
 @pytest.mark.parametrize("bad", (math.nan, math.inf))
 def test_check_state_refuses_non_finite_data(field, bad):
-    """A NaN passes the discriminant floor and the consistency check (it
-    fails both comparisons), so the fields are checked first, by name and
-    node."""
+    """A NaN passes the consistency check (it fails its comparison), so the
+    fields are checked first, by name and node, before characteristic_speeds
+    meets the discriminant."""
     state = string_state(40)
     fields = {"u": state.u.copy(), "p": state.p.copy(), "q": state.q.copy()}
     fields[field][7] = bad
