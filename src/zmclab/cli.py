@@ -31,6 +31,7 @@ from .errors import (
     LabError,
 )
 from .evolution import (
+    FLOWS,
     EvolutionConfig,
     fit_blowup_rate,
     initial_state_from_solution,
@@ -61,6 +62,10 @@ EXIT_USAGE = 2
 # verify's sample cap: a sample point costs about 270 B of peak memory, so
 # 10**6 points stay near 0.3 GB
 MAX_SAMPLES = 10**6
+# evolve's cell cap: a run's peak memory is about 0.8 kB per node (tracemalloc:
+# 1.25 MB for the membrane at n = 1600, 0.71 MB for the string), so 4 * 10**5
+# cells stay near 0.3 GB
+MAX_CELLS = 4 * 10**5
 # evolve's blow-up fit reads the center gradient over this time window
 FIT_WINDOW = (0.4, 0.95)
 
@@ -117,13 +122,16 @@ def cmd_verify(args) -> int:
 def cmd_profile(args) -> int:
     run = shoot_profile(args.a, args.rho_max, args.drho, tolerance=args.tolerance)
     write_profile_csv(args.csv, run)
-    final = run.final_state()
     payload = {
         "height": args.a,
         "termination": run.termination.value,
         "degeneracy_location": run.degeneracy_location,
         "n_points": int(run.rhos.size),
-        "final": {"rho": final.rho, "phi": final.phi, "dphi": final.dphi},
+        "final": {
+            "rho": float(run.rhos[-1]),
+            "phi": float(run.phi[-1]),
+            "dphi": float(run.dphi[-1]),
+        },
         "max_drift_from_height": float(np.max(np.abs(run.phi - args.a))),
         "csv": args.csv,
     }
@@ -157,6 +165,18 @@ def cmd_audit(args) -> int:
     return EXIT_OK if report.all_as_expected else EXIT_TOLERANCE
 
 
+def _int_at_most(most):
+    """Config value parser: an integer no larger than most."""
+
+    def parse(text: str):
+        value = int(text)
+        if value > most:
+            raise ValueError(f"must be at most {most}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _one_of(table):
     """Config value parser: the entry of table named by the text."""
 
@@ -171,14 +191,15 @@ def _one_of(table):
 # evolve config schema: key -> (parser, default); a default of None marks a
 # required key. The run starts at t = 0.
 CONFIG_SCHEMA = {
-    "equation": (_one_of(EQUATION_BY_NAME), None),
+    "equation": (_one_of({name: equation for name, equation in EQUATION_BY_NAME.items()
+                          if equation in FLOWS}), None),
     "family": (_one_of(FAMILY_BY_NAME), None),
     "k": (float, 0.2),
     "T": (float, 1.0),
     "t_end": (float, 0.5),
     "lo": (float, -0.5),
     "hi": (float, 0.5),
-    "n": (int, 400),
+    "n": (_int_at_most(MAX_CELLS), 400),
     "diagnostics_csv": (str, "diagnostics.csv"),
     "snapshots_csv": (str, ""),
     "fit": (_one_of({"true": True, "yes": True, "1": True,

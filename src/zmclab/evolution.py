@@ -46,6 +46,8 @@ CFL = 0.5
 MIN_DISC_FLOOR = 1e-6
 DT_FLOOR = 1e-12
 _MEMBRANE = EquationId.RADIAL_MEMBRANE  # read per call: an Enum lookup is 0.1 us on 3.11
+# the equations that are flows, the ones a run can evolve
+FLOWS = (EquationId.BORN_INFELD, EquationId.RADIAL_MEMBRANE)
 
 
 class RunStatus(enum.Enum):
@@ -61,7 +63,7 @@ class EvolutionConfig:
     equation: EquationId = EquationId.BORN_INFELD
 
     def __post_init__(self):
-        if self.equation not in (EquationId.BORN_INFELD, EquationId.RADIAL_MEMBRANE):
+        if self.equation not in FLOWS:
             raise DomainError(f"cannot evolve {self.equation.value}: not a flow")
         if not 0.0 < self.t_end < self.blowup_time:
             raise DomainError(

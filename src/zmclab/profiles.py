@@ -50,20 +50,6 @@ class Termination(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ProfileState:
-    rho: float
-    phi: float
-    dphi: float
-
-    def __post_init__(self):
-        for name in ("rho", "phi", "dphi"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"profile state has non-finite {name}")
-        if self.rho <= 0.0:
-            raise DomainError("profile state needs rho > 0")
-
-
-@dataclass(frozen=True)
 class ProfileRun:
     """Trace of one integration, terminated where the equation says to stop."""
 
@@ -72,11 +58,6 @@ class ProfileRun:
     dphi: np.ndarray
     termination: Termination
     degeneracy_location: float | None
-
-    def final_state(self) -> ProfileState:
-        return ProfileState(
-            float(self.rhos[-1]), float(self.phi[-1]), float(self.dphi[-1])
-        )
 
 
 def profile_residual(phi, dphi, d2phi, rho):
@@ -134,32 +115,41 @@ def degenerate_branch(sign, rho):
     return sign * root, -sign * rho / root, -sign * root ** -3.0
 
 
-def integrate_profile(
-    state0: ProfileState,
+def shoot_profile(
+    height: float,
     rho_max: float,
     drho: float,
     tolerance: float | None = None,
 ) -> ProfileRun:
-    """March the profile equation outward from state0 to rho_max.
+    """Launch an axis-regular shoot with phi = height and zero slope.
 
-    Fixed RK4 steps of size drho when tolerance is None; otherwise
-    step-doubling adaptive RK4 with drho as the first trial step.  The
-    run stops early if the leading coefficient degenerates, a state goes
-    non-finite, or the adaptive step shrinks below DT_MIN.
+    The start is offset to rho = RHO_START_FACTOR * drho; since
+    axis-regular solutions continue as constants, the offset introduces
+    no error.  Fixed RK4 steps of size drho march outward to rho_max when
+    tolerance is None; otherwise step-doubling adaptive RK4 with drho as
+    the first trial step.  The run stops early if the leading coefficient
+    degenerates, a state goes non-finite, or the adaptive step shrinks
+    below DT_MIN.
     """
-    if not state0.rho < rho_max < math.inf:
-        raise DomainError("rho_max must be finite and exceed the starting rho")
+    if not math.isfinite(height):
+        raise DomainError("height must be finite")
+    if 1.0 - height * height <= EPS_DEGENERATE_GAP:
+        raise DomainError(
+            f"height {height!r} starts on or outside the degenerate circle"
+        )
     if not 0.0 < drho < math.inf:
         raise DomainError("drho must be finite and positive")
+    rho = RHO_START_FACTOR * drho
+    if not rho < rho_max < math.inf:
+        raise DomainError("rho_max must be finite and exceed the starting rho")
 
     def slope(r, s):
         return (s[1], phi_second_derivative(s[0], s[1], r))
 
-    rhos = [state0.rho]
-    phis = [state0.phi]
-    dphis = [state0.dphi]
-    rho = state0.rho
-    y = (state0.phi, state0.dphi)
+    rhos = [rho]
+    phis = [height]
+    dphis = [0.0]
+    y = (height, 0.0)
     termination = Termination.REACHED_END
     degeneracy_location = None
     trial = drho
@@ -201,24 +191,3 @@ def integrate_profile(
         np.array(rhos), np.array(phis), np.array(dphis),
         termination, degeneracy_location,
     )
-
-
-def shoot_profile(
-    height: float,
-    rho_max: float,
-    drho: float,
-    tolerance: float | None = None,
-) -> ProfileRun:
-    """Launch an axis-regular shoot with phi = height and zero slope.
-
-    The start is offset slightly off the axis; since axis-regular
-    solutions continue as constants, the offset introduces no error.
-    """
-    if not math.isfinite(height):
-        raise DomainError("height must be finite")
-    if 1.0 - height * height <= EPS_DEGENERATE_GAP:
-        raise DomainError(
-            f"height {height!r} starts on or outside the degenerate circle"
-        )
-    start = ProfileState(rho=RHO_START_FACTOR * drho, phi=height, dphi=0.0)
-    return integrate_profile(start, rho_max, drho, tolerance=tolerance)

@@ -153,7 +153,14 @@ CONFIG_REFUSALS = {
             "bad value for fit: 'maybe' is not one of true, yes, 1, false, no, 0"),
     "k": ("k=abc", "bad value for k: could not convert string to float: 'abc'"),
     "equation": ("equation=string", "bad value for equation: 'string' is not one "
-                 "of born-infeld, membrane, spacelike, eikonal"),
+                 "of born-infeld, membrane"),
+    # equations that are not flows: verify takes them, evolve does not
+    "spacelike": ("equation=spacelike", "bad value for equation: 'spacelike' is "
+                  "not one of born-infeld, membrane"),
+    "eikonal": ("equation=eikonal", "bad value for equation: 'eikonal' is not "
+                "one of born-infeld, membrane"),
+    "n": ("n=1000000000000000000", "bad value for n: must be at most 400000, "
+          "got '1000000000000000000'"),
     "family": ("family=logg", "bad value for family: 'logg' is not one of log, "
                "sphere-plus, sphere-minus, log-claimed, arctan-corrected, constant"),
     "blank": ("  # nothing", "expected key=value"),
@@ -161,8 +168,10 @@ CONFIG_REFUSALS = {
 
 
 @pytest.mark.parametrize("case, where", [
-    *((case, where) for case in ("equation", "family", "fit", "k")
+    *((case, where) for case in ("equation", "family", "fit", "k", "n")
       for where in ("file", "override")),
+    ("spacelike", "file"),
+    ("eikonal", "override"),
     ("blank", "override"),
 ])
 def test_evolve_refuses_a_bad_entry_naming_its_line_or_override(

@@ -595,9 +595,9 @@ def test_non_finite_stage_names_row_and_node():
 def test_config_validation():
     with pytest.raises(DomainError):
         EvolutionConfig(blowup_time=1.0, t_end=1.0)
-    with pytest.raises(DomainError):
-        EvolutionConfig(blowup_time=1.0, t_end=0.5,
-                        equation=EquationId.SPACELIKE_GRAPH)
+    for equation in (EquationId.SPACELIKE_GRAPH, EquationId.EIKONAL):
+        with pytest.raises(DomainError, match=f"cannot evolve {equation.value}: not a flow"):
+            EvolutionConfig(blowup_time=1.0, t_end=0.5, equation=equation)
 
 
 def test_diagnostic_series_are_aligned():

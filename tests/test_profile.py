@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from fd_oracles import observed_orders
 from profile_forms import profile_residual_regrouped, verify_branch
 from zmclab.errors import (
     DegeneracyError,
@@ -12,11 +11,9 @@ from zmclab.errors import (
 )
 from zmclab.numerics import Jet2
 from zmclab.profiles import (
-    ProfileState,
     Termination,
     degenerate_branch,
     first_order_branch_residual,
-    integrate_profile,
     phi_second_derivative,
     profile_residual,
     shoot_profile,
@@ -154,25 +151,24 @@ def test_adaptive_shoot_locates_circle_tightly():
 
 
 def test_integrator_guards():
-    s = ProfileState(0.2, 0.1, 0.3)
-    with pytest.raises(DomainError):
-        integrate_profile(s, rho_max=0.1, drho=1e-3)
-    with pytest.raises(DomainError):
-        integrate_profile(s, rho_max=0.6, drho=0.0)
-    with pytest.raises(DomainError):
-        ProfileState(0.0, 0.1, 0.3)
-    with pytest.raises(DomainError):
-        ProfileState(0.2, math.nan, 0.3)
+    # the start sits at 10 * drho = 0.01
+    for rho_max in (0.01, 0.005, math.nan, math.inf):
+        with pytest.raises(DomainError, match="rho_max"):
+            shoot_profile(0.3, rho_max=rho_max, drho=1e-3)
+    for drho in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(DomainError, match="drho must be finite and positive"):
+            shoot_profile(0.3, rho_max=0.6, drho=drho)
 
 
-def test_integrator_order_on_generic_start():
-    start = ProfileState(0.2, 0.1, 0.3)
-    ref = integrate_profile(start, rho_max=0.6, drho=1e-4)
-    assert ref.termination is Termination.REACHED_END
-    errs = []
-    for drho in (0.008, 0.004, 0.002):
-        run = integrate_profile(start, rho_max=0.6, drho=drho)
-        assert run.termination is Termination.REACHED_END
-        assert abs(run.rhos[-1] - 0.6) <= 1e-12
-        errs.append(abs(float(run.phi[-1]) - float(ref.phi[-1])))
-    assert np.all(observed_orders(errs) >= 3.9), errs
+@pytest.mark.parametrize("height, tolerance, termination, n_points, location", [
+    (0.6, None, Termination.DEGENERACY_HIT, 790, 0.7990000000000006),
+    (0.6, 1e-10, Termination.DEGENERACY_HIT, 32, 0.7999999937498833),
+    (0.3, None, Termination.REACHED_END, 891, None),
+], ids=["fixed-degeneracy", "adaptive-degeneracy", "fixed-reached-end"])
+def test_shoot_step_sequence_is_pinned(height, tolerance, termination, n_points, location):
+    """The step sequence of a shoot, pinned to the bit: the point count and
+    the place it stops, as the fixed and adaptive marches take them."""
+    run = shoot_profile(height, rho_max=0.9, drho=1e-3, tolerance=tolerance)
+    assert run.termination is termination
+    assert run.rhos.size == n_points
+    assert run.degeneracy_location == location
