@@ -44,7 +44,7 @@ from .conserved import (
     QuadratureWeight,
     measure_scaling_exponent,
 )
-from .numerics import Grid1D
+from .numerics import MIN_CELLS, Grid1D
 from .profiles import shoot_profile
 from .reporting import (
     dumps_json,
@@ -165,16 +165,26 @@ def cmd_audit(args) -> int:
     return EXIT_OK if report.all_as_expected else EXIT_TOLERANCE
 
 
-def _int_at_most(most):
-    """Config value parser: an integer no larger than most."""
+def _int_from_to(least, most):
+    """Config value parser: an integer from least to most."""
 
     def parse(text: str):
         value = int(text)
+        if value < least:
+            raise ValueError(f"must be at least {least}, got {text!r}")
         if value > most:
             raise ValueError(f"must be at most {most}, got {text!r}")
         return value
 
     return parse
+
+
+def _finite(text: str) -> float:
+    """Config value parser: a finite float."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
 
 
 def _one_of(table):
@@ -194,12 +204,12 @@ CONFIG_SCHEMA = {
     "equation": (_one_of({name: equation for name, equation in EQUATION_BY_NAME.items()
                           if equation in FLOWS}), None),
     "family": (_one_of(FAMILY_BY_NAME), None),
-    "k": (float, 0.2),
-    "T": (float, 1.0),
-    "t_end": (float, 0.5),
-    "lo": (float, -0.5),
-    "hi": (float, 0.5),
-    "n": (_int_at_most(MAX_CELLS), 400),
+    "k": (_finite, 0.2),
+    "T": (_finite, 1.0),
+    "t_end": (_finite, 0.5),
+    "lo": (_finite, -0.5),
+    "hi": (_finite, 0.5),
+    "n": (_int_from_to(MIN_CELLS, MAX_CELLS), 400),
     "diagnostics_csv": (str, "diagnostics.csv"),
     "snapshots_csv": (str, ""),
     "fit": (_one_of({"true": True, "yes": True, "1": True,

@@ -132,7 +132,8 @@ def characteristic_speeds(p, q):
     +inf (from an infinite q) shows only in the maximum.
     """
     qq = q * q
-    disc = 1.0 - p * p + qq
+    disc = 1.0 - p * p
+    disc += qq
     worst, top = float(np.minimum.reduce(disc)), float(np.maximum.reduce(disc))
     if not (math.isfinite(worst) and math.isfinite(top)):
         raise NonFiniteError(
@@ -144,14 +145,15 @@ def characteristic_speeds(p, q):
             f"<= floor {MIN_DISC_FLOOR:.1e}"
         )
     root = np.sqrt(disc)
-    denom = 1.0 + qq
-    mpq = -p * q
+    qq += 1.0  # the denominator 1 + q^2
     speeds = np.empty((2, p.size))
     slow, fast = speeds[0], speeds[1]
-    np.subtract(mpq, root, out=slow)
-    slow /= denom
-    np.add(mpq, root, out=fast)
-    fast /= denom
+    np.multiply(p, q, out=fast)
+    np.negative(fast, out=fast)  # -(pq): the bits and zero signs of (-p)*q
+    np.subtract(fast, root, out=slow)  # -(pq + W) would flip a zero speed's sign
+    fast += root
+    slow /= qq
+    fast /= qq
     return speeds, disc, root
 
 
@@ -217,16 +219,16 @@ def _derivative(equation, xs, y, h):
     d /= 2.0 * h
     sq = f * f
     qq = sq[n:]
-    denom = 1.0 + qq
     udot, pdot = out[0], out[1]
     np.add(p, p, out=udot)  # 2p, as 2.0 * p to the bit
     udot *= q
     np.subtract(1.0, sq[:n], out=pdot)
     # the membrane term's 1 - p^2 + q^2, before the product overwrites 1 - p^2
     disc = pdot + qq if membrane else None
+    qq += 1.0  # from here on the denominator 1 + q^2
     c *= d
     np.add(udot, pdot, out=pdot)
-    pdot /= denom
+    pdot /= qq
     if membrane:
         ratio = np.empty(n)
         nz = slice(1, None) if axis else slice(None)
@@ -234,14 +236,15 @@ def _derivative(equation, xs, y, h):
         if axis:
             ratio[0] = d[n]  # q/r -> q_r at the axis
         ratio *= disc
-        ratio /= denom
+        ratio /= qq
         pdot += ratio
     udot[:] = p
     return out[:3]
 
 
-def _quadratic_tail(f0, f1, f2, d):
+def _quadratic_tail(row, d):
     """Value d spacings outside the end node of an evenly spaced triple."""
+    f0, f1, f2 = row
     return f0 + d * (1.5 * f0 - 2.0 * f1 + 0.5 * f2) + 0.5 * d * d * (f0 - 2.0 * f1 + f2)
 
 
@@ -276,10 +279,10 @@ def _advance_edge(edge, nodes, xs, speeds, speeds_new, h, dt):
     x_node = float(xs[nodes.start])
     slow, fast = speeds[:, nodes].tolist()
     d = side * (x_node - edge) / h
-    v0 = incoming(0.0, _quadratic_tail(*slow, d), _quadratic_tail(*fast, d))
+    v0 = incoming(0.0, _quadratic_tail(slow, d), _quadratic_tail(fast, d))
     slow, fast = speeds_new[:, nodes].tolist()
     d = side * (x_node - (edge + dt * v0)) / h
-    v1 = incoming(0.0, _quadratic_tail(*slow, d), _quadratic_tail(*fast, d))
+    v1 = incoming(0.0, _quadratic_tail(slow, d), _quadratic_tail(fast, d))
     return edge + 0.5 * dt * (v0 + v1)
 
 
@@ -361,9 +364,8 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
 
     record(t, state.q, momentum, momentum, disc)
     while t < config.t_end - 1e-13:
-        # lambda- <= lambda+ at every node, so this is the largest |speed|
-        fastest = max(float(np.maximum.reduce(speeds[1])),
-                      -float(np.minimum.reduce(speeds[0])))
+        # lambda- <= lambda+ at every node: this is max(lambda+, -lambda-)
+        fastest = float(np.maximum.reduce(np.abs(speeds), axis=None))
         dt = CFL * h / max(fastest, 1e-30)
         if dt < DT_FLOOR:
             raise StepFloorError(f"time step {dt:.3e} below floor at t = {t:.6f}")

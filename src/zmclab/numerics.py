@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ArityError, DomainError, NonFiniteError, StepFloorError
 
 DT_MIN = 1e-12  # floor of the adaptive RK4 step
+MIN_CELLS = 8  # the fewest cells of a Grid1D
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,8 @@ class Grid1D:
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)):
             raise DomainError(f"cell count must be an integer, got {self.n!r}")
-        if self.n < 8:
-            raise DomainError(f"cell count must satisfy n >= 8, got n={self.n}")
+        if self.n < MIN_CELLS:
+            raise DomainError(f"cell count must satisfy n >= {MIN_CELLS}, got n={self.n}")
         if not (-math.inf < self.lo < self.hi < math.inf):
             raise DomainError(f"grid needs finite lo < hi, got lo={self.lo}, hi={self.hi}")
 
@@ -112,14 +113,16 @@ def _check_stage_finite(value, stage: str, t: float):
 
 
 def _stage_slope(k, shape, stage: str, t: float):
-    """A stage's derivative as an array of the state's shape, checked finite."""
+    """A stage's derivative as an array of the state's shape, checked finite:
+    the sum of |k|^2 (np.vdot; np.dot warns on overflow) is finite unless an
+    entry is or the squares pass 1e308, and only then is each entry checked."""
     k = np.asarray(k)
     if k.shape != shape:
         raise ArityError(
             f"derivative returned shape {k.shape} for a state of shape {shape} "
             f"at RK4 {stage}"
         )
-    if not np.logical_and.reduce(np.isfinite(k), axis=None):
+    if not math.isfinite(np.vdot(k, k).real):
         _check_stage_finite(k, stage, t)
     return k
 

@@ -161,6 +161,13 @@ CONFIG_REFUSALS = {
                 "one of born-infeld, membrane"),
     "n": ("n=1000000000000000000", "bad value for n: must be at most 400000, "
           "got '1000000000000000000'"),
+    # the fewest cells a grid takes, and settings that must be finite
+    "n-small": ("n=4", "bad value for n: must be at least 8, got '4'"),
+    "lo": ("lo=nan", "bad value for lo: must be finite, got 'nan'"),
+    "hi": ("hi=-inf", "bad value for hi: must be finite, got '-inf'"),
+    "k-inf": ("k=inf", "bad value for k: must be finite, got 'inf'"),
+    "T": ("T=nan", "bad value for T: must be finite, got 'nan'"),
+    "t_end": ("t_end=1e999", "bad value for t_end: must be finite, got '1e999'"),
     "family": ("family=logg", "bad value for family: 'logg' is not one of log, "
                "sphere-plus, sphere-minus, log-claimed, arctan-corrected, constant"),
     "blank": ("  # nothing", "expected key=value"),
@@ -172,6 +179,11 @@ CONFIG_REFUSALS = {
       for where in ("file", "override")),
     ("spacelike", "file"),
     ("eikonal", "override"),
+    *((case, where) for case in ("n-small", "lo") for where in ("file", "override")),
+    ("hi", "file"),
+    ("k-inf", "override"),
+    ("T", "file"),
+    ("t_end", "override"),
     ("blank", "override"),
 ])
 def test_evolve_refuses_a_bad_entry_naming_its_line_or_override(

@@ -81,6 +81,31 @@ def test_characteristic_speeds_never_exceed_background_cone():
     assert np.max(np.abs(hi)) <= 1.0 + 1e-12
 
 
+def test_characteristic_speeds_are_the_plain_formula_to_the_bit():
+    """Speeds, discriminant and root equal (-p q -+ W) / (1 + q^2) with
+    W = sqrt(1 - p^2 + q^2), zero signs included: signed zeros in p and q,
+    and exactly zero speeds where p q = +-W (p = +-1). The run's CFL
+    maximum over |speeds| equals max(max lambda+, -min lambda-)."""
+    rng = np.random.default_rng(20261019)
+    signed = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.25, -0.25]
+    grid_p, grid_q = (a.ravel() for a in np.meshgrid(signed, signed))
+    p = np.concatenate([rng.uniform(-0.99, 0.99, 500), grid_p])
+    q = np.concatenate([rng.uniform(-3.0, 3.0, 500), grid_q])
+    keep = 1.0 - p * p + q * q > 1e-6
+    p, q = p[keep], q[keep]
+    speeds, disc, root = characteristic_speeds(p, q)
+    want_disc = 1.0 - p * p + q * q
+    want_root = np.sqrt(want_disc)
+    want = np.array([(-p * q - want_root) / (1.0 + q * q),
+                     (-p * q + want_root) / (1.0 + q * q)])
+    for got, ref in ((speeds, want), (disc, want_disc), (root, want_root)):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert np.count_nonzero(want == 0.0) >= 8
+    fastest = float(np.maximum.reduce(np.abs(speeds), axis=None))
+    assert fastest == max(float(speeds[1].max()), -float(speeds[0].min()))
+
+
 def test_characteristic_speeds_refuse_degenerate_state():
     with pytest.raises(DegeneracyError):
         characteristic_speeds(np.array([1.0]), np.array([0.0]))

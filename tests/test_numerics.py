@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fd_oracles import BoundaryError, central_diff_jet2, observed_orders
+from zmclab import numerics
 from zmclab.errors import ArityError, DomainError, NonFiniteError
 from zmclab.numerics import (
     FitResult,
@@ -225,6 +226,56 @@ def test_rk4_array_names_the_non_finite_stage_row_and_node(stage):
         f"((row, node) [(1, 3)])"
     )
     assert len(calls) == stage
+
+
+def test_rk4_array_accepts_a_finite_stage_whose_squares_overflow(monkeypatch):
+    """Each stage's one-call check sums the squares of the derivative, which
+    overflow past |k| ~ 1e154: such a stage is checked entry by entry and
+    accepted, with no overflow warning (pytest makes one an error)."""
+    checked = []
+    check = numerics._check_stage_finite
+
+    def spy(value, stage, t):
+        checked.append(stage)
+        check(value, stage, t)
+
+    monkeypatch.setattr(numerics, "_check_stage_finite", spy)
+    state = np.full((3, 5), 1e200)
+    got = rk4_step(state, lambda t, y: np.full((3, 5), 1e200), 0.0, 0.1)
+    assert checked == ["stage 1", "stage 2", "stage 3", "stage 4"]
+    k = np.full((3, 5), 1e200)
+    assert np.array_equal(got, state + (0.1 / 6.0) * (k + 2.0 * k + 2.0 * k + k))
+
+
+def stage_error_text(k, stage, t):
+    with pytest.raises(NonFiniteError) as exc:
+        numerics._check_stage_finite(k, stage, t)
+    return str(exc.value)
+
+
+def test_rk4_array_refuses_opposite_infinities_as_the_entry_check_does():
+    """+inf and -inf at different nodes cannot cancel in a sum of squares:
+    the stage is refused with the entry-by-entry check's message."""
+    k = np.zeros((3, 5))
+    k[0, 1], k[2, 3] = math.inf, -math.inf
+    with pytest.raises(NonFiniteError) as exc:
+        rk4_step(np.ones((3, 5)), lambda t, y: k, 0.0, 0.5)
+    assert str(exc.value) == stage_error_text(k, "stage 1", 0.0) == (
+        "non-finite derivative at RK4 stage 1, t=0.0 ((row, node) [(0, 1), (2, 3)])"
+    )
+
+
+def test_rk4_array_refuses_a_nan_in_a_non_contiguous_derivative():
+    """A derivative returned as a strided view (here a transpose) is checked
+    like a contiguous one, with the same message."""
+    k = np.zeros((5, 3)).T
+    k[1, 4] = math.nan
+    assert not k.flags.c_contiguous
+    with pytest.raises(NonFiniteError) as exc:
+        rk4_step(np.ones((3, 5)), lambda t, y: k, 0.0, 0.5)
+    assert str(exc.value) == stage_error_text(k, "stage 1", 0.0) == (
+        "non-finite derivative at RK4 stage 1, t=0.0 ((row, node) [(1, 4)])"
+    )
 
 
 def test_rk4_array_path_leaves_the_derivatives_arrays_alone():
