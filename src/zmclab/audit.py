@@ -12,7 +12,7 @@ produce byte-identical JSON.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .closedform import (
     ClosedFormSolution,
@@ -65,17 +65,7 @@ class AuditClaim:
         return self.verdict == self.expected_verdict
 
     def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "description": self.description,
-            "source_location": self.source_location,
-            "claimed": self.claimed,
-            "computed": self.computed,
-            "verdict": self.verdict,
-            "expected_verdict": self.expected_verdict,
-            "as_expected": self.as_expected,
-            "note": self.note,
-        }
+        return {**asdict(self), "as_expected": self.as_expected}
 
 
 @dataclass(frozen=True)

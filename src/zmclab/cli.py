@@ -69,21 +69,9 @@ MAX_CELLS = 4 * 10**5
 # evolve's blow-up fit reads the center gradient over this time window
 FIT_WINDOW = (0.4, 0.95)
 
-FAMILY_BY_NAME = {
-    "log": Family.BORN_INFELD_LOG,
-    "sphere-plus": Family.MEMBRANE_SPHERE_PLUS,
-    "sphere-minus": Family.MEMBRANE_SPHERE_MINUS,
-    "log-claimed": Family.SPACELIKE_LOG_CLAIMED,
-    "arctan-corrected": Family.SPACELIKE_ARCTAN_CORRECTED,
-    "constant": Family.CONSTANT_PROFILE,
-}
-
-EQUATION_BY_NAME = {
-    "born-infeld": EquationId.BORN_INFELD,
-    "membrane": EquationId.RADIAL_MEMBRANE,
-    "spacelike": EquationId.SPACELIKE_GRAPH,
-    "eikonal": EquationId.EIKONAL,
-}
+# the names users type are the enum values; bench/workloads.py reads these
+FAMILY_BY_NAME = {m.value: m for m in Family}
+EQUATION_BY_NAME = {m.value: m for m in EquationId}
 
 
 def _emit(payload: dict) -> None:
@@ -201,8 +189,7 @@ def _one_of(table):
 # evolve config schema: key -> (parser, default); a default of None marks a
 # required key. The run starts at t = 0.
 CONFIG_SCHEMA = {
-    "equation": (_one_of({name: equation for name, equation in EQUATION_BY_NAME.items()
-                          if equation in FLOWS}), None),
+    "equation": (_one_of({equation.value: equation for equation in FLOWS}), None),
     "family": (_one_of(FAMILY_BY_NAME), None),
     "k": (_finite, 0.2),
     "T": (_finite, 1.0),

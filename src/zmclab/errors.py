@@ -12,7 +12,9 @@ class LabError(Exception):
 
 
 class DomainError(LabError, ValueError):
-    """A point or parameter lies outside the mathematical domain of validity.
+    """A point or parameter lies outside the mathematical domain of validity,
+    a coordinate singularity (r = 0, rho = 0) and an odd radial derivative
+    on the axis included.
 
     The message names the violated inequality.
     """
@@ -20,16 +22,6 @@ class DomainError(LabError, ValueError):
 
 class ArityError(LabError, ValueError):
     """Data of the wrong size: too few points, or a state or table of the wrong shape."""
-
-
-class SingularPointError(LabError, ValueError):
-    """Evaluation at a coordinate singularity (r = 0 on the radial axis,
-    rho = 0 in the similarity frame) of an expression with 1/r terms."""
-
-
-class RegularityError(LabError, ValueError):
-    """Axis regularity violated: an odd-order radial derivative is nonzero
-    where an even extension is required."""
 
 
 class DegeneracyError(LabError, ValueError):
@@ -47,8 +39,9 @@ class NonFiniteError(LabError, ArithmeticError):
 
 
 class ConsistencyError(LabError, ValueError):
-    """Redundant pieces of a state disagree beyond their tolerance
-    (e.g. the stored spatial-derivative array versus differences of u)."""
+    """Redundant pieces of a state or a self-check disagree beyond their
+    tolerance (e.g. the stored spatial-derivative array versus differences
+    of u, or the mode pencil read at two branch radii)."""
 
 
 class ConfigError(LabError, ValueError):

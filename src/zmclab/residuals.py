@@ -19,13 +19,13 @@ verify`, the audit and the acceptance gate alike, each at its own grid size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 
 from .closedform import ClosedFormSolution, Family, evaluate_jet_extended
-from .errors import DomainError, RegularityError, SingularPointError
+from .errors import DomainError
 from .numerics import Jet2
 
 RHO_MIN = 0.01  # innermost similarity radius of the backward-cone sampler
@@ -39,8 +39,8 @@ class EquationId(Enum):
     """Which PDE a residual is measured against."""
 
     BORN_INFELD = "born-infeld"
-    RADIAL_MEMBRANE = "radial-membrane"
-    SPACELIKE_GRAPH = "spacelike-graph"
+    RADIAL_MEMBRANE = "membrane"
+    SPACELIKE_GRAPH = "spacelike"
     EIKONAL = "eikonal"
 
 
@@ -57,13 +57,7 @@ class ResidualReport:
             raise DomainError(f"rms {self.rms} exceeds max_abs {self.max_abs}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "equation": self.equation,
-            "n_points": self.n_points,
-            "max_abs": self.max_abs,
-            "rms": self.rms,
-            "worst_point": [self.worst_point[0], self.worst_point[1]],
-        }
+        return asdict(self)
 
 
 def residual_at(eq: EquationId, jet: Jet2, point) -> float:
@@ -72,7 +66,7 @@ def residual_at(eq: EquationId, jet: Jet2, point) -> float:
     Coordinate order inside the jet follows the producing family:
     (t, x) / (t, r) for the hyperbolic equations, (x, y) for the spacelike
     one. The radial membrane formula carries 1/r terms, so r = 0 is a
-    singular-point error there (use residual_at_axis). point = (a, b) may
+    domain error there (use residual_at_axis). point = (a, b) may
     hold arrays matching the jet's entries.
     """
     da, db = jet.d1
@@ -85,7 +79,7 @@ def residual_at(eq: EquationId, jet: Jet2, point) -> float:
     if eq is EquationId.RADIAL_MEMBRANE:
         r = point[1]
         if np.any(r == 0):
-            raise SingularPointError(
+            raise DomainError(
                 "the radial membrane residual has 1/r terms; use residual_at_axis at r=0"
             )
         ut, ur, utt, utr, urr = da, db, daa, dab, dbb
@@ -121,7 +115,7 @@ def residual_at_axis(jet: Jet2) -> float:
     ut, ur = jet.d1
     utt, _, urr = jet.d2
     if ur != 0:
-        raise RegularityError(
+        raise DomainError(
             f"axis regularity violated: u_r(t,0) = {ur}, expected 0 for an even field"
         )
     return utt - 2 * urr * (1 - ut * ut)

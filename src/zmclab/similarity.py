@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .closedform import ClosedFormSolution, Family, evaluate_jet
-from .errors import DomainError, SingularPointError
+from .errors import DomainError
 from .numerics import Jet2, rk4_integrate
 
 
@@ -218,7 +218,7 @@ def transformed_equation_residual(eq: SimilarityEquation, jet: Jet2, sim_point) 
 
     if eq is SimilarityEquation.MEMBRANE_SCALED:
         if rho == 0.0:
-            raise SingularPointError("the scaled membrane reduction has 1/rho terms")
+            raise DomainError("the scaled membrane reduction has 1/rho terms")
         lag = v_tau - v  # the combination (v_tau - v) recurs in every nonlinear term
         return (
             v_tautau

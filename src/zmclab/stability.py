@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import SingularPointError
+from .errors import ConsistencyError, DomainError
 from .numerics import Jet2
 from .profiles import degenerate_branch
 from .similarity import SimilarityEquation, transformed_equation_residual
@@ -49,7 +49,7 @@ class LinearizedCoefficients:
 
 def linearized_coefficients(phi, dphi, d2phi, rho) -> LinearizedCoefficients:
     if rho <= 0.0:
-        raise SingularPointError("linearization is singular on the axis rho = 0")
+        raise DomainError("linearization is singular on the axis rho = 0")
     return LinearizedCoefficients(
         c_tau_tau=1.0 + dphi * dphi,
         c_tau=-(1.0 - dphi * dphi + 2.0 * d2phi * phi + 2.0 * phi * dphi / rho),
@@ -138,13 +138,13 @@ def solve_mode_quadratic() -> ModeReport:
     pencil = np.rint(samples[0][2])
     for cap, rho, scaled in samples:
         if np.abs(scaled - pencil).max() > BRANCH_TOLERANCE:
-            raise ArithmeticError(f"pencil {scaled.tolist()} on the {cap} cap at "
-                                  f"rho = {rho!r} is not the integer {pencil.tolist()}")
+            raise ConsistencyError(f"pencil {scaled.tolist()} on the {cap} cap at "
+                                   f"rho = {rho!r} is not the integer {pencil.tolist()}")
     a, b, c = pencil.tolist()
     disc = int(b * b - 4.0 * a * c)
     root = math.isqrt(disc)  # integer discriminant, so the square root is exact
     if root * root != disc:
-        raise ArithmeticError("expected a perfect-square discriminant")
+        raise ConsistencyError("expected a perfect-square discriminant")
     roots = ((-b + root) / (2.0 * a), (-b - root) / (2.0 * a))
     n_growing = sum(1 for r in roots if r > 0.0)
     if n_growing:
@@ -180,5 +180,5 @@ def mode_growth_probe() -> SymmetryMode:
         w, dw, d2w = 1.0 / phi, -dphi / phi ** 2, (2.0 * dphi * dphi / phi - d2phi) / phi ** 2
         worst = max(worst, abs(c.apply(Jet2(w, (w, dw), (w, dw, d2w)))) / max(abs(w), 1.0))
     if worst > BRANCH_TOLERANCE:
-        raise ArithmeticError(f"e^tau/phi misses the linearized operator by {worst!r}")
+        raise ConsistencyError(f"e^tau/phi misses the linearized operator by {worst!r}")
     return SymmetryMode(exponent=1.0, max_residual=worst)

@@ -12,6 +12,7 @@ import pytest
 
 import zmclab
 import zmclab.cli
+import zmclab.stability
 from zmclab.cli import build_parser, main
 from zmclab.errors import NonFiniteError
 
@@ -338,6 +339,44 @@ def test_adaptive_profile_stops_at_the_degeneracy(tmp_path, capsys):
     assert len(rows) - 1 == doc["n_points"]
 
 
+@pytest.mark.parametrize("equation, family", [
+    ("membrane", "sphere-plus"), ("membrane", "sphere-minus"), ("membrane", "constant"),
+    ("spacelike", "log-claimed"), ("spacelike", "arctan-corrected"),
+])
+def test_verify_reports_the_equation_by_its_typed_name(capsys, equation, family):
+    code, out, _ = run_cli(capsys, "verify", "--equation", equation, "--family", family,
+                           "--samples", "16")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["equation"] == doc["report"]["equation"] == equation
+    assert doc["family"] == family
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--equation", "born-infeld", "--family", "log", "--k", "0"),
+     "family log needs k != 0"),
+    # about 9e8 fixed steps to rho_max = 0.9: refused before the march starts
+    (("profile", "--a", "0.5", "--drho", "1e-9"),
+     "drho=1e-09 takes 899999990 fixed steps to rho_max=0.9, more than 1000000"),
+], ids=["verify-log-k-zero", "profile-fixed-step-cap"])
+def test_refusal_names_the_setting_as_typed(tmp_path, capsys, argv, message):
+    path = tmp_path / "p.csv"
+    if argv[0] == "profile":
+        argv += ("--csv", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not path.exists()
+
+
+def test_stability_self_check_failure_exits_one(capsys, monkeypatch):
+    """A stability self-check that misses its tolerance is a failure, exit 1
+    with the message on stderr, not a traceback."""
+    monkeypatch.setattr(zmclab.stability, "BRANCH_TOLERANCE", 1e-20)
+    code, out, err = run_cli(capsys, "stability")
+    assert (code, out) == (1, "")
+    assert err.startswith("failure: ")
+
+
 def test_verify_takes_a_valid_sample_count(capsys):
     code, out, _ = run_cli(capsys, "verify", "--equation", "born-infeld",
                            "--family", "log", "--samples", "16")
@@ -407,12 +446,6 @@ def refused_override_error(tmp_path, capsys, *overrides):
     return err
 
 
-@pytest.mark.parametrize("override", ["hi=inf"])
-def test_evolve_refuses_non_finite_settings(tmp_path, capsys, override):
-    err = refused_override_error(tmp_path, capsys, override)
-    assert override.partition("=")[0] in err
-
-
 @pytest.mark.parametrize("override", [
     "cfl=0.4", "dissipation=nan", "dissipation=inf", "max_gradient=nan",
     "min_disc_floor=nan", "dt_floor=nan", "t0=0.0", "fit_lo=0.4", "fit_hi=0.95",
@@ -435,7 +468,11 @@ def test_evolve_refuses_a_run_it_cannot_start(tmp_path, capsys, overrides, messa
 @pytest.mark.parametrize("argv, setting", [
     (("profile", "--a", "0.5", "--rho-max", "nan"), "rho_max"),
     (("profile", "--a", "0.5", "--rho-max", "inf"), "rho_max"),
-], ids=["profile-rho-max-nan", "profile-rho-max-inf"])
+    (("verify", "--equation", "born-infeld", "--family", "log", "--k", "nan"),
+     "error: k must be finite, got nan\n"),
+    (("verify", "--equation", "born-infeld", "--family", "log", "--T", "inf"),
+     "error: T must be finite, got inf\n"),
+], ids=["profile-rho-max-nan", "profile-rho-max-inf", "verify-k-nan", "verify-T-inf"])
 def test_non_finite_flags_exit_two_naming_the_setting(tmp_path, capsys, argv, setting):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")

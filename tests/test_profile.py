@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from profile_forms import profile_residual_regrouped, verify_branch
-from zmclab.errors import (
-    DegeneracyError,
-    DomainError,
-    SingularPointError,
-)
+from zmclab import profiles
+from zmclab.errors import DegeneracyError, DomainError
 from zmclab.numerics import Jet2
 from zmclab.profiles import (
     Termination,
@@ -50,9 +47,9 @@ def test_solved_second_derivative_satisfies_equation():
 
 
 def test_second_derivative_guards():
-    with pytest.raises(SingularPointError):
+    with pytest.raises(DomainError, match="singular on the axis rho = 0"):
         phi_second_derivative(0.1, 0.2, 0.0)
-    with pytest.raises(SingularPointError):
+    with pytest.raises(DomainError, match="singular on the axis rho = 0"):
         phi_second_derivative(0.1, 0.2, -0.3)
     # gap is exactly zero at rho = 0.6, phi = 0.8
     with pytest.raises(DegeneracyError):
@@ -158,6 +155,21 @@ def test_integrator_guards():
     for drho in (0.0, -1e-3, math.nan, math.inf):
         with pytest.raises(DomainError, match="drho must be finite and positive"):
             shoot_profile(0.3, rho_max=0.6, drho=drho)
+
+
+def test_fixed_march_step_cap(monkeypatch):
+    """A fixed march of more than MAX_FIXED_STEPS steps is refused before it
+    starts, naming drho, rho_max and the count; one of exactly that many
+    steps runs, and so does an adaptive shoot, which the cap does not bound.
+    Four steps of 1/16 from the start 10/16 reach 14/16, all exact."""
+    monkeypatch.setattr(profiles, "MAX_FIXED_STEPS", 4)
+    assert shoot_profile(0.3, rho_max=0.875, drho=0.0625).rhos.size == 5
+    monkeypatch.setattr(profiles, "MAX_FIXED_STEPS", 3)
+    with pytest.raises(DomainError, match=r"^drho=0\.0625 takes 4 fixed steps to "
+                       r"rho_max=0\.875, more than 3$"):
+        shoot_profile(0.3, rho_max=0.875, drho=0.0625)
+    run = shoot_profile(0.3, rho_max=0.875, drho=0.0625, tolerance=1e-10)
+    assert run.termination is Termination.REACHED_END
 
 
 @pytest.mark.parametrize("height, tolerance, termination, n_points, location", [
