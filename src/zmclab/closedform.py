@@ -73,6 +73,17 @@ def two_prod(a, b):
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
+def two_square(a):
+    """two_prod(a, a) with a split once and its cross term a_hi * a_lo formed
+    once: the same operations on the same values, so the same bits."""
+    p = a * a
+    t = _SPLITTER * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    cross = a_hi * a_lo
+    return p, ((a_hi * a_hi - p) + cross + cross) + a_lo * a_lo
+
+
 class DoubleDouble:
     """The unevaluated sum hi + lo of two doubles, or of two arrays of them,
     with |lo| <= ulp(hi)/2: about 32 significant digits (the algorithms of
@@ -119,6 +130,11 @@ class DoubleDouble:
         return -self + other
 
     def __mul__(self, other):
+        if other is self:
+            # hi * lo is lo * hi exactly, so the cross term is formed once
+            p, e = two_square(self.hi)
+            cross = self.hi * self.lo
+            return DoubleDouble(*_quick_two_sum(p, e + (cross + cross)))
         if not isinstance(other, DoubleDouble):
             other = DoubleDouble(other, 0.0)
         p, e = two_prod(self.hi, other.hi)

@@ -145,8 +145,12 @@ def rk4_step(state, derivative, t: float, dt: float):
     """
     if dt <= 0:
         raise DomainError(f"rk4_step needs dt > 0, got {dt}")
-    if isinstance(state, tuple):
-        return _rk4_step_pair(state, derivative, t, dt)
+    step = _rk4_step_pair if isinstance(state, tuple) else _rk4_step_array
+    return step(state, derivative, t, dt)
+
+
+def _rk4_step_array(state, derivative, t: float, dt: float):
+    """rk4_step on a float or an ndarray, in numpy."""
     # each stage is state + c * k, formed as c * k then += state in a new
     # array (both products and sums commute exactly); the derivative's own
     # arrays are never written, since it may return its input or keep it
@@ -227,12 +231,17 @@ def rk4_integrate(derivative, t0: float, state0, t_end: float, dt: float):
         raise DomainError(f"t_end={t_end} must be >= t0={t0}")
     ts = [t0]
     t = t0
-    y = state0 if isinstance(state0, tuple) else np.array(state0, dtype=float)
+    # every step has 0 < h <= dt, so the kind of step is picked once here
+    # instead of by rk4_step at each step
+    if isinstance(state0, tuple):
+        step, y = _rk4_step_pair, state0
+    else:
+        step, y = _rk4_step_array, np.array(state0, dtype=float)
     states = [y]
     last = t_end - 1e-14 * max(1.0, abs(t_end))
     while t < last:
         h = min(dt, t_end - t)
-        y = rk4_step(y, derivative, t, h)
+        y = step(y, derivative, t, h)
         t = t + h
         ts.append(t)
         states.append(y)

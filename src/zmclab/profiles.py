@@ -100,12 +100,17 @@ def phi_second_derivative(phi, dphi, rho):
 
 
 def degenerate_branch(sign, rho):
-    """Profile lying on the circle phi^2 + rho^2 = 1, with its derivatives.
+    """Profile lying on the circle phi^2 + rho^2 = 1, with its derivatives,
+    at a radius rho or at each radius of a 1-D array rho.
 
     sign selects the upper or lower half of the circle.
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
+    if isinstance(rho, np.ndarray):
+        # radius by radius: numpy's vectorized pow rounds some root^-3
+        # otherwise, and a radius keeps the bits it has alone
+        return tuple(np.reshape([degenerate_branch(sign, r) for r in rho.tolist()], (-1, 3)).T)
     if not 0.0 <= rho < 1.0:
         raise DomainError("circle profile needs 0 <= rho < 1")
     root = math.sqrt(1.0 - rho * rho)
@@ -124,13 +129,15 @@ def shoot_profile(
     axis-regular solutions continue as constants, the offset introduces
     no error.  Fixed RK4 steps of size drho march outward to rho_max when
     tolerance is None; otherwise step-doubling adaptive RK4 with drho as
-    the first trial step; a fixed march of more than MAX_FIXED_STEPS steps
-    is refused.  The run stops early if the leading coefficient
+    the first trial step; a fixed march of more than MAX_FIXED_STEPS steps,
+    counted to rho_max or to the circle rho = sqrt(1 - height^2) if that is
+    nearer, is refused.  The run stops early if the leading coefficient
     degenerates or the adaptive step shrinks below DT_MIN.
     """
     if not math.isfinite(height):
-        raise DomainError("height must be finite")
-    if 1.0 - height * height <= EPS_DEGENERATE_GAP:
+        raise DomainError(f"height {height!r} must be finite")
+    gap = 1.0 - height * height
+    if gap <= EPS_DEGENERATE_GAP:
         raise DomainError(
             f"height {height!r} starts on or outside the degenerate circle"
         )
@@ -138,10 +145,14 @@ def shoot_profile(
         raise DomainError("drho must be finite and positive")
     rho = RHO_START_FACTOR * drho
     if not rho < rho_max < math.inf:
-        raise DomainError("rho_max must be finite and exceed the starting rho")
-    steps = math.ceil((rho_max - rho) / drho)
+        raise DomainError(f"rho_max={rho_max!r} must be finite and exceed the starting "
+                          f"rho {RHO_START_FACTOR:g}*drho = {rho!r}")
+    # a zero-slope shoot stays at its height, so it stops at the circle
+    circle = math.sqrt(gap)
+    end = f"rho_max={rho_max!r}" if rho_max <= circle else f"the circle rho={circle!r}"
+    steps = math.ceil((min(rho_max, circle) - rho) / drho)
     if tolerance is None and steps > MAX_FIXED_STEPS:
-        raise DomainError(f"drho={drho!r} takes {steps} fixed steps to rho_max={rho_max!r}, "
+        raise DomainError(f"drho={drho!r} takes {steps} fixed steps to {end}, "
                           f"more than {MAX_FIXED_STEPS}")
 
     def slope(r, s):

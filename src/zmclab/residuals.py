@@ -155,20 +155,19 @@ def rectangle_points(a_range, b_range, n_a: int, n_b: int) -> np.ndarray:
     return np.column_stack([A.ravel(), B.ravel()])
 
 
-def sweep_residual(eq: EquationId, sol: ClosedFormSolution, points: np.ndarray) -> ResidualReport:
-    """Evaluate residual_at over every sample point and aggregate.
+def sweep_residual(eq: EquationId, jet: Jet2, points: np.ndarray) -> ResidualReport:
+    """Evaluate residual_at over every sample point of jet and aggregate.
 
-    Jets and residual arithmetic run in double-double; the aggregate
-    magnitudes are returned as doubles, and worst_point is the
-    first point attaining max_abs. Domain errors from evaluation propagate to
-    the caller: the sampler is responsible for staying inside the validity
-    region.
+    jet holds one entry per row of points, as evaluate_jet_extended returns
+    it for (points[:, 0], points[:, 1]), so one jet serves every equation
+    swept over the same points. The residual arithmetic runs in the jet's
+    precision; the aggregate magnitudes are returned as doubles, and
+    worst_point is the first point attaining max_abs.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] == 0:
         raise DomainError("points must be a non-empty (N, 2) array")
     a, b = points[:, 0], points[:, 1]
-    jet = evaluate_jet_extended(sol, (a, b))
     mag = np.abs(np.asarray(residual_at(eq, jet, (a, b)), dtype=float))
     worst = int(np.argmax(mag))
     n = points.shape[0]
@@ -216,13 +215,21 @@ def sample_points(family: Family, T, n_time, n_space) -> np.ndarray:
 
 
 def certify(
-    equation: EquationId, sol: ClosedFormSolution, n_time, n_space
-) -> tuple[ResidualReport, bool]:
-    """Sweep sol's residual over its sample set and judge the sweep by the
-    pairing's entry in VERIFY_PAIRINGS: returns (report, within)."""
-    expectation, threshold = VERIFY_PAIRINGS[(equation, sol.family)]
+    equations, sol: ClosedFormSolution, n_time, n_space
+) -> list[tuple[ResidualReport, bool]]:
+    """Sweep sol's residual against each of equations over its sample set,
+    from one double-double jet, and judge each sweep by its pairing's entry
+    in VERIFY_PAIRINGS: returns one (report, within) per equation. Domain
+    errors from the jet propagate: the sampler stays inside the validity
+    region."""
+    pairings = [(equation, *VERIFY_PAIRINGS[(equation, sol.family)]) for equation in equations]
     points = sample_points(sol.family, sol.T, n_time, n_space)
-    report = sweep_residual(equation, sol, points)
-    if expectation is SOLUTION:
-        return report, report.max_abs <= threshold
-    return report, report.max_abs >= threshold
+    jet = evaluate_jet_extended(sol, (points[:, 0], points[:, 1]))
+    judged = []
+    for equation, expectation, threshold in pairings:
+        report = sweep_residual(equation, jet, points)
+        if expectation is SOLUTION:
+            judged.append((report, report.max_abs <= threshold))
+        else:
+            judged.append((report, report.max_abs >= threshold))
+    return judged

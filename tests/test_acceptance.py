@@ -72,7 +72,7 @@ def excised_runs():
 def certify_worst(equation, solutions):
     """Worst max |residual| of the 100 x 100 certification sweeps of
     solutions against equation, and whether every sweep meets its pairing."""
-    sweeps = [certify(equation, sol, 100, 100) for sol in solutions]
+    sweeps = [certify((equation,), sol, 100, 100)[0] for sol in solutions]
     return max(r.max_abs for r, _ in sweeps), all(within for _, within in sweeps)
 
 

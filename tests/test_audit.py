@@ -2,6 +2,7 @@
 
 import json
 
+from zmclab import residuals
 from zmclab.audit import run_audit
 from zmclab.reporting import dumps_json
 
@@ -65,6 +66,25 @@ def test_audit_is_byte_deterministic():
     b = dumps_json(run_audit().to_json_dict())
     assert a == b
     assert "NaN" not in a
+
+
+def test_audit_evaluates_each_sweep_jet_once(monkeypatch):
+    """Eight sweeps from six jets: each sphere cap's jet serves both the
+    membrane equation and the eikonal identity."""
+    calls = {"evaluate_jet_extended": 0, "sweep_residual": 0}
+
+    def counted(name):
+        original = getattr(residuals, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(residuals, name, counted(name))
+    run_audit()
+    assert calls == {"evaluate_jet_extended": 6, "sweep_residual": 8}
 
 
 def test_audit_json_shape(audit_report):

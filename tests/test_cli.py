@@ -355,10 +355,16 @@ def test_verify_reports_the_equation_by_its_typed_name(capsys, equation, family)
 @pytest.mark.parametrize("argv, message", [
     (("verify", "--equation", "born-infeld", "--family", "log", "--k", "0"),
      "family log needs k != 0"),
-    # about 9e8 fixed steps to rho_max = 0.9: refused before the march starts
+    # about 8.7e8 fixed steps to the circle rho = sqrt(0.75), where the
+    # shoot would stop: refused before the march starts
     (("profile", "--a", "0.5", "--drho", "1e-9"),
-     "drho=1e-09 takes 899999990 fixed steps to rho_max=0.9, more than 1000000"),
-], ids=["verify-log-k-zero", "profile-fixed-step-cap"])
+     "drho=1e-09 takes 866025394 fixed steps to the circle rho=0.8660254037844386, "
+     "more than 1000000"),
+    (("profile", "--a", "0.5", "--drho", "0.5"),
+     "rho_max=0.9 must be finite and exceed the starting rho 10*drho = 5.0"),
+    (("profile", "--a", "nan"), "height nan must be finite"),
+], ids=["verify-log-k-zero", "profile-fixed-step-cap", "profile-start-past-rho-max",
+        "profile-height-nan"])
 def test_refusal_names_the_setting_as_typed(tmp_path, capsys, argv, message):
     path = tmp_path / "p.csv"
     if argv[0] == "profile":

@@ -265,6 +265,21 @@ def test_double_double_arithmetic_keeps_about_32_digits():
         assert abs(square - want) <= 1e-30 * want
 
 
+def test_square_matches_the_general_product_bit_for_bit():
+    """x * x splits hi once and forms hi * lo once; the product of x with a
+    copy of itself, which takes the general path, gets the same bits, the
+    sign of a zero included."""
+    rng = np.random.default_rng(7)
+    hi = rng.uniform(-1.0, 1.0, 400) * 10.0 ** rng.integers(-150, 151, 400)
+    hi[:8] = [0.0, -0.0, 1e150, -1e-150, 3e150, -7e-150, 1.0, -1.0]
+    lo = hi * rng.uniform(-1e-17, 1e-17, 400)
+    lo[8:16] = 0.0
+    x = DoubleDouble(*two_sum(hi, lo))
+    square, product = x * x, x * DoubleDouble(x.hi.copy(), x.lo.copy())
+    assert np.array_equal(square.hi.view(np.int64), product.hi.view(np.int64))
+    assert np.array_equal(square.lo.view(np.int64), product.lo.view(np.int64))
+
+
 def test_constant_profile_jet():
     sol = ClosedFormSolution(Family.CONSTANT_PROFILE, T=1.0, k=0.3)
     jet = evaluate_jet(sol, (0.25, 5.0))

@@ -172,6 +172,20 @@ def test_fixed_march_step_cap(monkeypatch):
     assert run.termination is Termination.REACHED_END
 
 
+def test_fixed_march_step_cap_counts_to_the_circle(monkeypatch):
+    """A zero-slope shoot stops at the circle rho = sqrt(1 - height^2), so
+    the cap counts the steps to it when it is nearer than rho_max: at height
+    0.99 that is 132 steps of 1e-3, where rho_max = 0.9 is 890."""
+    monkeypatch.setattr(profiles, "MAX_FIXED_STEPS", 200)
+    run = shoot_profile(0.99, rho_max=0.9, drho=1e-3)
+    assert run.termination is Termination.DEGENERACY_HIT
+    assert run.rhos.size == 132
+    monkeypatch.setattr(profiles, "MAX_FIXED_STEPS", 131)
+    with pytest.raises(DomainError, match=r"^drho=0\.001 takes 132 fixed steps to the circle "
+                       r"rho=0\.14106735979665894, more than 131$"):
+        shoot_profile(0.99, rho_max=0.9, drho=1e-3)
+
+
 @pytest.mark.parametrize("height, tolerance, termination, n_points, location", [
     (0.6, None, Termination.DEGENERACY_HIT, 790, 0.7990000000000006),
     (0.6, 1e-10, Termination.DEGENERACY_HIT, 32, 0.7999999937498833),

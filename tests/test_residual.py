@@ -116,7 +116,7 @@ def test_axis_regularity_guard():
 
 def test_sweep_born_infeld_certifies():
     sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=1.0)
-    rep, within = certify(EquationId.BORN_INFELD, sol, 20, 20)
+    [(rep, within)] = certify((EquationId.BORN_INFELD,), sol, 20, 20)
     assert rep.n_points == 400
     assert within and rep.max_abs <= 1e-9
     assert rep.rms <= rep.max_abs
@@ -124,14 +124,14 @@ def test_sweep_born_infeld_certifies():
 
 def test_sweep_membrane_certifies():
     sol = ClosedFormSolution(Family.MEMBRANE_SPHERE_MINUS, T=1.0)
-    rep, within = certify(EquationId.RADIAL_MEMBRANE, sol, 20, 20)
+    [(rep, within)] = certify((EquationId.RADIAL_MEMBRANE,), sol, 20, 20)
     assert within and rep.max_abs <= 1e-9
 
 
 def test_sweep_flags_non_solution():
     sol = ClosedFormSolution(Family.SPACELIKE_LOG_CLAIMED, T=1.0, k=1.0)
     pts = sample_points(sol.family, 1.0, 15, 15)  # [0, 0.5]^2
-    rep, within = certify(EquationId.SPACELIKE_GRAPH, sol, 15, 15)
+    [(rep, within)] = certify((EquationId.SPACELIKE_GRAPH,), sol, 15, 15)
     assert within and rep.max_abs >= 0.1
     # worst point is attained where the report says it is
     worst = rep.worst_point
@@ -149,9 +149,14 @@ def test_sweep_flags_non_solution():
 
 def test_sweep_report_serializes():
     sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=0.2)
-    rep, _ = certify(EquationId.BORN_INFELD, sol, 5, 5)
+    [(rep, _)] = certify((EquationId.BORN_INFELD,), sol, 5, 5)
     d = rep.to_json_dict()
     assert set(d) == {"equation", "n_points", "max_abs", "rms", "worst_point"}
+
+
+def swept(eq, sol, points):
+    """sweep_residual over points of sol's double-double jet there."""
+    return sweep_residual(eq, evaluate_jet_extended(sol, (points[:, 0], points[:, 1])), points)
 
 
 def test_sweep_reports_first_of_tied_worst_points():
@@ -159,12 +164,26 @@ def test_sweep_reports_first_of_tied_worst_points():
     eq = EquationId.SPACELIKE_GRAPH
     pts = np.array([[0.0, 0.1], [0.0, -0.5], [0.0, 0.2], [0.0, 0.5]])
     # the residual is odd in y, so the mirrored points tie exactly
-    tie = sweep_residual(eq, sol, pts[1:2]).max_abs
-    assert sweep_residual(eq, sol, pts[3:]).max_abs == tie
-    rep = sweep_residual(eq, sol, pts)
+    tie = swept(eq, sol, pts[1:2]).max_abs
+    assert swept(eq, sol, pts[3:]).max_abs == tie
+    rep = swept(eq, sol, pts)
     assert rep.max_abs == tie
     assert rep.worst_point == (0.0, -0.5)
-    assert sweep_residual(eq, sol, pts[::-1]).worst_point == (0.0, 0.5)
+    assert swept(eq, sol, pts[::-1]).worst_point == (0.0, 0.5)
+
+
+@pytest.mark.parametrize("family", [Family.MEMBRANE_SPHERE_PLUS, Family.MEMBRANE_SPHERE_MINUS])
+def test_certify_sweeps_one_jet_against_each_equation(family):
+    """A cap certified against the membrane equation and the eikonal
+    identity from one jet reports what two one-equation calls report."""
+    sol = ClosedFormSolution(family, T=1.0)
+    equations = (EquationId.RADIAL_MEMBRANE, EquationId.EIKONAL)
+    both = certify(equations, sol, *SWEEP_GRID)
+    alone = [certify((eq,), sol, *SWEEP_GRID)[0] for eq in equations]
+    assert [(rep.to_json_dict(), within) for rep, within in both] == [
+        (rep.to_json_dict(), within) for rep, within in alone
+    ]
+    assert [rep.equation for rep, _ in both] == ["membrane", "eikonal"]
 
 
 # --- double-double against a 40-digit oracle ----------------------------------
@@ -214,7 +233,7 @@ def test_double_double_sweeps_match_mpmath_oracle():
     rng = np.random.default_rng(20261018)
     for label, eq, sol, grid in _certification_sweeps():
         points = sample_points(sol.family, sol.T, *grid)
-        assert certify(eq, sol, *grid)[0] == sweep_residual(eq, sol, points), label
+        assert certify((eq,), sol, *grid)[0][0] == swept(eq, sol, points), label
         pick = points[np.sort(rng.choice(len(points), size=200, replace=False))]
         a, b = pick[:, 0], pick[:, 1]
         dd = residual_at(eq, evaluate_jet_extended(sol, (a, b)), (a, b))

@@ -190,6 +190,23 @@ def test_every_e_tau_profile_solves_the_operator_on_the_caps(sign):
             assert abs(c.apply(Jet2(f, (f, df), (f, df, d2f)))) <= 1e-12, (rho, f)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_branch_arrays_match_the_per_radius_calls_bit_for_bit(sign):
+    """One call over BRANCH_RADII gives each radius the bits of a call at
+    that radius alone, the sign of a zero included, and the circle's root
+    and its C-library power as a float computes them."""
+    rhos = stability.BRANCH_RADII
+    profile = degenerate_branch(sign, rhos)
+    coefficients = dataclasses.astuple(linearized_coefficients(*profile, rhos))
+    for i, rho in enumerate(map(float, rhos)):
+        one = degenerate_branch(sign, rho)
+        root = math.sqrt(1.0 - rho * rho)
+        assert one == (sign * root, -sign * rho / root, -sign * root ** -3.0)
+        want = [*one, *dataclasses.astuple(linearized_coefficients(*one, rho))]
+        got = [entry[i] for entry in (*profile, *coefficients)]
+        assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
 def coefficients_without_phi_in_c_tau(phi, dphi, d2phi, rho):
     """The operator with c_tau's last term missing its factor phi."""
     c = linearized_coefficients(phi, dphi, d2phi, rho)
