@@ -27,7 +27,7 @@ from .conserved import (
     QuadratureWeight,
     measure_scaling_exponent,
 )
-from .numerics import Jet2
+from .numerics import Jet2, libm_pow
 from .residuals import RHO_MAX, EquationId, certify, residual_at
 from .profiles import degenerate_branch
 from .similarity import steady_family_errors
@@ -315,11 +315,12 @@ def _measure_branch_linearization() -> dict:
     """
 
     # e^(tau/2) times the quartic bump w = s^2 supported on [0.1, 0.9], with
-    # s = (rho-0.1)(0.9-rho), so the tau entries of the operator are probed
+    # s = (rho-0.1)(0.9-rho), so the tau entries of the operator are probed;
+    # the square is the C library's pow, as a float computes it
     def bump(rho):
         s = (rho - 0.1) * (0.9 - rho)
         w, dw = s * s, 2.0 * s * (1.0 - 2.0 * rho)
-        d2w = 2.0 * (1.0 - 2.0 * rho) ** 2 - 4.0 * s
+        d2w = 2.0 * libm_pow(1.0 - 2.0 * rho, 2) - 4.0 * s
         return Jet2(w, (w / 2, dw), (w / 4, dw / 2, d2w))
 
     rhos = [0.15 + 0.7 * i / 49 for i in range(50)]

@@ -98,6 +98,16 @@ class Jet2:
                 raise NonFiniteError(f"non-finite jet entry {bad!r}")
 
 
+def libm_pow(x, exponent):
+    """x ** exponent by the C library's pow, element by element for an
+    array. numpy's array power rounds some results differently (its own pow,
+    and a plain product for a square), so values that must keep the bits of
+    a scalar evaluation take this."""
+    if isinstance(x, np.ndarray):
+        return np.reshape([v ** exponent for v in x.ravel().tolist()], x.shape)
+    return x ** exponent
+
+
 def _check_stage_finite(value, stage: str, t: float):
     arr = np.asarray(value, dtype=float)
     if not np.isfinite(arr).all():
@@ -232,20 +242,36 @@ def rk4_integrate(derivative, t0: float, state0, t_end: float, dt: float):
     ts = [t0]
     t = t0
     # every step has 0 < h <= dt, so the kind of step is picked once here
-    # instead of by rk4_step at each step
-    if isinstance(state0, tuple):
+    # instead of by rk4_step at each step; pairs are collected as one flat
+    # list of floats, which np.asarray reads far faster than a list of tuples
+    pair = isinstance(state0, tuple)
+    if pair:
         step, y = _rk4_step_pair, state0
+        states = list(state0)
+        keep = states.extend
     else:
         step, y = _rk4_step_array, np.array(state0, dtype=float)
-    states = [y]
+        states = [y]
+        keep = states.append
     last = t_end - 1e-14 * max(1.0, abs(t_end))
     while t < last:
         h = min(dt, t_end - t)
         y = step(y, derivative, t, h)
         t = t + h
         ts.append(t)
-        states.append(y)
-    return np.asarray(ts), np.asarray(states, dtype=float)
+        keep(y)
+    states = np.asarray(states, dtype=float)
+    return np.asarray(ts), (states.reshape(len(ts), -1) if pair else states)
+
+
+def _step_error(full, half2) -> float:
+    """max |full - half2| over the components, NaN if any difference is
+    NaN, as np.max has it; a pair of floats is compared in floats, where
+    numpy's three calls would cost about 30 times as much."""
+    if isinstance(full, tuple):
+        d0, d1 = abs(full[0] - half2[0]), abs(full[1] - half2[1])
+        return d0 if d0 >= d1 or d0 != d0 else d1
+    return float(np.max(np.abs(np.subtract(full, half2))))
 
 
 def rk4_adaptive_step(derivative, t: float, state, dt: float, abs_tol: float):
@@ -266,7 +292,7 @@ def rk4_adaptive_step(derivative, t: float, state, dt: float, abs_tol: float):
         full = rk4_step(state, derivative, t, dt)
         half = rk4_step(state, derivative, t, 0.5 * dt)
         half2 = rk4_step(half, derivative, t + 0.5 * dt, 0.5 * dt)
-        err = float(np.max(np.abs(np.subtract(full, half2))))
+        err = _step_error(full, half2)
         if err <= abs_tol:
             dt_next = 2.0 * dt if err <= abs_tol / 64.0 else dt
             return t + dt, half2, dt, dt_next

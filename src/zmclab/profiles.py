@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError, StepFloorError
-from .numerics import DT_MIN, rk4_adaptive_step, rk4_step
+from .numerics import DT_MIN, libm_pow, rk4_adaptive_step, rk4_step
 
 # A shoot is declared degenerate once 1 - rho^2 - phi^2 drops below this.
 EPS_DEGENERATE_GAP = 1e-8
@@ -96,7 +96,14 @@ def phi_second_derivative(phi, dphi, rho):
             f"leading coefficient degenerates: 1 - rho^2 - phi^2 = {gap:.3e} "
             f"at rho = {rho:.6f}"
         )
-    return -first_order_branch_residual(phi, dphi, rho) / (rho * gap)
+    # first_order_branch_residual written out: this runs at every RK4 stage
+    # of a shoot, where the call cost about a tenth of the step
+    remainder = (
+        dphi * (1.0 - phi * phi)
+        + 2.0 * rho * phi * dphi * dphi
+        + (1.0 - rho * rho) * dphi ** 3
+    )
+    return -remainder / (rho * gap)
 
 
 def degenerate_branch(sign, rho):
@@ -107,14 +114,12 @@ def degenerate_branch(sign, rho):
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    if isinstance(rho, np.ndarray):
-        # radius by radius: numpy's vectorized pow rounds some root^-3
-        # otherwise, and a radius keeps the bits it has alone
-        return tuple(np.reshape([degenerate_branch(sign, r) for r in rho.tolist()], (-1, 3)).T)
-    if not 0.0 <= rho < 1.0:
+    array = isinstance(rho, np.ndarray)
+    if not (((0.0 <= rho) & (rho < 1.0)).all() if array else 0.0 <= rho < 1.0):
         raise DomainError("circle profile needs 0 <= rho < 1")
-    root = math.sqrt(1.0 - rho * rho)
-    return sign * root, -sign * rho / root, -sign * root ** -3.0
+    root = (np.sqrt if array else math.sqrt)(1.0 - rho * rho)
+    # root^-3 on the C library's pow, so a radius keeps the bits it has alone
+    return sign * root, -sign * rho / root, -sign * libm_pow(root, -3.0)
 
 
 def shoot_profile(

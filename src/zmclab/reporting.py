@@ -9,6 +9,7 @@ notation permitted.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 
@@ -83,8 +84,18 @@ def write_csv(path, header, columns) -> None:
         raise DomainError(f"cannot format non-finite value {float(bad[0])!r} into CSV")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
-        cells = zip(*(map(repr, c.tolist()) for c in columns))
+        cells = zip(*map(_column_cells, columns))
         fh.writelines(",".join(row) + "\r\n" for row in cells)
+
+
+def _column_cells(column):
+    """The cells of a column in shortest round-trip form. A column holding
+    one value throughout (bit for bit, so 0.0 and -0.0 differ), such as a
+    profile's phi and phi', is formatted once."""
+    bits = column.view(np.int64)
+    if bits.size and (bits == bits[0]).all():
+        return itertools.repeat(repr(float(column[0])), bits.size)
+    return map(repr, column.tolist())
 
 
 DIAGNOSTICS_HEADER = (

@@ -28,7 +28,7 @@ import numpy as np
 
 from .closedform import ClosedFormSolution, Family, evaluate_jet
 from .errors import DomainError
-from .numerics import Jet2, rk4_integrate
+from .numerics import Jet2, libm_pow, rk4_integrate
 
 
 class FrameScaling(Enum):
@@ -184,12 +184,18 @@ def _nonlinear_wave_block(v_tau, v_rho, v_tautau, v_taurho, v_rhorho, rho):
     )
 
 
-def transformed_equation_residual(eq: SimilarityEquation, jet: Jet2, sim_point) -> float:
+def transformed_equation_residual(
+    eq: SimilarityEquation, jet: Jet2, sim_point
+) -> float | np.ndarray:
     """Term-by-term residual of the printed transformed equations.
 
     jet is a similarity-frame 2-jet ordered (tau, rho); sim_point = (tau, rho).
+    rho may be an array, with the jet's entries broadcast against it, for an
+    array of residuals at one tau; each keeps the bits of its scalar call.
     """
-    tau, rho = float(sim_point[0]), float(sim_point[1])
+    tau, rho = float(sim_point[0]), sim_point[1]
+    if not isinstance(rho, np.ndarray):
+        rho = float(rho)
     v = jet.value
     v_tau, v_rho = jet.d1
     v_tautau, v_taurho, v_rhorho = jet.d2
@@ -217,7 +223,7 @@ def transformed_equation_residual(eq: SimilarityEquation, jet: Jet2, sim_point) 
         return linear - math.exp(2.0 * tau) * block
 
     if eq is SimilarityEquation.MEMBRANE_SCALED:
-        if rho == 0.0:
+        if (np.any(rho == 0.0) if isinstance(rho, np.ndarray) else rho == 0.0):
             raise DomainError("the scaled membrane reduction has 1/rho terms")
         lag = v_tau - v  # the combination (v_tau - v) recurs in every nonlinear term
         return (
@@ -230,7 +236,7 @@ def transformed_equation_residual(eq: SimilarityEquation, jet: Jet2, sim_point) 
             + v_rhorho * lag * lag
             - 2.0 * v_rho * v_taurho * lag
             + (v_rho * lag * lag) / rho
-            + (rho * rho - 1.0) * v_rho**3 / rho
+            + (rho * rho - 1.0) * libm_pow(v_rho, 3) / rho
         )
 
     raise DomainError(f"unknown transformed equation {eq!r}")

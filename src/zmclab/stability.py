@@ -77,32 +77,34 @@ class LinearizationCheck:
 
 def directional_linearization_check(base, direction, epsilon, rhos) -> LinearizationCheck:
     """Compare the linearized operator against a centered difference of the
-    scaled membrane reduction along a perturbation direction.
+    scaled membrane reduction along a perturbation direction, at every
+    radius of rhos in one array pass.
 
-    base(rho) returns the steady profile (phi, phi', phi''); direction(rho)
+    base(rhos) returns the steady profile (phi, phi', phi''); direction(rhos)
     returns a perturbation Jet2 in (tau, rho) at tau = 0, where nothing is
-    lost (the reduction has no explicit tau). rho must stay off the axis.
+    lost (the reduction has no explicit tau). Both are called once, on the
+    1-D array of radii, so both must accept an array (np.sin, not
+    math.sin); they may return scalars where an entry does not vary. rho
+    must stay off the axis.
     """
-    max_diff = 0.0
-    max_op = 0.0
-    for rho in rhos:
-        rho = float(rho)
-        phi, dphi, d2phi = base(rho)
-        w = direction(rho)
-        lin = linearized_coefficients(phi, dphi, d2phi, rho).apply(w)
-        plus, minus = (
-            transformed_equation_residual(
-                SimilarityEquation.MEMBRANE_SCALED,
-                Jet2(phi + step * w.value, (step * w.d1[0], dphi + step * w.d1[1]),
-                     (step * w.d2[0], step * w.d2[1], d2phi + step * w.d2[2])),
-                (0.0, rho),
-            )
-            for step in (epsilon, -epsilon)
+    rhos = np.array(rhos, dtype=float)
+    phi, dphi, d2phi = base(rhos)
+    w = direction(rhos)
+    lin = linearized_coefficients(phi, dphi, d2phi, rhos).apply(w)
+    plus, minus = (
+        transformed_equation_residual(
+            SimilarityEquation.MEMBRANE_SCALED,
+            Jet2(phi + step * w.value, (step * w.d1[0], dphi + step * w.d1[1]),
+                 (step * w.d2[0], step * w.d2[1], d2phi + step * w.d2[2])),
+            (0.0, rhos),
         )
-        fd = (plus - minus) / (2.0 * epsilon)
-        max_diff = max(max_diff, abs(fd - lin))
-        max_op = max(max_op, abs(lin))
-    return LinearizationCheck(max_diff, max_op, epsilon, len(rhos))
+        for step in (epsilon, -epsilon)
+    )
+    fd = (plus - minus) / (2.0 * epsilon)
+    # fmax from 0 skips a NaN, as a running max(0.0, ...) over the radii does
+    max_diff = float(np.fmax.reduce(np.abs(fd - lin), initial=0.0))
+    max_op = float(np.fmax.reduce(np.abs(lin), initial=0.0))
+    return LinearizationCheck(max_diff, max_op, epsilon, rhos.size)
 
 
 @dataclass(frozen=True)

@@ -324,6 +324,23 @@ def test_profile_writes_flat_phi_column(tmp_path, capsys, monkeypatch):
     assert max(abs(v - 0.5) for v in phis) <= 1e-8
 
 
+def test_profile_csv_to_dev_null(capsys):
+    code, out, err = run_cli(capsys, "profile", "--a", "0.6", "--csv", os.devnull)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["csv"] == os.devnull and doc["n_points"] > 1
+
+
+def test_profile_csv_over_a_longer_one(tmp_path, capsys):
+    """A shorter profile written over a longer one leaves the bytes of a
+    fresh write: the shoot at 0.9 stops at its circle after fewer rows."""
+    path, fresh = tmp_path / "p.csv", tmp_path / "q.csv"
+    for a, csv_path in (("0.3", path), ("0.9", path), ("0.9", fresh)):
+        code, _, _ = run_cli(capsys, "profile", "--a", a, "--csv", str(csv_path))
+        assert code == 0
+    assert path.read_bytes() == fresh.read_bytes()
+
+
 def test_adaptive_profile_stops_at_the_degeneracy(tmp_path, capsys):
     """Valid --drho and --tolerance: the adaptive shoot of the flat profile
     phi = 0.6 stops within 1e-6 short of its degenerate circle rho = 0.8

@@ -1,4 +1,5 @@
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -450,19 +451,35 @@ def test_rk4_integrate_on_tuples_matches_array_path(case):
     assert same_bits(ts, ref_ts) and same_bits(states, ref_states)
 
 
-@pytest.mark.parametrize("case", sorted(TUPLE_CASES))
+# (slope, t, state, first step): 0.05 is wide enough that the profile case
+# halves its step. A constant slope of 2^1000 in one component overflows the
+# full and half steps from dt = 2^26 on, so they differ by inf - inf = NaN in
+# that component and 0 in the other: the NaN must halve the step, as np.max
+# has it, down to 2^23, where the step no longer overflows
+ADAPTIVE_CASES = {
+    **{name: (*case, 0.05) for name, case in TUPLE_CASES.items()},
+    "overflow-first": (lambda t, s: (2.0**1000, 0.0), 0.0, (0.0, 0.0), 2.0**26),
+    "overflow-second": (lambda t, s: (0.0, 2.0**1000), 0.0, (0.0, 0.0), 2.0**26),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ADAPTIVE_CASES))
 def test_rk4_adaptive_step_on_tuples_matches_array_path(case):
-    slope, t, y = TUPLE_CASES[case]
-    ref_t, ref = t, np.array(y)
-    dt = ref_dt = 0.05  # wide enough that the profile case halves its step
-    for _ in range(6):
+    slope, t, y, dt = ADAPTIVE_CASES[case]
+    ref_t, ref, ref_dt = t, np.array(y), dt
+    # numpy warns on the array path's overflow, which only these cases reach
+    overflow = case.startswith("overflow")
+    for i in range(6):
         t, y, used, dt = rk4_adaptive_step(slope, t, y, dt, abs_tol=1e-10)
-        ref_t, ref, ref_used, ref_dt = rk4_adaptive_step(
-            array_slope(slope), ref_t, ref, ref_dt, abs_tol=1e-10
-        )
+        with np.errstate(over="ignore", invalid="ignore") if overflow else nullcontext():
+            ref_t, ref, ref_used, ref_dt = rk4_adaptive_step(
+                array_slope(slope), ref_t, ref, ref_dt, abs_tol=1e-10
+            )
         assert is_float_tuple(y)
         assert same_bits(y, ref)
         assert (t, used, dt) == (ref_t, ref_used, ref_dt)
+        if i == 0 and overflow:
+            assert used == 2.0**23 and all(map(math.isfinite, y))
 
 
 @pytest.mark.parametrize("ode, slope, initial, rho_range", [

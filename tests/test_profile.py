@@ -46,6 +46,19 @@ def test_solved_second_derivative_satisfies_equation():
         assert abs(profile_residual(phi, dphi, d2phi, rho)) <= 1e-12
 
 
+def test_second_derivative_is_the_remainder_over_the_gap_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for _ in range(1000):
+        rho = rng.uniform(0.01, 0.99)
+        phi = rng.uniform(-1.0, 1.0) * math.sqrt(1.0 - rho * rho)
+        dphi = rng.uniform(-2.0, 2.0) * 10.0 ** rng.integers(-3, 1)
+        gap = 1.0 - rho * rho - phi * phi
+        if gap <= profiles.EPS_DEGENERATE_GAP:
+            continue
+        expected = -first_order_branch_residual(phi, dphi, rho) / (rho * gap)
+        assert phi_second_derivative(phi, dphi, rho).hex() == expected.hex()
+
+
 def test_second_derivative_guards():
     with pytest.raises(DomainError, match="singular on the axis rho = 0"):
         phi_second_derivative(0.1, 0.2, 0.0)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -86,6 +87,12 @@ ADVERSARIAL_COLUMNS = {
     "float64-scalars": [np.float64(0.1), np.float64(-2.5), np.float64(1e22)],
     "float64-array": np.array([1.0 / 3.0, -1e-300, 123456789.0]),
     "no-rows": np.array([]),
+    # one value throughout is formatted once; only the same bits count as one
+    "constant": [0.6] * 4,
+    "constant-zero": [0.0] * 3,
+    "zero-then-negative-zero": [0.0, -0.0, -0.0],
+    "one-row": [0.1],
+    "strided-constant": np.full(8, 1.5)[::2],
 }
 
 
@@ -134,6 +141,26 @@ def test_write_csv_refuses_before_opening(tmp_path):
     with pytest.raises(ArityError):
         write_csv(path, ("a", "b"), ([1.0, 3.0, 5.0], [2.0, 4.0]))
     assert path.read_bytes() == good
+
+
+REWRITE_COLUMNS = (np.linspace(0.0, 1.0, 400), np.linspace(-3.0, 5.0, 400))
+
+
+@pytest.mark.parametrize("old_rows, new_rows", [(400, 40), (40, 400), (400, 400)],
+                         ids=["shorter", "longer", "equal-length"])
+def test_write_csv_over_an_old_file_writes_the_bytes_of_a_fresh_one(tmp_path, old_rows,
+                                                                    new_rows):
+    """A rewrite leaves no byte of the old table, whatever its length."""
+    path, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
+    write_csv(path, ("a", "b"), [c[:old_rows][::-1] for c in REWRITE_COLUMNS])
+    new = [c[:new_rows] for c in REWRITE_COLUMNS]
+    write_csv(path, ("a", "b"), new)
+    write_csv(fresh, ("a", "b"), new)
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+def test_write_csv_to_dev_null():
+    write_csv(os.devnull, ("a", "b"), REWRITE_COLUMNS)
 
 
 def test_write_csv_names_the_first_non_finite_value_in_row_order(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from zmclab import stability
 from zmclab.errors import ConsistencyError, DomainError
-from zmclab.numerics import Jet2
+from zmclab.numerics import Jet2, libm_pow
 from zmclab.profiles import degenerate_branch
 from zmclab.similarity import SimilarityEquation, transformed_equation_residual
 from zmclab.stability import (
@@ -125,7 +125,7 @@ def test_operator_application_is_a_dot_product():
 
 def test_linearization_check_zero_base():
     def direction(rho):
-        return Jet2(math.sin(rho), (0.0, math.cos(rho)), (0.0, 0.0, -math.sin(rho)))
+        return Jet2(np.sin(rho), (0.0, np.cos(rho)), (0.0, 0.0, -np.sin(rho)))
 
     check = directional_linearization_check(
         lambda rho: (0.0, 0.0, 0.0), direction, 1e-6, np.linspace(0.1, 0.9, 50)
@@ -150,12 +150,69 @@ def test_linearization_check_sees_tau_directions(base):
     """Along e^(tau/2) w the check differences the tau entries of the scaled
     reduction as well, so it sees c_tau_tau, c_tau and c_tau_rho."""
     def direction(rho):
-        w, dw, d2w = math.sin(3 * rho), 3 * math.cos(3 * rho), -9 * math.sin(3 * rho)
+        w, dw, d2w = np.sin(3 * rho), 3 * np.cos(3 * rho), -9 * np.sin(3 * rho)
         return Jet2(w, (w / 2, dw), (w / 4, dw / 2, d2w))
 
     check = directional_linearization_check(base, direction, 1e-6, np.linspace(0.05, 0.9, 40))
     assert check.max_abs_difference <= 1e-8
     assert check.max_operator_value > 0.1
+
+
+def audit_bump(rho):
+    """The audit's direction, e^(tau/2) times a quartic bump, in floats or
+    arrays alike: its square is the C library's pow either way."""
+    s = (rho - 0.1) * (0.9 - rho)
+    w, dw = s * s, 2.0 * s * (1.0 - 2.0 * rho)
+    d2w = 2.0 * libm_pow(1.0 - 2.0 * rho, 2) - 4.0 * s
+    return Jet2(w, (w / 2, dw), (w / 4, dw / 2, d2w))
+
+
+def test_linearization_check_keeps_the_per_radius_bits():
+    """The one array pass gives every radius the bits of a scalar evaluation
+    there: the perturbed residuals entry by entry, and so the two maxima of
+    a check that walks the radii one at a time."""
+    rhos = [0.15 + 0.7 * i / 49 for i in range(50)]
+    profile = degenerate_branch(1, np.array(rhos))
+    for step in (1e-6, -1e-6):
+        w = audit_bump(np.array(rhos))
+        jet = Jet2(profile[0] + step * w.value, (step * w.d1[0], profile[1] + step * w.d1[1]),
+                   (step * w.d2[0], step * w.d2[1], profile[2] + step * w.d2[2]))
+        array = transformed_equation_residual(
+            SimilarityEquation.MEMBRANE_SCALED, jet, (0.0, np.array(rhos)))
+        scalar = [
+            transformed_equation_residual(SimilarityEquation.MEMBRANE_SCALED, Jet2(
+                float(jet.value[i]), tuple(float(d[i]) for d in jet.d1),
+                tuple(float(d[i]) for d in jet.d2)), (0.0, rho))
+            for i, rho in enumerate(rhos)
+        ]
+        assert array.tobytes() == np.array(scalar).tobytes()
+
+    diffs, ops = [0.0], [0.0]
+    for rho in rhos:
+        phi, dphi, d2phi = degenerate_branch(1, rho)
+        w = audit_bump(rho)
+        lin = linearized_coefficients(phi, dphi, d2phi, rho).apply(w)
+        plus, minus = (
+            transformed_equation_residual(
+                SimilarityEquation.MEMBRANE_SCALED,
+                Jet2(phi + step * w.value, (step * w.d1[0], dphi + step * w.d1[1]),
+                     (step * w.d2[0], step * w.d2[1], d2phi + step * w.d2[2])),
+                (0.0, rho))
+            for step in (1e-6, -1e-6)
+        )
+        diffs.append(abs((plus - minus) / 2e-6 - lin))
+        ops.append(abs(lin))
+    check = directional_linearization_check(
+        lambda rho: degenerate_branch(1, rho), audit_bump, 1e-6, rhos)
+    assert (check.max_abs_difference, check.max_operator_value) == (max(diffs), max(ops))
+    assert check.n_samples == 50
+
+
+def test_scaled_reduction_refuses_an_axis_radius_in_an_array():
+    z = Jet2(np.zeros(2), (0.0, 0.0), (0.0, 0.0, 0.0))
+    with pytest.raises(DomainError, match="1/rho"):
+        transformed_equation_residual(
+            SimilarityEquation.MEMBRANE_SCALED, z, (0.0, np.array([0.5, 0.0])))
 
 
 def test_mode_quadratic_and_roots():
