@@ -360,7 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-max", type=float, default=0.9, dest="rho_max")
     p.add_argument("--drho", type=_positive(float), default=1e-3)
     p.add_argument("--tolerance", type=_positive(float), default=None,
-                   help="enable adaptive stepping at this local tolerance")
+                   help="take adaptive steps at this local tolerance: doubling "
+                        "from --drho, halving toward the circle; the flat shoot's "
+                        "step-doubling error is exactly 0, so any positive "
+                        "tolerance takes the same steps")
     p.add_argument("--csv", default="profile.csv")
     p.set_defaults(handler=cmd_profile)
 

@@ -141,7 +141,7 @@ def rk4_step(state, derivative, t: float, dt: float):
     """One classical fourth-order Runge-Kutta step.
 
     derivative(t, state) returns the same kind of state. A pair of floats
-    (the two-component profile and steady ODEs) is stepped written out, as
+    (the two-component steady ODEs) is stepped written out, as
     two scalar expressions per stage: 1.8 us a step on the steady ODE,
     whose derivative takes 0.18 us, where a loop over the components took
     6.4 us (timeit on a 2-vCPU Xeon, Python 3.11). A float or an ndarray
@@ -282,7 +282,9 @@ def rk4_adaptive_step(derivative, t: float, state, dt: float, abs_tol: float):
     (t_new, state_new, dt_used, dt_next) where state_new is the two-half-step
     result and dt_next grows by 2 when the error was far below tolerance.
 
-    This is the wrapper the profile shooter uses near its singular points.
+    No caller in the package steps with it: profiles.shoot_profile takes
+    the steps it would take on the constant an axis shoot carries, and
+    tests/profile_reference.py keeps the march that calls it.
     """
     if abs_tol <= 0:
         raise DomainError(f"abs_tol must be positive, got {abs_tol}")

@@ -251,7 +251,8 @@ def test_criterion_11_determinism_and_interfaces(tmp_path, capsys):
 
     shapes = []
     for name in ("d.csv", "s.csv"):
-        rows = list(csvmod.reader(open(tmp_path / name, newline="")))
+        with open(tmp_path / name, newline="") as fh:
+            rows = list(csvmod.reader(fh))
         shapes.append(len({len(r) for r in rows}) == 1 and len(rows) > 1)
     csv_ok = code3 == 0 and all(shapes)
 

@@ -219,7 +219,8 @@ def test_evolve_reference_run(tmp_path, capsys):
     assert abs(doc["fit"]["exponent"] - 1.0) <= 0.05
     assert abs(doc["fit"]["amplitude"] - 0.4) <= 0.02
     assert doc["fit"]["window"] == [0.4, 0.95]
-    rows = list(csv.reader(open(diag, newline="")))
+    with open(diag, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert len(rows) >= 100
     assert {len(r) for r in rows} == {6}
 
@@ -319,7 +320,8 @@ def test_profile_writes_flat_phi_column(tmp_path, capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["csv"] == "profile.csv"
     assert doc["max_drift_from_height"] <= 1e-8
-    rows = list(csv.reader(open(tmp_path / "profile.csv", newline="")))
+    with open(tmp_path / "profile.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
     phis = [float(r[1]) for r in rows[1:]]
     assert max(abs(v - 0.5) for v in phis) <= 1e-8
 
@@ -352,7 +354,8 @@ def test_adaptive_profile_stops_at_the_degeneracy(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["termination"] == "degeneracy-hit"
     assert 0.0 <= 0.8 - doc["degeneracy_location"] <= 1e-6
-    rows = list(csv.reader(open(path, newline="")))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert len(rows) - 1 == doc["n_points"]
 
 

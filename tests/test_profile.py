@@ -1,13 +1,16 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from profile_forms import profile_residual_regrouped, verify_branch
+from profile_reference import reference_shoot
 from zmclab import profiles
 from zmclab.errors import DegeneracyError, DomainError
-from zmclab.numerics import Jet2
+from zmclab.numerics import DT_MIN, Jet2
 from zmclab.profiles import (
+    RHO_START_FACTOR,
     Termination,
     degenerate_branch,
     first_order_branch_residual,
@@ -168,6 +171,10 @@ def test_integrator_guards():
     for drho in (0.0, -1e-3, math.nan, math.inf):
         with pytest.raises(DomainError, match="drho must be finite and positive"):
             shoot_profile(0.3, rho_max=0.6, drho=drho)
+    # no error is <= NaN, so a NaN tolerance would halve every step to DT_MIN
+    for tolerance in (0.0, -1e-10, math.nan, math.inf):
+        with pytest.raises(DomainError, match=r"^tolerance=.* must be finite and positive$"):
+            shoot_profile(0.3, rho_max=0.6, drho=1e-3, tolerance=tolerance)
 
 
 def test_fixed_march_step_cap(monkeypatch):
@@ -211,3 +218,60 @@ def test_shoot_step_sequence_is_pinned(height, tolerance, termination, n_points,
     assert run.termination is termination
     assert run.rhos.size == n_points
     assert run.degeneracy_location == location
+
+
+# adaptive shoots whose first step's full-step end rho + drho lies inside
+# the gap bound while its second half step's end (rho + drho/2) + drho/2,
+# one ulp further out, does not
+HALF_STEP_END_CASES = (
+    (0.9083291348475311, 2.0, 0.038023282644113976, 1e-10),
+    (0.4992458535868226, 2.0, 0.07876912427768948, 1e-10),
+)
+
+
+def _reference_cases(seed, count):
+    """Seeded shoot arguments that reach every way a march ends: heights
+    uniform in [-0.9999, 0.9999] or one of -0.0, 0.0 and +-0.9999 (whose
+    circle most starts lie past), drho log-uniform in [1e-4, 0.3] or
+    DT_MIN times a power of two (so the adaptive trials meet DT_MIN and
+    2 DT_MIN exactly), rho_max within 1e-9 of the circle, within 1e-12 of
+    the start (an adaptive step-floor) or up to 1.5 past it, and fixed
+    steps or tolerances log-uniform in [1e-14, 1e-1]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        height = (rng.choice((-0.0, 0.0, 0.9999, -0.9999)) if rng.random() < 0.25
+                  else rng.uniform(-0.9999, 0.9999))
+        drho = (DT_MIN * 2.0 ** rng.randint(27, 38) if rng.random() < 0.25
+                else 10.0 ** rng.uniform(-4.0, math.log10(0.3)))
+        start = RHO_START_FACTOR * drho
+        circle = math.sqrt(1.0 - height * height)
+        kind = rng.randrange(3)
+        if kind == 0 and circle - 1e-9 > start:
+            rho_max = circle + rng.uniform(-1e-9, 1e-9)
+        elif kind == 1:
+            rho_max = start + rng.uniform(1e-15, 1e-12)
+        else:
+            rho_max = start + rng.uniform(1e-3, 1.5)
+        tolerance = None if rng.random() < 0.5 else 10.0 ** rng.uniform(-14.0, -1.0)
+        yield height, rho_max, drho, tolerance
+
+
+def test_shoot_matches_the_rk4_march_bit_for_bit():
+    """shoot_profile takes the RK4 march's step ends without stepping the
+    constant: rows (signbits too), termination and stop point agree to the
+    bit with the march in profile_reference over a seeded sweep that ends
+    in each termination, fixed and adaptive."""
+    ends = set()
+    for height, rho_max, drho, tolerance in (*HALF_STEP_END_CASES,
+                                             *_reference_cases(1, 200)):
+        run = shoot_profile(height, rho_max, drho, tolerance=tolerance)
+        rhos, phi, dphi, termination, location = reference_shoot(
+            height, rho_max, drho, tolerance)
+        case = (height, rho_max, drho, tolerance)
+        assert run.rhos.tobytes() == rhos.tobytes(), case
+        assert run.phi.tobytes() == phi.tobytes(), case
+        assert run.dphi.tobytes() == dphi.tobytes(), case
+        assert run.termination is termination, case
+        assert run.degeneracy_location == location, case
+        ends.add((termination, tolerance is None))
+    assert len(ends) == 5  # a fixed march never reaches the step floor
