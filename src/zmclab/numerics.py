@@ -4,10 +4,10 @@ Uniform 1D grids, the 2-jet container, the classical RK4 integrator
 (fixed step and a step-halving adaptive wrapper), trapezoid quadrature, and
 least-squares fits in log-log coordinates.
 
-All arithmetic here is IEEE double precision. RK4 steps a pair of floats,
+All arithmetic here is IEEE double precision. rk4_step steps an array
+(the evolution state) in numpy; rk4_integrate steps a pair of floats,
 written out as two scalar expressions per stage (the two-component ODEs,
-where numpy's per-call overhead would dominate), and a float or an ndarray
-in numpy (the evolution state).
+where numpy's per-call overhead would dominate).
 """
 from __future__ import annotations
 
@@ -138,29 +138,18 @@ def _stage_slope(k, shape, stage: str, t: float):
 
 
 def rk4_step(state, derivative, t: float, dt: float):
-    """One classical fourth-order Runge-Kutta step.
+    """One classical fourth-order Runge-Kutta step on an array state, such
+    as the (3, n) evolution state; a float or any array-like steps through
+    numpy too.
 
-    derivative(t, state) returns the same kind of state. A pair of floats
-    (the two-component steady ODEs) is stepped written out, as
-    two scalar expressions per stage: 1.8 us a step on the steady ODE,
-    whose derivative takes 0.18 us, where a loop over the components took
-    6.4 us (timeit on a 2-vCPU Xeon, Python 3.11). A float or an ndarray
-    (the (3, n) evolution state) is stepped in numpy. Both do the same
-    operations in the same order, so they agree bit for bit. Local error is
-    O(dt^5) on smooth systems. A tuple state, or a stage's derivative of
-    one, that is not a pair raises ArityError, as does an array derivative
-    of another shape than the state; a non-finite stage value raises
-    NonFiniteError naming the stage and the component, or for a 2-D state
-    the (row, node).
+    derivative(t, state) returns an array of the state's shape. Local error
+    is O(dt^5) on smooth systems. A derivative of another shape raises
+    ArityError, since it would broadcast into the stage sums; a non-finite
+    stage value raises NonFiniteError naming the stage and the component,
+    or for a 2-D state the (row, node).
     """
     if dt <= 0:
         raise DomainError(f"rk4_step needs dt > 0, got {dt}")
-    step = _rk4_step_pair if isinstance(state, tuple) else _rk4_step_array
-    return step(state, derivative, t, dt)
-
-
-def _rk4_step_array(state, derivative, t: float, dt: float):
-    """rk4_step on a float or an ndarray, in numpy."""
     # each stage is state + c * k, formed as c * k then += state in a new
     # array (both products and sums commute exactly); the derivative's own
     # arrays are never written, since it may return its input or keep it
@@ -186,92 +175,55 @@ def _rk4_step_array(state, derivative, t: float, dt: float):
     return y
 
 
-def _pair_arity_error(k, stage: str) -> ArityError:
-    got = f"length {len(k)}" if hasattr(k, "__len__") else f"a {type(k).__name__}"
-    return ArityError(f"derivative of a pair state returned {got} at RK4 {stage}")
-
-
-def _rk4_step_pair(y, derivative, t: float, dt: float):
-    """rk4_step on a pair of floats, each stage written out per component.
-    Only the unpacking is guarded: the derivative's own errors pass through."""
-    if len(y) != 2:
-        raise ArityError(f"a tuple state must be a pair, got length {len(y)}")
-    a0, a1 = y
-    half = 0.5 * dt
-    k = derivative(t, y)
-    try:
-        p0, p1 = k
-    except (TypeError, ValueError):
-        raise _pair_arity_error(k, "stage 1") from None
-    if not (math.isfinite(p0) and math.isfinite(p1)):
-        _check_stage_finite((p0, p1), "stage 1", t)
-    k = derivative(t + half, (a0 + half * p0, a1 + half * p1))
-    try:
-        q0, q1 = k
-    except (TypeError, ValueError):
-        raise _pair_arity_error(k, "stage 2") from None
-    if not (math.isfinite(q0) and math.isfinite(q1)):
-        _check_stage_finite((q0, q1), "stage 2", t + half)
-    k = derivative(t + half, (a0 + half * q0, a1 + half * q1))
-    try:
-        r0, r1 = k
-    except (TypeError, ValueError):
-        raise _pair_arity_error(k, "stage 3") from None
-    if not (math.isfinite(r0) and math.isfinite(r1)):
-        _check_stage_finite((r0, r1), "stage 3", t + half)
-    k = derivative(t + dt, (a0 + dt * r0, a1 + dt * r1))
-    try:
-        s0, s1 = k
-    except (TypeError, ValueError):
-        raise _pair_arity_error(k, "stage 4") from None
-    if not (math.isfinite(s0) and math.isfinite(s1)):
-        _check_stage_finite((s0, s1), "stage 4", t + dt)
-    sixth = dt / 6.0
-    return (a0 + sixth * (p0 + 2.0 * q0 + 2.0 * r0 + s0),
-            a1 + sixth * (p1 + 2.0 * q1 + 2.0 * r1 + s1))
-
-
 def rk4_integrate(derivative, t0: float, state0, t_end: float, dt: float):
-    """Fixed-step RK4 from t0 to t_end; the final step is clipped to land
-    exactly on t_end. Returns (times, states) with the initial point first;
-    a pair state0 is carried as pairs of floats (see rk4_step)."""
+    """Fixed-step RK4 on a pair of floats from t0 to t_end; the final step
+    is clipped to land exactly on t_end. Returns (times, states), states of
+    shape (len(times), 2), with the initial point first.
+
+    derivative(t, (y0, y1)) returns a pair. Each stage is written out as
+    two scalar expressions, the operations of rk4_step in its order, so the
+    two agree bit for bit: 1.8 us a step on the steady ODE, whose
+    derivative takes 0.18 us, where a loop over the components took 6.4 us
+    (timeit on a 2-vCPU Xeon, Python 3.11). A state0 that is not a 2-tuple
+    raises ArityError, and a non-finite stage value NonFiniteError naming
+    the stage and the component; the derivative's own errors pass through,
+    as does the unpacking error of a return that is no pair.
+    """
     if dt <= 0:
         raise DomainError(f"rk4_integrate needs dt > 0, got {dt}")
     if t_end < t0:
         raise DomainError(f"t_end={t_end} must be >= t0={t0}")
+    if type(state0) is not tuple or len(state0) != 2:
+        raise ArityError(f"rk4_integrate's state0 must be a pair (a 2-tuple), got {state0!r}")
+    a0, a1 = state0
     ts = [t0]
     t = t0
-    # every step has 0 < h <= dt, so the kind of step is picked once here
-    # instead of by rk4_step at each step; pairs are collected as one flat
-    # list of floats, which np.asarray reads far faster than a list of tuples
-    pair = isinstance(state0, tuple)
-    if pair:
-        step, y = _rk4_step_pair, state0
-        states = list(state0)
-        keep = states.extend
-    else:
-        step, y = _rk4_step_array, np.array(state0, dtype=float)
-        states = [y]
-        keep = states.append
+    # one flat list of floats, which np.asarray reads far faster than a
+    # list of pairs
+    states = [a0, a1]
     last = t_end - 1e-14 * max(1.0, abs(t_end))
     while t < last:
         h = min(dt, t_end - t)
-        y = step(y, derivative, t, h)
+        half = 0.5 * h
+        p0, p1 = derivative(t, (a0, a1))
+        if not (math.isfinite(p0) and math.isfinite(p1)):
+            _check_stage_finite((p0, p1), "stage 1", t)
+        q0, q1 = derivative(t + half, (a0 + half * p0, a1 + half * p1))
+        if not (math.isfinite(q0) and math.isfinite(q1)):
+            _check_stage_finite((q0, q1), "stage 2", t + half)
+        r0, r1 = derivative(t + half, (a0 + half * q0, a1 + half * q1))
+        if not (math.isfinite(r0) and math.isfinite(r1)):
+            _check_stage_finite((r0, r1), "stage 3", t + half)
+        s0, s1 = derivative(t + h, (a0 + h * r0, a1 + h * r1))
+        if not (math.isfinite(s0) and math.isfinite(s1)):
+            _check_stage_finite((s0, s1), "stage 4", t + h)
+        sixth = h / 6.0
+        a0 = a0 + sixth * (p0 + 2.0 * q0 + 2.0 * r0 + s0)
+        a1 = a1 + sixth * (p1 + 2.0 * q1 + 2.0 * r1 + s1)
         t = t + h
         ts.append(t)
-        keep(y)
-    states = np.asarray(states, dtype=float)
-    return np.asarray(ts), (states.reshape(len(ts), -1) if pair else states)
-
-
-def _step_error(full, half2) -> float:
-    """max |full - half2| over the components, NaN if any difference is
-    NaN, as np.max has it; a pair of floats is compared in floats, where
-    numpy's three calls would cost about 30 times as much."""
-    if isinstance(full, tuple):
-        d0, d1 = abs(full[0] - half2[0]), abs(full[1] - half2[1])
-        return d0 if d0 >= d1 or d0 != d0 else d1
-    return float(np.max(np.abs(np.subtract(full, half2))))
+        states += (a0, a1)
+    return np.asarray(ts), np.asarray(states, dtype=float).reshape(len(ts), 2)
 
 
 def rk4_adaptive_step(derivative, t: float, state, dt: float, abs_tol: float):
@@ -294,7 +246,7 @@ def rk4_adaptive_step(derivative, t: float, state, dt: float, abs_tol: float):
         full = rk4_step(state, derivative, t, dt)
         half = rk4_step(state, derivative, t, 0.5 * dt)
         half2 = rk4_step(half, derivative, t + 0.5 * dt, 0.5 * dt)
-        err = _step_error(full, half2)
+        err = float(np.max(np.abs(full - half2)))
         if err <= abs_tol:
             dt_next = 2.0 * dt if err <= abs_tol / 64.0 else dt
             return t + dt, half2, dt, dt_next

@@ -109,10 +109,9 @@ def degenerate_branch(sign, rho):
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    array = isinstance(rho, np.ndarray)
-    if not (((0.0 <= rho) & (rho < 1.0)).all() if array else 0.0 <= rho < 1.0):
+    if not np.all((0.0 <= rho) & (rho < 1.0)):
         raise DomainError("circle profile needs 0 <= rho < 1")
-    root = (np.sqrt if array else math.sqrt)(1.0 - rho * rho)
+    root = np.sqrt(1.0 - rho * rho)
     # root^-3 on the C library's pow, so a radius keeps the bits it has alone
     return sign * root, -sign * rho / root, -sign * libm_pow(root, -3.0)
 
@@ -140,8 +139,9 @@ def shoot_profile(
     phi is height in the first row and height + 0.0 after it (an RK4 step
     turns -0.0 into 0.0); phi' is 0.0 throughout.  Refused: a fixed march
     of more than MAX_FIXED_STEPS steps, counted to rho_max or to the
-    circle rho = sqrt(1 - height^2) if that is nearer, and a tolerance
-    that is not finite and positive.
+    circle rho = sqrt(1 - height^2) if that is nearer, a start whose gap
+    is already at or below EPS_DEGENERATE_GAP, and a tolerance that is not
+    finite and positive.
     """
     if not math.isfinite(height):
         raise DomainError(f"height {height!r} must be finite")
@@ -160,6 +160,9 @@ def shoot_profile(
                           f"rho {RHO_START_FACTOR:g}*drho = {rho!r}")
     # a zero-slope shoot stays at its height, so it stops at the circle
     circle = math.sqrt(gap)
+    if 1.0 - rho * rho - height * height <= EPS_DEGENERATE_GAP:
+        raise DomainError(f"drho={drho!r} starts the shoot at rho {RHO_START_FACTOR:g}*drho = "
+                          f"{rho!r}, on or past the degenerate circle rho={circle!r}")
     end = f"rho_max={rho_max!r}" if rho_max <= circle else f"the circle rho={circle!r}"
     steps = math.ceil((min(rho_max, circle) - rho) / drho)
     if tolerance is None and steps > MAX_FIXED_STEPS:

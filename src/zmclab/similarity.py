@@ -194,8 +194,6 @@ def transformed_equation_residual(
     array of residuals at one tau; each keeps the bits of its scalar call.
     """
     tau, rho = float(sim_point[0]), sim_point[1]
-    if not isinstance(rho, np.ndarray):
-        rho = float(rho)
     v = jet.value
     v_tau, v_rho = jet.d1
     v_tautau, v_taurho, v_rhorho = jet.d2
@@ -223,7 +221,7 @@ def transformed_equation_residual(
         return linear - math.exp(2.0 * tau) * block
 
     if eq is SimilarityEquation.MEMBRANE_SCALED:
-        if (np.any(rho == 0.0) if isinstance(rho, np.ndarray) else rho == 0.0):
+        if np.any(rho == 0.0):
             raise DomainError("the scaled membrane reduction has 1/rho terms")
         lag = v_tau - v  # the combination (v_tau - v) recurs in every nonlinear term
         return (

@@ -50,8 +50,7 @@ class LinearizedCoefficients:
 def linearized_coefficients(phi, dphi, d2phi, rho) -> LinearizedCoefficients:
     """The operator's coefficients about a steady profile at rho, or at each
     radius of an array rho with the profile's entries broadcast against it."""
-    # a float is compared directly: numpy's any costs microseconds on one
-    if (np.any(rho <= 0.0) if isinstance(rho, np.ndarray) else rho <= 0.0):
+    if np.any(rho <= 0.0):
         raise DomainError("linearization is singular on the axis rho = 0")
     return LinearizedCoefficients(
         c_tau_tau=1.0 + dphi * dphi,

@@ -1,8 +1,8 @@
 """The axis shoot as an RK4 march over the profile equation.
 
 This is the straightforward form of `profiles.shoot_profile`: the state
-(phi, phi') is stepped by `numerics.rk4_step`, or by
-`numerics.rk4_adaptive_step` when a tolerance is given, with phi'' from
+(phi, phi'), an array of two floats, is stepped by `numerics.rk4_step`, or
+by `numerics.rk4_adaptive_step` when a tolerance is given, with phi'' from
 `profiles.phi_second_derivative`. A step whose stage meets the degenerate
 circle raises DegeneracyError, on which an adaptive march halves its trial
 step while the half is at least DT_MIN and otherwise stops; an adaptive
@@ -28,7 +28,7 @@ def reference_shoot(height, rho_max, drho, tolerance=None):
 
     rho = RHO_START_FACTOR * drho
     rhos, phis, dphis = [rho], [height], [0.0]
-    y = (height, 0.0)
+    y = np.array([height, 0.0])
     termination = Termination.REACHED_END
     location = None
     trial = drho

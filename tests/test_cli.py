@@ -425,6 +425,13 @@ def test_profile_degenerate_start_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "profile", "--a", "1.0")
     assert code == 2
     assert "degenerate" in err
+    # the height lies inside the circle, rho = 0.0141, but the start
+    # rho = 10*drho = 0.1 lies past it
+    code, out, err = run_cli(capsys, "profile", "--a", "0.9999", "--drho", "0.01",
+                             "--rho-max", "2")
+    assert code == 2 and out == ""
+    assert "drho=0.01" in err and "rho 10*drho = 0.1" in err
+    assert "degenerate circle rho=0.0141" in err
 
 
 def test_scaling_measurement(capsys):

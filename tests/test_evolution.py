@@ -187,7 +187,7 @@ def rhs_window_state(window, size):
 @pytest.mark.parametrize("size", (3, 5, 6, 201))
 @pytest.mark.parametrize("window", sorted(RHS_WINDOWS))
 def test_rk4_step_matches_reference_bit_for_bit(window, size, dt):
-    """The array path of rk4_step over _derivative is
+    """rk4_step over _derivative is
     tests/step_reference.py's plain step to the last bit, and leaves its
     input state alone."""
     equation, xs, fields, h = rhs_window_state(window, size)

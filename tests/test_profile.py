@@ -10,6 +10,7 @@ from zmclab import profiles
 from zmclab.errors import DegeneracyError, DomainError
 from zmclab.numerics import DT_MIN, Jet2
 from zmclab.profiles import (
+    EPS_DEGENERATE_GAP,
     RHO_START_FACTOR,
     Termination,
     degenerate_branch,
@@ -153,6 +154,14 @@ def test_degenerate_start_rejected():
         shoot_profile(1.0, rho_max=0.5, drho=1e-3)
     with pytest.raises(DomainError):
         shoot_profile(-1.0001, rho_max=0.5, drho=1e-3)
+    # a height inside the circle, but a start rho = 10*drho past it
+    for tolerance in (None, 1e-10):
+        with pytest.raises(DomainError) as exc:
+            shoot_profile(0.9999, rho_max=2.0, drho=0.01, tolerance=tolerance)
+        assert str(exc.value) == (
+            f"drho=0.01 starts the shoot at rho 10*drho = 0.1, on or past the "
+            f"degenerate circle rho={math.sqrt(1.0 - 0.9999 * 0.9999)!r}"
+        )
 
 
 def test_adaptive_shoot_locates_circle_tightly():
@@ -260,10 +269,18 @@ def test_shoot_matches_the_rk4_march_bit_for_bit():
     """shoot_profile takes the RK4 march's step ends without stepping the
     constant: rows (signbits too), termination and stop point agree to the
     bit with the march in profile_reference over a seeded sweep that ends
-    in each termination, fixed and adaptive."""
+    in each termination, fixed and adaptive. A start on or past the circle,
+    where the march would stop at once and report the start, is refused."""
     ends = set()
+    refused = 0
     for height, rho_max, drho, tolerance in (*HALF_STEP_END_CASES,
                                              *_reference_cases(1, 200)):
+        start = RHO_START_FACTOR * drho
+        if 1.0 - start * start - height * height <= EPS_DEGENERATE_GAP:
+            with pytest.raises(DomainError, match=rf"^drho={drho!r} starts the shoot"):
+                shoot_profile(height, rho_max, drho, tolerance=tolerance)
+            refused += 1
+            continue
         run = shoot_profile(height, rho_max, drho, tolerance=tolerance)
         rhos, phi, dphi, termination, location = reference_shoot(
             height, rho_max, drho, tolerance)
@@ -275,3 +292,4 @@ def test_shoot_matches_the_rk4_march_bit_for_bit():
         assert run.degeneracy_location == location, case
         ends.add((termination, tolerance is None))
     assert len(ends) == 5  # a fixed march never reaches the step floor
+    assert refused
