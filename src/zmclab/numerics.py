@@ -7,7 +7,9 @@ least-squares fits in log-log coordinates.
 All arithmetic here is IEEE double precision. rk4_step steps an array
 (the evolution state) in numpy; rk4_integrate steps a pair of floats,
 written out as two scalar expressions per stage (the two-component ODEs,
-where numpy's per-call overhead would dominate).
+where numpy's per-call overhead would dominate). Each RK4 entry refuses a
+step, an end or a tolerance that is not finite with DomainError, once,
+before it steps.
 """
 from __future__ import annotations
 
@@ -146,10 +148,11 @@ def rk4_step(state, derivative, t: float, dt: float):
     is O(dt^5) on smooth systems. A derivative of another shape raises
     ArityError, since it would broadcast into the stage sums; a non-finite
     stage value raises NonFiniteError naming the stage and the component,
-    or for a 2-D state the (row, node).
+    or for a 2-D state the (row, node). A dt that is not finite and
+    positive raises DomainError.
     """
-    if dt <= 0:
-        raise DomainError(f"rk4_step needs dt > 0, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"rk4_step needs a finite dt > 0, got {dt}")
     # each stage is state + c * k, formed as c * k then += state in a new
     # array (both products and sums commute exactly); the derivative's own
     # arrays are never written, since it may return its input or keep it
@@ -184,13 +187,16 @@ def rk4_integrate(derivative, t0: float, state0, t_end: float, dt: float):
     two scalar expressions, the operations of rk4_step in its order, so the
     two agree bit for bit: 1.8 us a step on the steady ODE, whose
     derivative takes 0.18 us, where a loop over the components took 6.4 us
-    (timeit on a 2-vCPU Xeon, Python 3.11). A state0 that is not a 2-tuple
-    raises ArityError, and a non-finite stage value NonFiniteError naming
-    the stage and the component; the derivative's own errors pass through,
-    as does the unpacking error of a return that is no pair.
+    (timeit on a 2-vCPU Xeon, Python 3.11). A dt, t0 or t_end that is not
+    finite raises DomainError, a state0 that is not a 2-tuple ArityError,
+    and a non-finite stage value NonFiniteError naming the stage and the
+    component; the derivative's own errors pass through, as does the
+    unpacking error of a return that is no pair.
     """
-    if dt <= 0:
-        raise DomainError(f"rk4_integrate needs dt > 0, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"rk4_integrate needs a finite dt > 0, got {dt}")
+    if not (math.isfinite(t0) and math.isfinite(t_end)):
+        raise DomainError(f"rk4_integrate needs finite ends, got t0={t0}, t_end={t_end}")
     if t_end < t0:
         raise DomainError(f"t_end={t_end} must be >= t0={t0}")
     if type(state0) is not tuple or len(state0) != 2:
@@ -233,13 +239,14 @@ def rk4_adaptive_step(derivative, t: float, state, dt: float, abs_tol: float):
     discrepancy is within abs_tol, raising StepFloorError below DT_MIN. Returns
     (t_new, state_new, dt_used, dt_next) where state_new is the two-half-step
     result and dt_next grows by 2 when the error was far below tolerance.
+    An abs_tol that is not finite and positive raises DomainError.
 
     No caller in the package steps with it: profiles.shoot_profile takes
     the steps it would take on the constant an axis shoot carries, and
     tests/profile_reference.py keeps the march that calls it.
     """
-    if abs_tol <= 0:
-        raise DomainError(f"abs_tol must be positive, got {abs_tol}")
+    if not 0.0 < abs_tol < math.inf:
+        raise DomainError(f"abs_tol must be finite and positive, got {abs_tol}")
     while True:
         if dt < DT_MIN:
             raise StepFloorError(f"step size {dt} fell below the floor {DT_MIN} at t={t}")

@@ -12,7 +12,9 @@ rho^2 + phi^2 = 1.  The circle carries the collapsing-sphere profile
 (and its mirror image), on which the second-order coefficient and the
 remaining first-order terms vanish separately.  Shoots launched from
 the axis with zero slope stay flat until they run into the circle,
-which is where integration stops.
+which is where integration stops.  The equation's written forms (the
+six-term residual and phi'' solved from it) are the tests' oracles; the
+package keeps the circle branch and the axis shoot.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError
+from .errors import DomainError
 # rk4_step stays bound here for bench/selftest.py's binding test
 from .numerics import DT_MIN, libm_pow, rk4_step  # noqa: F401
 
@@ -57,48 +59,6 @@ class ProfileRun:
     dphi: np.ndarray
     termination: Termination
     degeneracy_location: float | None
-
-
-def profile_residual(phi, dphi, d2phi, rho):
-    """Six-term form of the profile equation, exactly as displayed."""
-    return (
-        rho * (1.0 - rho * rho) * d2phi
-        + dphi
-        - dphi * phi * phi
-        + 2.0 * rho * phi * dphi * dphi
-        - rho * d2phi * phi * phi
-        + (1.0 - rho * rho) * dphi ** 3
-    )
-
-
-def first_order_branch_residual(phi, dphi, rho):
-    """The first-order remainder left after the leading coefficient is factored.
-
-    On the degenerate circle the leading coefficient vanishes, so a circle
-    profile solves the equation only if this remainder vanishes too.
-    """
-    return (
-        dphi * (1.0 - phi * phi)
-        + 2.0 * rho * phi * dphi * dphi
-        + (1.0 - rho * rho) * dphi ** 3
-    )
-
-
-def phi_second_derivative(phi, dphi, rho):
-    """Solve the regrouped equation for phi''.
-
-    Raises DomainError on the axis and DegeneracyError once the
-    leading-coefficient gap 1 - rho^2 - phi^2 falls to EPS_DEGENERATE_GAP.
-    """
-    if rho <= 0.0:
-        raise DomainError("profile equation is singular on the axis rho = 0")
-    gap = 1.0 - rho * rho - phi * phi
-    if gap <= EPS_DEGENERATE_GAP:
-        raise DegeneracyError(
-            f"leading coefficient degenerates: 1 - rho^2 - phi^2 = {gap:.3e} "
-            f"at rho = {rho:.6f}"
-        )
-    return -first_order_branch_residual(phi, dphi, rho) / (rho * gap)
 
 
 def degenerate_branch(sign, rho):

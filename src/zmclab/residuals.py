@@ -66,8 +66,8 @@ def residual_at(eq: EquationId, jet: Jet2, point) -> float:
     Coordinate order inside the jet follows the producing family:
     (t, x) / (t, r) for the hyperbolic equations, (x, y) for the spacelike
     one. The radial membrane formula carries 1/r terms, so r = 0 is a
-    domain error there (use residual_at_axis). point = (a, b) may
-    hold arrays matching the jet's entries.
+    domain error there. point = (a, b) may hold arrays matching the jet's
+    entries.
     """
     da, db = jet.d1
     daa, dab, dbb = jet.d2
@@ -80,7 +80,7 @@ def residual_at(eq: EquationId, jet: Jet2, point) -> float:
         r = point[1]
         if np.any(r == 0):
             raise DomainError(
-                "the radial membrane residual has 1/r terms; use residual_at_axis at r=0"
+                "the radial membrane residual has 1/r terms; residual_at needs r != 0"
             )
         ut, ur, utt, utr, urr = da, db, daa, dab, dbb
         return (
@@ -103,22 +103,6 @@ def residual_at(eq: EquationId, jet: Jet2, point) -> float:
         return 1 - da * da + db * db
 
     raise DomainError(f"unknown equation id {eq!r}")
-
-
-def residual_at_axis(jet: Jet2) -> float:
-    """Radial membrane residual in the r -> 0 limit for even regular fields.
-
-    With u_r(t,0) = 0 the singular terms have finite limits
-    (u_r/r -> u_rr, u_r u_t^2 / r -> u_rr u_t^2, u_r^3 / r -> 0) and the
-    residual collapses to u_tt - 2 u_rr (1 - u_t^2).
-    """
-    ut, ur = jet.d1
-    utt, _, urr = jet.d2
-    if ur != 0:
-        raise DomainError(
-            f"axis regularity violated: u_r(t,0) = {ur}, expected 0 for an even field"
-        )
-    return utt - 2 * urr * (1 - ut * ut)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .numerics import Jet2
 from .profiles import degenerate_branch
-from .similarity import SimilarityEquation, transformed_equation_residual
+from .similarity import membrane_reduction_residual
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,10 @@ def directional_linearization_check(base, direction, epsilon, rhos) -> Lineariza
     w = direction(rhos)
     lin = linearized_coefficients(phi, dphi, d2phi, rhos).apply(w)
     plus, minus = (
-        transformed_equation_residual(
-            SimilarityEquation.MEMBRANE_SCALED,
+        membrane_reduction_residual(
             Jet2(phi + step * w.value, (step * w.d1[0], dphi + step * w.d1[1]),
                  (step * w.d2[0], step * w.d2[1], d2phi + step * w.d2[2])),
-            (0.0, rhos),
+            rhos,
         )
         for step in (epsilon, -epsilon)
     )

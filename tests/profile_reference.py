@@ -3,20 +3,21 @@
 This is the straightforward form of `profiles.shoot_profile`: the state
 (phi, phi'), an array of two floats, is stepped by `numerics.rk4_step`, or
 by `numerics.rk4_adaptive_step` when a tolerance is given, with phi'' from
-`profiles.phi_second_derivative`. A step whose stage meets the degenerate
-circle raises DegeneracyError, on which an adaptive march halves its trial
-step while the half is at least DT_MIN and otherwise stops; an adaptive
-step below DT_MIN raises StepFloorError and stops the march. The package
-takes the same step ends without evaluating the constant the shoot
-carries; tests require the two to agree bit for bit.
+`profile_forms.phi_second_derivative`. A step whose stage meets the
+degenerate circle raises DegeneracyError, on which an adaptive march halves
+its trial step while the half is at least DT_MIN and otherwise stops; an
+adaptive step below DT_MIN raises StepFloorError and stops the march. The
+package takes the same step ends without evaluating the constant the
+shoot carries; tests require the two to agree bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from profile_forms import phi_second_derivative
 from zmclab.errors import DegeneracyError, StepFloorError
 from zmclab.numerics import DT_MIN, rk4_adaptive_step, rk4_step
-from zmclab.profiles import RHO_START_FACTOR, Termination, phi_second_derivative
+from zmclab.profiles import RHO_START_FACTOR, Termination
 
 
 def reference_shoot(height, rho_max, drho, tolerance=None):

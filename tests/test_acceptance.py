@@ -20,7 +20,11 @@ import numpy as np
 import pytest
 
 from exact_error import sup_error_against
-from profile_forms import profile_residual_regrouped
+from profile_forms import (
+    first_order_branch_residual,
+    profile_residual,
+    profile_residual_regrouped,
+)
 from zmclab.cli import main
 from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet
 from zmclab.evolution import (
@@ -31,11 +35,7 @@ from zmclab.evolution import (
     run_evolution,
 )
 from zmclab.numerics import Grid1D, Jet2
-from zmclab.profiles import (
-    degenerate_branch,
-    first_order_branch_residual,
-    profile_residual,
-)
+from zmclab.profiles import degenerate_branch
 from zmclab.residuals import EquationId, certify, residual_at
 from zmclab.similarity import steady_family_errors
 from zmclab.stability import (

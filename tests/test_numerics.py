@@ -1,10 +1,12 @@
 import math
+import re
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from fd_oracles import BoundaryError, central_diff_jet2, observed_orders
+from profile_forms import phi_second_derivative
 from zmclab import numerics
 from zmclab.errors import ArityError, DomainError, NonFiniteError
 from zmclab.numerics import (
@@ -17,7 +19,6 @@ from zmclab.numerics import (
     rk4_step,
     trapezoid,
 )
-from zmclab.profiles import phi_second_derivative
 from zmclab.similarity import SteadyOdeId, steady_ode_integrate
 
 # frozen reference values, evaluated once in extended precision
@@ -498,6 +499,41 @@ def test_steady_ode_integrate_matches_array_path(ode, slope, initial, rho_range)
     ts, states = array_integrate(slope, rho_range[0], initial, rho_range[1], 1e-3)
     assert same_bits(sol.rhos, ts)
     assert same_bits(sol.v, states[:, 0]) and same_bits(sol.vp, states[:, 1])
+
+
+def never_differentiated(t, s):
+    raise AssertionError("a refused call is never differentiated")
+
+
+SPACELIKE = SteadyOdeId.SPACELIKE_STEADY
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: rk4_step(np.zeros(2), never_differentiated, 0.0, math.nan), "dt > 0, got nan"),
+    (lambda: rk4_step(np.zeros(2), never_differentiated, 0.0, math.inf), "dt > 0, got inf"),
+    (lambda: rk4_integrate(never_differentiated, 0.0, (1.0, 0.0), 1.0, math.nan),
+     "dt > 0, got nan"),
+    (lambda: rk4_integrate(never_differentiated, 0.0, (1.0, 0.0), 1.0, math.inf),
+     "dt > 0, got inf"),
+    (lambda: rk4_integrate(never_differentiated, 0.0, (1.0, 0.0), math.inf, 0.1), "t_end=inf"),
+    (lambda: rk4_integrate(never_differentiated, 0.0, (1.0, 0.0), math.nan, 0.1), "t_end=nan"),
+    (lambda: rk4_adaptive_step(never_differentiated, 0.0, np.zeros(2), 0.1, math.nan),
+     "abs_tol must be finite and positive, got nan"),
+    (lambda: steady_ode_integrate(SPACELIKE, (0.0, 1.0), (0.0, 1.0), math.nan),
+     "drho must be finite and positive, got nan"),
+    (lambda: steady_ode_integrate(SPACELIKE, (0.0, 1.0), (0.0, math.inf), 0.01),
+     "rho range [0.0, inf]"),
+    (lambda: steady_ode_integrate(SPACELIKE, (0.0, 1.0), (0.0, math.nan), 0.01),
+     "rho range [0.0, nan]"),
+], ids=["step-dt-nan", "step-dt-inf", "integrate-dt-nan", "integrate-dt-inf",
+        "integrate-end-inf", "integrate-end-nan", "adaptive-tol-nan", "steady-drho-nan",
+        "steady-end-inf", "steady-end-nan"])
+def test_rk4_entries_refuse_a_non_finite_step_end_or_tolerance(call, named):
+    """Refused before any step, naming the value: an infinite or NaN end
+    used to return the initial point alone, and a NaN step to fail later as
+    a non-finite stage or a step floor."""
+    with pytest.raises(DomainError, match=re.escape(named)):
+        call()
 
 
 # --- fits and quadrature -----------------------------------------------------

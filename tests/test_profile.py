@@ -4,7 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from profile_forms import profile_residual_regrouped, verify_branch
+from profile_forms import (
+    first_order_branch_residual,
+    phi_second_derivative,
+    profile_residual,
+    profile_residual_regrouped,
+    verify_branch,
+)
 from profile_reference import reference_shoot
 from zmclab import profiles
 from zmclab.errors import DegeneracyError, DomainError
@@ -14,12 +20,9 @@ from zmclab.profiles import (
     RHO_START_FACTOR,
     Termination,
     degenerate_branch,
-    first_order_branch_residual,
-    phi_second_derivative,
-    profile_residual,
     shoot_profile,
 )
-from zmclab.similarity import SimilarityEquation, transformed_equation_residual
+from zmclab.similarity import membrane_reduction_residual
 
 # hand-evaluated six-term residual at phi=1, dphi=1, d2phi=0, rho=0.5
 RESIDUAL_AT_UNIT_STATE = 1.75
@@ -117,7 +120,7 @@ def test_steady_reduction_consistency():
         phi, dphi, d2phi = rng.uniform(-1.0, 1.0, size=3)
         rho = rng.uniform(0.1, 0.9)
         jet = Jet2(phi, (0.0, dphi), (0.0, 0.0, d2phi))
-        lhs = transformed_equation_residual(SimilarityEquation.MEMBRANE_SCALED, jet, (0.0, rho))
+        lhs = membrane_reduction_residual(jet, rho)
         rhs = -profile_residual(phi, dphi, d2phi, rho) / rho
         assert abs(lhs - rhs) <= 1e-12
 

