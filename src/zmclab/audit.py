@@ -12,6 +12,7 @@ produce byte-identical JSON.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .closedform import (
@@ -78,12 +79,9 @@ class AuditReport:
         return all(c.as_expected for c in self.claims)
 
     def to_json_dict(self) -> dict:
-        counts: dict = {}
-        for c in self.claims:
-            counts[c.verdict] = counts.get(c.verdict, 0) + 1
         return {
             "n_claims": len(self.claims),
-            "verdict_counts": counts,
+            "verdict_counts": dict(Counter(c.verdict for c in self.claims)),
             "all_as_expected": self.all_as_expected,
             "claims": [c.to_json_dict() for c in self.claims],
             "measurements": self.measurements,
@@ -330,10 +328,7 @@ def _measure_branch_linearization() -> dict:
     return {
         "base": "degenerate circle profile, upper sign",
         "direction": "e^(tau/2) times the quartic bump supported on [0.1, 0.9]",
-        "epsilon": check.epsilon,
-        "n_samples": check.n_samples,
-        "max_abs_difference": check.max_abs_difference,
-        "max_operator_value": check.max_operator_value,
+        **asdict(check),
         "flagged_inconsistent": bool(check.max_abs_difference > 1e-3),
     }
 

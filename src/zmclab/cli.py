@@ -33,7 +33,7 @@ from .errors import (
 from .evolution import (
     FLOWS,
     EvolutionConfig,
-    fit_blowup_rate,
+    fit_blowup_series,
     initial_state_from_solution,
     run_evolution,
 )
@@ -93,7 +93,7 @@ def cmd_verify(args) -> int:
     sol = ClosedFormSolution(family=family, T=args.T, k=args.k)
     side = max(2, int(args.samples**0.5))
     [(report, within)] = certify((equation,), sol, side, side)
-    payload = {
+    _emit({
         "equation": args.equation,
         "family": args.family,
         "k": args.k,
@@ -101,16 +101,15 @@ def cmd_verify(args) -> int:
         "expectation": expectation,
         "threshold": threshold,
         "within_expectation": within,
-        "report": report.to_json_dict(),
-    }
-    _emit(payload)
+        "report": report,
+    })
     return EXIT_OK if within else EXIT_TOLERANCE
 
 
 def cmd_profile(args) -> int:
     run = shoot_profile(args.a, args.rho_max, args.drho, tolerance=args.tolerance)
     write_profile_csv(args.csv, run)
-    payload = {
+    _emit({
         "height": args.a,
         "termination": run.termination.value,
         "degeneracy_location": run.degeneracy_location,
@@ -122,20 +121,18 @@ def cmd_profile(args) -> int:
         },
         "max_drift_from_height": float(np.max(np.abs(run.phi - args.a))),
         "csv": args.csv,
-    }
-    _emit(payload)
+    })
     return EXIT_OK
 
 
 def cmd_stability(args) -> int:
     report = solve_mode_quadratic()
     symmetry = mode_growth_probe()
-    payload = {
-        "mode_report": report.to_json_dict(),
+    _emit({
+        "mode_report": report,
         "growth_probe_exponent": symmetry.exponent,
         "time_translation_residual": symmetry.max_residual,
-    }
-    _emit(payload)
+    })
     return EXIT_OK
 
 
@@ -264,15 +261,9 @@ def cmd_evolve(args) -> int:
                 raise ConfigError(f"config is missing the required key {key!r}")
             values[key] = default
 
-    try:
-        grid = Grid1D(lo=values["lo"], hi=values["hi"], n=values["n"])
-        sol = ClosedFormSolution(family=values["family"], T=values["T"], k=values["k"])
-        state = initial_state_from_solution(sol, grid)
-    except DomainError:
-        raise
-    except LabError as exc:
-        raise ConfigError(f"initial data construction failed: {exc}") from exc
-
+    grid = Grid1D(lo=values["lo"], hi=values["hi"], n=values["n"])
+    sol = ClosedFormSolution(family=values["family"], T=values["T"], k=values["k"])
+    state = initial_state_from_solution(sol, grid)
     config = EvolutionConfig(
         blowup_time=values["T"],
         t_end=values["t_end"],
@@ -308,8 +299,7 @@ def cmd_evolve(args) -> int:
     }
     if values["fit"]:
         try:
-            fit = fit_blowup_rate(run, FIT_WINDOW)
-            payload["fit"] = fit.to_json_dict()
+            payload["fit"] = fit_blowup_series(run.times, run.center_series, values["T"], FIT_WINDOW)
         except (ArityError, DomainError) as exc:
             # a window with fewer than 2 samples, or a centre series with a
             # zero in it (the constant family's is zero throughout)

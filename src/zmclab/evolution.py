@@ -33,18 +33,19 @@ from .errors import (
     DegeneracyError,
     DomainError,
     NonFiniteError,
-    StepFloorError,
 )
-from .numerics import FitResult, Grid1D, log_log_fit, rk4_step, trapezoid_terms
+from .numerics import Grid1D, double_range, log_log_fit, rk4_step, trapezoid_terms
 from .residuals import EquationId
 
 # smallest window the edge ghosts can still close over
 MIN_ACTIVE_NODES = 3
-# the method: dt = CFL * h / fastest speed, and the floors on the
-# discriminant 1 - p^2 + q^2 and on dt
+# the method: dt = CFL * h / fastest speed, the floors on the discriminant
+# 1 - p^2 + q^2 and on dt, and the largest initial slope |p| or |q|: the
+# right-hand side's 2pq p_x is then below 2 MAX_SLOPE^3 / h = 1e162
 CFL = 0.5
 MIN_DISC_FLOOR = 1e-6
 DT_FLOOR = 1e-12
+MAX_SLOPE = 1e50
 _MEMBRANE = EquationId.RADIAL_MEMBRANE  # read per call: an Enum lookup is 0.1 us on 3.11
 # the equations that are flows, the ones a run can evolve
 FLOWS = (EquationId.BORN_INFELD, EquationId.RADIAL_MEMBRANE)
@@ -87,27 +88,35 @@ class EvolutionState:
 
 def initial_state_from_solution(sol: ClosedFormSolution, grid: Grid1D, t0=0.0):
     xs = grid.nodes()
-    jet = evaluate_jet(sol, (t0, xs))
+    with double_range(f"initial data at k={sol.k}, T={sol.T} (slopes <= {MAX_SLOPE:g})"):
+        jet = evaluate_jet(sol, (t0, xs))
     return EvolutionState(
         t=t0, xs=xs, u=jet.value, p=jet.d1[0], q=jet.d1[1], spacing=grid.spacing
     )
 
 
 def check_state(state: EvolutionState):
-    """Refuse initial data that is not finite or internally inconsistent;
-    run_evolution leaves the discriminant floor to characteristic_speeds.
+    """Refuse initial data that is not finite, too steep or internally
+    inconsistent, or a spacing whose steps would fall below DT_FLOOR (the
+    speeds are at most 1, so each dt >= CFL * h); run_evolution leaves the
+    discriminant floor to characteristic_speeds.
 
     The stored q array must agree with differences of u to the accuracy a
     second-order stencil can deliver, bounded through the third differences
     of the data itself.
     """
+    h = state.spacing
+    if CFL * h < DT_FLOOR:
+        raise DomainError(f"need spacing >= DT_FLOOR / CFL = {DT_FLOOR / CFL:g}, got {h:.3e}")
     for name in ("u", "p", "q"):
         f = getattr(state, name)
         finite = np.isfinite(f)
         if not finite.all():
             i = int(finite.argmin())
             raise NonFiniteError(f"initial data not finite: {name}[{i}] = {f[i]}")
-    h = state.spacing
+    steepest = max(float(np.max(np.abs(state.p))), float(np.max(np.abs(state.q))))
+    if steepest > MAX_SLOPE:
+        raise DomainError(f"need slopes max(|p|, |q|) <= {MAX_SLOPE:g}, got {steepest:.3e}")
     du = np.gradient(state.u, h, edge_order=2)
     third = np.abs(np.diff(state.u, n=3))
     m3 = float(np.max(third)) / h ** 3 if third.size else 0.0
@@ -290,7 +299,6 @@ def _advance_edge(edge, nodes, xs, speeds, speeds_new, h, dt):
 class EvolutionRun:
     """Diagnostics and final state of one excised run."""
 
-    config: EvolutionConfig
     status: RunStatus
     times: np.ndarray
     sup_slope: np.ndarray
@@ -366,10 +374,7 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
     while t < config.t_end - 1e-13:
         # lambda- <= lambda+ at every node: this is max(lambda+, -lambda-)
         fastest = float(np.maximum.reduce(np.abs(speeds), axis=None))
-        dt = CFL * h / max(fastest, 1e-30)
-        if dt < DT_FLOOR:
-            raise StepFloorError(f"time step {dt:.3e} below floor at t = {t:.6f}")
-        dt = min(dt, config.t_end - t)
+        dt = min(CFL * h / max(fastest, 1e-30), config.t_end - t)
 
         y_new = rk4_step(y, rhs, t, dt)
         p_new, q_new = y_new[1], y_new[2]
@@ -424,28 +429,21 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
     u, p, q = y
     final = EvolutionState(t=t, xs=xs, u=u, p=p, q=q, spacing=h)
     series = map(np.array, zip(*rows))
-    return EvolutionRun(config, status, *series, mass_scale, final, n_steps)
+    return EvolutionRun(status, *series, mass_scale, final, n_steps)
 
 
 @dataclass(frozen=True)
 class BlowupFit:
     exponent: float
     amplitude: float
-    fit: FitResult
+    r_squared: float
+    n_points: int
     window: tuple
-
-    def to_json_dict(self):
-        return {
-            "exponent": self.exponent,
-            "amplitude": self.amplitude,
-            "r_squared": self.fit.r_squared,
-            "n_points": self.fit.n_points,
-            "window": list(self.window),
-        }
 
 
 def fit_blowup_series(times, values, blowup_time, window) -> BlowupFit:
-    """Fit values ~ amplitude * (blowup_time - t)^(-exponent) over a window."""
+    """Fit values ~ amplitude * (blowup_time - t)^(-exponent) over the
+    samples whose times lie in window (an exhausted run's, however few)."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     lo, hi = window
@@ -459,17 +457,7 @@ def fit_blowup_series(times, values, blowup_time, window) -> BlowupFit:
     return BlowupFit(
         exponent=fit.slope,
         amplitude=math.exp(fit.intercept),
-        fit=fit,
+        r_squared=fit.r_squared,
+        n_points=fit.n_points,
         window=(lo, hi),
-    )
-
-
-def fit_blowup_rate(run: EvolutionRun, t_window) -> BlowupFit:
-    """Blow-up fit of a run's center series.
-
-    The window is intersected with the times the run actually reached; an
-    exhausted run contributes whatever samples it collected.
-    """
-    return fit_blowup_series(
-        run.times, run.center_series, run.config.blowup_time, t_window
     )

@@ -13,6 +13,7 @@ before it steps.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -58,12 +59,6 @@ class FitResult:
     r_squared: float
     n_points: int
 
-    def __post_init__(self) -> None:
-        if self.n_points < 2:
-            raise ArityError("a fit needs at least 2 points")
-        if not (0.0 <= self.r_squared <= 1.0):
-            raise DomainError(f"r_squared must lie in [0,1], got {self.r_squared}")
-
 
 @dataclass(frozen=True)
 class Jet2:
@@ -98,6 +93,17 @@ class Jet2:
             if not finite.all():
                 bad = v if finite.ndim == 0 else values.flat[np.argmin(finite)]
                 raise NonFiniteError(f"non-finite jet entry {bad!r}")
+
+
+@contextlib.contextmanager
+def double_range(what: str):
+    """Run a block whose overflow, NaN or non-finite Jet2 entry is refused
+    with DomainError naming what, instead of warning and carrying it on."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, NonFiniteError) as exc:
+        raise DomainError(f"{what} leaves double range ({exc})") from None
 
 
 def libm_pow(x, exponent):

@@ -9,6 +9,7 @@ notation permitted.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -27,7 +28,8 @@ def _is_number(x) -> bool:
 
 
 def sanitize_for_json(obj):
-    """Deep copy with numpy scalars unwrapped and non-finite numbers nulled.
+    """Deep copy with numpy scalars unwrapped, dataclass instances written
+    as their asdict, and non-finite numbers nulled.
 
     Dict entries that lose a value grow a '<key>_reason' sibling; bare list
     elements just become null (their position is the identification).
@@ -54,6 +56,8 @@ def sanitize_for_json(obj):
         return int(obj)
     if isinstance(obj, np.floating):
         return float(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return sanitize_for_json(dataclasses.asdict(obj))
     return obj
 
 

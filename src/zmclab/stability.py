@@ -14,7 +14,7 @@ lightlike and no rho derivative survives, every e^tau f(rho) as well.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,9 +113,6 @@ class ModeReport:
     classification: str
     claimed_roots: tuple
     matches_claim: bool
-
-    def to_json_dict(self):
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 CLAIMED_MODE_ROOTS = (4.0, -1.0)

@@ -459,6 +459,9 @@ def test_scaling_measurement(capsys):
      "--samples"),
     (("verify", "--equation", "born-infeld", "--family", "log",
       "--samples", "1000000000000000000"), "--samples"),
+    (("verify", "--equation", "born-infeld", "--family", "log", "--samples", "abc"),
+     "--samples"),
+    (("profile", "--a", "0.5", "--drho", "abc"), "--drho"),
 ])
 def test_malformed_flag_exits_two_naming_the_flag(capsys, argv, flag):
     code, _, err = run_cli(capsys, *argv)
@@ -493,8 +496,23 @@ def test_evolve_refuses_method_keys_as_unknown(tmp_path, capsys, override):
 @pytest.mark.parametrize("overrides, message", [
     (("t_end=-0.1",), "need 0 < t_end < blowup_time, got t_end=-0.1, blowup_time=1.0"),
     (("equation=membrane", "family=constant"), "a radial window needs lo >= 0, got lo = -0.5"),
-], ids=["t_end-below-start", "membrane-negative-lo"])
+    (("k=1e155",), "need slopes max(|p|, |q|) <= 1e+50, got 2.667e+155"),
+    (("k=1e200",), "need slopes max(|p|, |q|) <= 1e+50, got 2.667e+200"),
+    (("k=1e300",), "need slopes max(|p|, |q|) <= 1e+50, got 2.667e+300"),
+    (("k=1e308",), "initial data at k=1e+308, T=1.0 (slopes <= 1e+50) leaves double "
+                   "range (invalid value encountered in multiply)"),
+    (("k=1e308", "lo=0.1"), "initial data at k=1e+308, T=1.0 (slopes <= 1e+50) leaves "
+                            "double range (non-finite jet entry np.float64(inf))"),
+    (("lo=-1e-9", "hi=1e-9", "n=100000"),
+     "need spacing >= DT_FLOOR / CFL = 2e-12, got 2.000e-14"),
+], ids=["t_end-below-start", "membrane-negative-lo", "slope-1e155", "slope-1e200",
+        "slope-1e300", "data-overflow", "data-infinite", "spacing-below-floor"])
 def test_evolve_refuses_a_run_it_cannot_start(tmp_path, capsys, overrides, message):
+    """Refused before the first step, exit 2 naming the violated bound and
+    with no RuntimeWarning (pytest turns one into an error): slopes the
+    right-hand side would square and multiply past double range, data
+    whose evaluation overflows, and a spacing whose CFL step is below the
+    floor (the speeds are at most 1, so no later step can be)."""
     assert message in refused_override_error(tmp_path, capsys, *overrides)
 
 
@@ -505,7 +523,13 @@ def test_evolve_refuses_a_run_it_cannot_start(tmp_path, capsys, overrides, messa
      "error: k must be finite, got nan\n"),
     (("verify", "--equation", "born-infeld", "--family", "log", "--T", "inf"),
      "error: T must be finite, got inf\n"),
-], ids=["profile-rho-max-nan", "profile-rho-max-inf", "verify-k-nan", "verify-T-inf"])
+    # a member whose sweep overflows (its jet, its residual's products or
+    # the squares of its rms) is refused the same way, naming k and T
+    *[(("verify", "--equation", "born-infeld", "--family", "log", "--k", k),
+       f"error: the log sweep at k={k}, T=1.0 leaves double range "
+       "(overflow encountered in multiply)\n") for k in ("1e+100", "1e+150", "1e+200")],
+], ids=["profile-rho-max-nan", "profile-rho-max-inf", "verify-k-nan", "verify-T-inf",
+        "verify-k-1e100", "verify-k-1e150", "verify-k-1e200"])
 def test_non_finite_flags_exit_two_naming_the_setting(tmp_path, capsys, argv, setting):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")

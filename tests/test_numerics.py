@@ -10,7 +10,6 @@ from profile_forms import phi_second_derivative
 from zmclab import numerics
 from zmclab.errors import ArityError, DomainError, NonFiniteError
 from zmclab.numerics import (
-    FitResult,
     Grid1D,
     Jet2,
     log_log_fit,
@@ -45,13 +44,6 @@ def test_grid_validation():
         Grid1D(0.0, 1.0, 4)  # fewer than 8 cells
     with pytest.raises(DomainError):
         Grid1D(0.0, 1.0, 12.5)
-
-
-def test_fit_result_validation():
-    with pytest.raises(ArityError):
-        FitResult(slope=1.0, intercept=0.0, r_squared=1.0, n_points=1)
-    with pytest.raises(DomainError):
-        FitResult(slope=1.0, intercept=0.0, r_squared=1.5, n_points=3)
 
 
 @pytest.mark.parametrize("bad", [
@@ -517,6 +509,8 @@ SPACELIKE = SteadyOdeId.SPACELIKE_STEADY
      "dt > 0, got inf"),
     (lambda: rk4_integrate(never_differentiated, 0.0, (1.0, 0.0), math.inf, 0.1), "t_end=inf"),
     (lambda: rk4_integrate(never_differentiated, 0.0, (1.0, 0.0), math.nan, 0.1), "t_end=nan"),
+    (lambda: rk4_integrate(never_differentiated, 1.0, (1.0, 0.0), 0.5, 0.1),
+     "t_end=0.5 must be >= t0=1.0"),
     (lambda: rk4_adaptive_step(never_differentiated, 0.0, np.zeros(2), 0.1, math.nan),
      "abs_tol must be finite and positive, got nan"),
     (lambda: steady_ode_integrate(SPACELIKE, (0.0, 1.0), (0.0, 1.0), math.nan),
@@ -525,9 +519,12 @@ SPACELIKE = SteadyOdeId.SPACELIKE_STEADY
      "rho range [0.0, inf]"),
     (lambda: steady_ode_integrate(SPACELIKE, (0.0, 1.0), (0.0, math.nan), 0.01),
      "rho range [0.0, nan]"),
+    (lambda: steady_ode_integrate(SPACELIKE, (0.0, 1.0), (0.5, 0.5), 0.01),
+     "empty rho range [0.5, 0.5]"),
 ], ids=["step-dt-nan", "step-dt-inf", "integrate-dt-nan", "integrate-dt-inf",
-        "integrate-end-inf", "integrate-end-nan", "adaptive-tol-nan", "steady-drho-nan",
-        "steady-end-inf", "steady-end-nan"])
+        "integrate-end-inf", "integrate-end-nan", "integrate-end-before-start",
+        "adaptive-tol-nan", "steady-drho-nan", "steady-end-inf", "steady-end-nan",
+        "steady-empty-range"])
 def test_rk4_entries_refuse_a_non_finite_step_end_or_tolerance(call, named):
     """Refused before any step, naming the value: an infinite or NaN end
     used to return the initial point alone, and a NaN step to fail later as
@@ -580,6 +577,14 @@ def test_log_log_fit_errors():
         log_log_fit([1.0, 2.0], [0.0, 4.0])
     with pytest.raises(ArityError):
         log_log_fit([1.0], [2.0])
+    with pytest.raises(ArityError, match="mismatched lengths 3 vs 2"):
+        log_log_fit([1.0, 2.0, 4.0], [1.0, 4.0])
+    with pytest.raises(DomainError, match="inputs must be finite"):
+        log_log_fit([1.0, math.inf], [1.0, 4.0])
+    # constant ordinates have no spread to explain: an exact fit, r^2 = 1
+    fit = log_log_fit([1.0, 2.0, 4.0], [3.0, 3.0, 3.0])
+    assert (fit.r_squared, fit.n_points) == (1.0, 3)
+    assert abs(fit.slope) <= 1e-15
 
 
 @pytest.mark.parametrize("spacing", [0.1, 0.05, 0.01])

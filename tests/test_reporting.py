@@ -1,6 +1,7 @@
 """JSON sanitization and CSV shape contracts."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -57,6 +58,26 @@ def test_sanitize_recurses_nested_structures():
     out = sanitize_for_json({"outer": [{"x": float("nan")}]})
     assert out["outer"][0]["x"] is None
     assert out["outer"][0]["x_reason"]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    value: float
+    window: tuple
+    n_points: int
+
+
+def test_dumps_json_writes_a_dataclass_as_its_fields():
+    """A record's JSON is its asdict: a NaN field becomes null with a
+    '_reason' sibling and a tuple field a list, at the top level or nested;
+    a dataclass type is not an instance and passes through."""
+    record = _Record(value=math.nan, window=(0.4, 0.95), n_points=3)
+    text = dumps_json(record)
+    assert text == dumps_json(dataclasses.asdict(record))
+    assert json.loads(text) == {"value": None, "value_reason": "non-finite value replaced",
+                                "window": [0.4, 0.95], "n_points": 3}
+    assert json.loads(dumps_json({"fit": record}))["fit"] == json.loads(text)
+    assert sanitize_for_json(_Record) is _Record
 
 
 def test_dumps_json_is_sorted_and_newline_terminated():

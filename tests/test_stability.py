@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from zmclab import stability
 from zmclab.errors import ConsistencyError, DomainError
 from zmclab.numerics import Jet2, libm_pow
 from zmclab.profiles import degenerate_branch
+from zmclab.reporting import dumps_json
 from zmclab.similarity import membrane_reduction_residual
 from zmclab.stability import (
     CLAIMED_MODE_ROOTS,
@@ -218,7 +220,7 @@ def test_mode_quadratic_and_roots():
     assert "unstable" in report.classification
     assert report.claimed_roots == CLAIMED_MODE_ROOTS
     assert report.matches_claim is False
-    d = report.to_json_dict()
+    d = json.loads(dumps_json(report))
     assert d["roots"] == [1.0, -4.0]
     assert d["matches_claim"] is False
 
