@@ -299,7 +299,7 @@ def cmd_evolve(args) -> int:
     }
     if values["fit"]:
         try:
-            payload["fit"] = fit_blowup_series(run.times, run.center_series, values["T"], FIT_WINDOW)
+            payload["fit"] = fit_blowup_series(*run.center_samples, values["T"], FIT_WINDOW)
         except (ArityError, DomainError) as exc:
             # a window with fewer than 2 samples, or a centre series with a
             # zero in it (the constant family's is zero throughout)

@@ -102,11 +102,22 @@ def residual_at(eq: EquationId, jet: Jet2, point) -> float:
 # domain samplers
 
 
+def _refuse_unresolved_margin(T, region):
+    """Refuse a T whose resolution is coarser than MARGIN: above T = 2^48,
+    T - MARGIN rounds onto T and the samples would reach the blow-up."""
+    if not T - MARGIN < T:
+        raise DomainError(
+            f"T={T:g} leaves no room inside the {region}: "
+            f"MARGIN={MARGIN:g} is below the resolution of T"
+        )
+
+
 def lightcone_interior_points(T: float, n_time: int, n_space: int) -> np.ndarray:
     """Tensor-style sampling of the interior lightcone: n_time time slices,
     each carrying n_space points spanning |x| <= T - t - MARGIN."""
     if not T - 2 * MARGIN > 0:
         raise DomainError(f"T={T} leaves no room inside the lightcone: needs T > {2 * MARGIN:g}")
+    _refuse_unresolved_margin(T, "lightcone")
     tg = np.linspace(0.0, T - 2 * MARGIN, n_time)
     half = T - tg - MARGIN
     xs = np.linspace(-half, half, n_space, axis=1)
@@ -119,6 +130,7 @@ def backward_cone_points(T: float, n_time: int, n_space: int) -> np.ndarray:
     the expanded membrane residual has 1/r terms."""
     if not T - 2 * MARGIN > MARGIN:
         raise DomainError(f"T={T} leaves no room inside the cone: needs T > {3 * MARGIN:g}")
+    _refuse_unresolved_margin(T, "cone")
     tg = np.linspace(MARGIN, T - 2 * MARGIN, n_time)
     rhog = np.linspace(RHO_MIN, RHO_MAX, n_space)
     return np.column_stack([np.repeat(tg, n_space), np.outer(T - tg, rhog).ravel()])

@@ -9,22 +9,22 @@ operations shows.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from zmclab.residuals import EquationId
 
-# ghost weights of the polynomial through the last m nodes, m = 3, 4, 5
-_GHOST_TAILS = {
-    m: tuple((-1) ** i * math.comb(m, i + 1) for i in range(m)) for m in (3, 4, 5)
-}
+
+def _extrapolated(e):
+    """The value one node before e[0]: the cubic through e[:4] in difference
+    form, or on three nodes the quadratic's weights summed from 0."""
+    if e.size >= 4:
+        return e[0] + 3.0 * (e[0] - e[1]) - 3.0 * (e[1] - e[2]) + (e[2] - e[3])
+    return 0.0 + 3.0 * e[0] - 3.0 * e[1] + e[2]
 
 
 def _ghosted(f, parity_left):
-    """Extend by one ghost per side: parity mirror or quartic extrapolation."""
-    tail = _GHOST_TAILS[min(f.size, 5)]
-    gl, gr = (sum(c * e[i] for i, c in enumerate(tail)) for e in (f, f[::-1]))
+    """Extend by one ghost per side: parity mirror or cubic extrapolation."""
+    gl, gr = _extrapolated(f), _extrapolated(f[::-1])
     if parity_left is not None:
         gl = parity_left * f[1]
     return np.concatenate([[gl], f, [gr]])

@@ -202,7 +202,7 @@ def test_criterion_07_evolution_self_consistency():
 
 def test_criterion_08_blowup_rate_fit(excised_runs):
     run = excised_runs[800]
-    fit = fit_blowup_series(run.times, run.center_series, 1.0, (0.5, 0.95))
+    fit = fit_blowup_series(*run.center_samples, 1.0, (0.5, 0.95))
     ok = abs(fit.exponent - 1.0) <= 0.05 and abs(fit.amplitude - 0.4) <= 0.02
     verdict(8, "blowup-rate-fit", ok,
             f"exponent {fit.exponent:.6f}, amplitude {fit.amplitude:.6f} "

@@ -15,6 +15,7 @@ import zmclab.cli
 import zmclab.stability
 from zmclab.cli import build_parser, main
 from zmclab.errors import NonFiniteError
+from zmclab.evolution import CFL, DT_FLOOR
 
 REFERENCE_CONFIG = """\
 # logarithmic string data, excised run
@@ -101,6 +102,27 @@ def test_verify_small_T_refusal_names_the_least_valid_T(capsys, equation, family
     assert out == ""
     assert f"T={T}" in err and f"needs T > {least}" in err
     assert "margin" not in err
+
+
+@pytest.mark.parametrize("equation, family, region", [
+    ("born-infeld", "log", "lightcone"),
+    ("membrane", "sphere-plus", "cone"),
+    ("eikonal", "sphere-minus", "cone"),
+    ("membrane", "constant", "cone"),
+])
+def test_verify_huge_T_refusal_names_T_and_the_margin(capsys, equation, family, region):
+    """Above T = 2^48 the sampler's MARGIN = 0.02 is below the resolution
+    of T, so T - MARGIN rounds onto T: such a T exits 2 naming T and
+    MARGIN, before any sample point is evaluated. T = 2^48 still verifies."""
+    verify = ("verify", "--equation", equation, "--family", family, "--T")
+    code, out, err = run_cli(capsys, *verify, str(2.0 ** 48))
+    assert (code, err) == (0, "")
+    for T, shown in (("1e15", "1e+15"), (repr(math.nextafter(2.0 ** 48, math.inf)),
+                                         "2.81475e+14")):
+        code, out, err = run_cli(capsys, *verify, T)
+        assert (code, out) == (2, "")
+        assert err == (f"error: T={shown} leaves no room inside the {region}: "
+                       "MARGIN=0.02 is below the resolution of T\n")
 
 
 def test_misuse_config_missing_equation_exits_two(tmp_path, capsys):
@@ -504,7 +526,7 @@ def test_evolve_refuses_method_keys_as_unknown(tmp_path, capsys, override):
     (("k=1e308", "lo=0.1"), "initial data at k=1e+308, T=1.0 (slopes <= 1e+50) leaves "
                             "double range (non-finite jet entry np.float64(inf))"),
     (("lo=-1e-9", "hi=1e-9", "n=100000"),
-     "need spacing >= DT_FLOOR / CFL = 2e-12, got 2.000e-14"),
+     f"need spacing >= DT_FLOOR / CFL = {DT_FLOOR / CFL:g}, got 2.000e-14"),
 ], ids=["t_end-below-start", "membrane-negative-lo", "slope-1e155", "slope-1e200",
         "slope-1e300", "data-overflow", "data-infinite", "spacing-below-floor"])
 def test_evolve_refuses_a_run_it_cannot_start(tmp_path, capsys, overrides, message):
