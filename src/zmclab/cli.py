@@ -25,7 +25,6 @@ from .audit import run_audit
 from .closedform import ClosedFormSolution, Family
 from .errors import (
     ArityError,
-    ConfigError,
     DegeneracyError,
     DomainError,
     LabError,
@@ -204,28 +203,28 @@ CONFIG_SCHEMA = {
 def _config_entry(raw: str, where: str):
     """(key, value) of one config line or override, or None if it is blank.
 
-    A ConfigError message starts with where.
+    A DomainError message starts with where.
     """
     line = raw.split("#", 1)[0].strip()
     if not line:
         return None
     if "=" not in line:
-        raise ConfigError(f"{where}: expected key=value, got {raw!r}")
+        raise DomainError(f"{where}: expected key=value, got {raw!r}")
     key, _, value = line.partition("=")
     key = key.strip()
     if key not in CONFIG_SCHEMA:
-        raise ConfigError(f"{where}: unknown key {key!r}")
+        raise DomainError(f"{where}: unknown key {key!r}")
     parser, _ = CONFIG_SCHEMA[key]
     try:
         return key, parser(value.strip())
     except ValueError as exc:
-        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+        raise DomainError(f"{where}: bad value for {key}: {exc}") from exc
 
 
 def parse_config_text(text: str) -> dict:
     """Flat key=value lines; '#' starts a comment; blank lines skipped.
 
-    Raises ConfigError naming the offending line number.
+    Raises DomainError naming the offending line number.
     """
     entries = (
         _config_entry(raw, f"line {lineno}")
@@ -239,7 +238,7 @@ def _apply_overrides(values: dict, overrides) -> None:
     for item in overrides or ():
         entry = _config_entry(item, f"override {item!r}")
         if entry is None:
-            raise ConfigError(f"override {item!r}: expected key=value")
+            raise DomainError(f"override {item!r}: expected key=value")
         key, value = entry
         values[key] = value
 
@@ -250,7 +249,7 @@ def cmd_evolve(args) -> int:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ConfigError(
+        raise DomainError(
             f"{args.config}: not UTF-8 at byte offset {exc.start}: {exc.reason}"
         ) from exc
     values = parse_config_text(text)
@@ -258,7 +257,7 @@ def cmd_evolve(args) -> int:
     for key, (_, default) in CONFIG_SCHEMA.items():
         if key not in values:
             if default is None:
-                raise ConfigError(f"config is missing the required key {key!r}")
+                raise DomainError(f"config is missing the required key {key!r}")
             values[key] = default
 
     grid = Grid1D(lo=values["lo"], hi=values["hi"], n=values["n"])
@@ -389,7 +388,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except (ConfigError, DomainError, OSError) as exc:
+    except (DomainError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except LabError as exc:

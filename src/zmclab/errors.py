@@ -14,9 +14,11 @@ class LabError(Exception):
 class DomainError(LabError, ValueError):
     """A point or parameter lies outside the mathematical domain of validity,
     a coordinate singularity (r = 0, rho = 0) and an odd radial derivative
-    on the axis included.
+    on the axis included, or a run-configuration file or flag set fails to
+    parse or validate.
 
-    The message names the violated inequality.
+    The message names the violated inequality, or the config line or
+    override at fault.
     """
 
 
@@ -43,6 +45,3 @@ class ConsistencyError(LabError, ValueError):
     tolerance (e.g. the stored spatial-derivative array versus differences
     of u, or the mode pencil read at two branch radii)."""
 
-
-class ConfigError(LabError, ValueError):
-    """A run-configuration file or flag set failed to parse or validate."""

@@ -97,10 +97,11 @@ class Jet2:
 
 @contextlib.contextmanager
 def double_range(what: str):
-    """Run a block whose overflow, NaN or non-finite Jet2 entry is refused
-    with DomainError naming what, instead of warning and carrying it on."""
+    """Run a block whose overflow, division by zero, NaN or non-finite Jet2
+    entry is refused with DomainError naming what, instead of warning and
+    carrying it on."""
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             yield
     except (FloatingPointError, NonFiniteError) as exc:
         raise DomainError(f"{what} leaves double range ({exc})") from None
