@@ -6,10 +6,12 @@ least-squares fits in log-log coordinates.
 
 All arithmetic here is IEEE double precision. rk4_step steps an array
 (the evolution state) in numpy; rk4_integrate steps a pair of floats,
-written out as two scalar expressions per stage (the two-component ODEs,
-where numpy's per-call overhead would dominate). Each RK4 entry refuses a
-step, an end or a tolerance that is not finite with DomainError, once,
-before it steps.
+written out as two scalar expressions per stage. No package caller
+marches with rk4_integrate or rk4_adaptive_step: the steady ODEs march in
+product form (similarity.steady_ode_integrate) and the profile shoot
+takes its steps without a stepper. Each RK4 entry refuses a step, an end
+or a tolerance that is not finite with DomainError, once, before it
+steps.
 """
 from __future__ import annotations
 
@@ -192,13 +194,16 @@ def rk4_integrate(derivative, t0: float, state0, t_end: float, dt: float):
 
     derivative(t, (y0, y1)) returns a pair. Each stage is written out as
     two scalar expressions, the operations of rk4_step in its order, so the
-    two agree bit for bit: 1.8 us a step on the steady ODE, whose
-    derivative takes 0.18 us, where a loop over the components took 6.4 us
-    (timeit on a 2-vCPU Xeon, Python 3.11). A dt, t0 or t_end that is not
-    finite raises DomainError, a state0 that is not a 2-tuple ArityError,
-    and a non-finite stage value NonFiniteError naming the stage and the
+    two agree bit for bit. A dt, t0 or t_end that is not finite raises
+    DomainError, a state0 that is not a 2-tuple ArityError, and a
+    non-finite stage value NonFiniteError naming the stage and the
     component; the derivative's own errors pass through, as does the
     unpacking error of a return that is no pair.
+
+    No caller in the package marches with it: similarity.steady_ode_integrate
+    takes the same steps on the steady ODEs in product form, and the tests
+    hold it to this march. It is kept because bench/run.py's trace list
+    names it, until the benchmark drops that trace.
     """
     if not 0.0 < dt < math.inf:
         raise DomainError(f"rk4_integrate needs a finite dt > 0, got {dt}")
