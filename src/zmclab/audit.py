@@ -21,13 +21,7 @@ from .closedform import (
     derivative_blowup_amplitude,
     evaluate_jet,
 )
-from .conserved import (
-    SCALING_MEMBER,
-    SCALING_T0,
-    SCALING_WINDOW,
-    QuadratureWeight,
-    measure_scaling_exponent,
-)
+from .conserved import measure_scaling_exponent
 from .numerics import Jet2, libm_pow
 from .residuals import RHO_MAX, EquationId, certify, residual_at
 from .profiles import degenerate_branch
@@ -282,24 +276,21 @@ def _claim_steady_families() -> AuditClaim:
 
 
 def _claim_energy_scaling() -> AuditClaim:
-    unweighted = measure_scaling_exponent(SCALING_MEMBER, SCALING_T0, SCALING_WINDOW)
-    weighted = measure_scaling_exponent(
-        SCALING_MEMBER, SCALING_T0, (0.05, 0.3), weight=QuadratureWeight.COORDINATE
-    )
+    scaling = measure_scaling_exponent()
     return AuditClaim(
         id="energy-scaling-exponent",
         description="scaling exponent of the quadratic energy under the "
         "rescaling family u -> u(lambda t, lambda x)/lambda",
         source_location="conserved module, stated energy scaling",
         claimed="energy scales like lambda^1",
-        computed=f"measured exponent {_fmt(unweighted.exponent)} unweighted "
-        f"(r^2 = {unweighted.r_squared:.9f}), {_fmt(weighted.exponent)} with "
-        "coordinate weight",
+        computed=f"exponent {scaling.exponent!r} unweighted and "
+        f"{scaling.coordinate_weighted_exponent!r} with coordinate weight, exactly: "
+        "the substitution x -> x/lambda fixes them for any field on covariant windows",
         verdict=MEASURED,
         expected_verdict=MEASURED,
         note="the quantity the stated exponent refers to is defined only "
-        "through underdetermined antiderivatives, so the audit reports the "
-        "measurement without adjudicating",
+        "through underdetermined antiderivatives, so the audit states the "
+        "exponents without adjudicating",
     )
 
 

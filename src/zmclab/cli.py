@@ -2,7 +2,7 @@
 
 Subcommands: verify (residual sweeps), profile (profile ODE runs),
 evolve (excised evolution from a key=value config file), stability
-(mode report), scaling (energy scaling measurement), audit (the
+(mode report), scaling (the exact energy scaling exponents), audit (the
 consolidated claims audit).
 
 Each subcommand prints its report as JSON on stdout, the only JSON it
@@ -36,13 +36,7 @@ from .evolution import (
     initial_state_from_solution,
     run_evolution,
 )
-from .conserved import (
-    SCALING_MEMBER,
-    SCALING_T0,
-    SCALING_WINDOW,
-    QuadratureWeight,
-    measure_scaling_exponent,
-)
+from .conserved import measure_scaling_exponent
 from .numerics import MIN_CELLS, Grid1D
 from .profiles import shoot_profile
 from .reporting import (
@@ -73,7 +67,7 @@ FAMILY_BY_NAME = {m.value: m for m in Family}
 EQUATION_BY_NAME = {m.value: m for m in EquationId}
 
 
-def _emit(payload: dict) -> None:
+def _emit(payload) -> None:
     sys.stdout.write(dumps_json(payload))
 
 
@@ -136,10 +130,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    m = measure_scaling_exponent(
-        SCALING_MEMBER, SCALING_T0, SCALING_WINDOW, weight=QuadratureWeight(args.weight)
-    )
-    _emit(m.to_json_dict())
+    _emit(measure_scaling_exponent())
     return EXIT_OK
 
 
@@ -365,9 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability", help="separable mode report")
     p.set_defaults(handler=cmd_stability)
 
-    p = sub.add_parser("scaling", help="measure the energy scaling exponent")
-    p.add_argument("--weight", choices=("unweighted", "coordinate"),
-                   default="unweighted")
+    p = sub.add_parser("scaling", help="state the energy scaling exponents, "
+                                       "unweighted and with the |x| weight")
     p.set_defaults(handler=cmd_scaling)
 
     p = sub.add_parser("audit", help="audit every quantitative claim")

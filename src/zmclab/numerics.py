@@ -1,8 +1,8 @@
 """Shared numerical substrate.
 
 Uniform 1D grids, the 2-jet container, the classical RK4 integrator
-(fixed step and a step-halving adaptive wrapper), trapezoid quadrature, and
-least-squares fits in log-log coordinates.
+(fixed step and a step-halving adaptive wrapper), the trapezoid rule's
+per-interval terms, and least-squares fits in log-log coordinates.
 
 All arithmetic here is IEEE double precision. rk4_step steps an array
 (the evolution state) in numpy; rk4_integrate steps a pair of floats,
@@ -307,20 +307,12 @@ def log_log_fit(abscissae, ordinates) -> FitResult:
     )
 
 
-def trapezoid(values, xs) -> float:
-    """Plain trapezoid rule over explicitly given abscissae: numpy's own
-    expression (np.trapezoid, formerly np.trapz), to the same bits."""
-    x = np.asarray(xs, dtype=float)
-    terms = trapezoid_terms(np.asarray(values, dtype=float), x[1:] - x[:-1])
-    return float(np.add.reduce(terms))
-
-
 def trapezoid_terms(values, gaps):
     """The trapezoid rule's term (x[i+1] - x[i]) * (y[i+1] + y[i]) / 2 per
     interval, given the gaps x[1:] - x[:-1]. Summed with np.add.reduce
-    (which ndarray.sum is), any run of them is trapezoid over that run of
-    nodes, to the same bits: so windows of one grid share its gaps and
-    one pass of terms."""
+    (which ndarray.sum is), any run of them is numpy's trapezoid rule
+    (np.trapezoid, formerly np.trapz) over that run of nodes, to the same
+    bits: so windows of one grid share its gaps and one pass of terms."""
     terms = values[1:] + values[:-1]
     terms *= gaps
     terms *= 0.5  # x * 0.5 is x / 2.0 to the bit, at half the cost

@@ -483,26 +483,20 @@ def test_profile_degenerate_start_is_usage_error(capsys):
 
 
 def test_scaling_measurement(capsys):
-    code, out, _ = run_cli(capsys, "scaling")
-    assert code == 0
-    doc = json.loads(out)
-    assert abs(doc["exponent"] + 1.0) <= 1e-8
-    assert doc["matches_claim"] is False
-    assert len(doc["energies"]) == 4
-
-
-def test_scaling_measurement_under_the_coordinate_weight(capsys):
-    """Weighting the energy density by |x| adds one power of lambda."""
-    code, out, err = run_cli(capsys, "scaling", "--weight", "coordinate")
+    """The exponents are exact: weighting the energy density by |x| adds
+    one power of lambda."""
+    code, out, err = run_cli(capsys, "scaling")
     assert (code, err) == (0, "")
-    doc = json.loads(out)
-    assert doc["weight"] == "coordinate"
-    assert abs(doc["exponent"] + 2.0) <= 1e-8
-    assert doc["matches_claim"] is False
+    assert json.loads(out) == {
+        "claimed_exponent": 1.0,
+        "coordinate_weighted_exponent": -2.0,
+        "exponent": -1.0,
+        "matches_claim": False,
+    }
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (("scaling", "--weight", "radial"), "--weight"),
+    (("verify", "--equation", "born-infeld", "--family", "logg"), "--family"),
     (("verify", "--equation", "born-infeld", "--family", "log", "--k", "abc"), "--k"),
     (("verify", "--equation", "born-infeld", "--family", "log", "--T", "1,2"), "--T"),
     (("verify", "--equation", "born-infeld", "--family", "log", "--samples", "-5"),
@@ -625,6 +619,7 @@ def test_unwritable_output_path_exits_two(tmp_path, capsys, argv):
       ("verify", "profile", "evolve", "stability", "scaling", "audit")),
     ("verify", "--margin", "0.02"),
     ("verify", "--rho-max", "0.95"),
+    ("scaling", "--weight", "coordinate"),
     ("scaling", "--lambdas", "0.5,1,2,4"),
     ("scaling", "--k", "0.3"),
     ("scaling", "--T", "1"),
@@ -632,9 +627,10 @@ def test_unwritable_output_path_exits_two(tmp_path, capsys, argv):
     ("scaling", "--window", "-0.2,0.3"),
 ])
 def test_sampling_flags_are_unrecognized(capsys, command, flag, value):
-    """verify's sample geometry and scaling's measured member, slice and
-    window are fixed in code: setting one, even to its value, exits 2. So
-    does --json on any subcommand: stdout is the one JSON channel."""
+    """verify's sample geometry is fixed in code, and scaling, whose
+    exponents are exact, takes no flag: setting one, even to its old value,
+    exits 2. So does --json on any subcommand: stdout is the one JSON
+    channel."""
     required = {
         "verify": ("--equation", "born-infeld", "--family", "log"),
         "profile": ("--a", "0.5"),

@@ -3,16 +3,15 @@ import pytest
 
 from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet
 from zmclab.conserved import (
-    QuadratureWeight,
+    CLAIMED_ENERGY_SCALING_EXPONENT,
     measure_scaling_exponent,
     momentum_density,
     momentum_flux,
-    quadratic_energy,
 )
-from zmclab.errors import DomainError
-from zmclab.numerics import trapezoid
 
 HALF_OVER_ROOT_THREE_QUARTERS = 0.5773502691896258
+# numpy's trapezoid rule, named np.trapz before numpy 2.0
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def lorentz_root(p, q):
@@ -55,15 +54,6 @@ def test_total_momentum_constant_slope():
     assert abs(total_momentum(p, q, xs) - HALF_OVER_ROOT_THREE_QUARTERS) < 1e-14
 
 
-def test_quadratic_energy_weights():
-    xs = np.linspace(0.0, 1.0, 101)
-    p = np.ones_like(xs)
-    q = np.ones_like(xs)
-    assert abs(quadratic_energy(p, q, xs) - 1.0) < 1e-12
-    weighted = quadratic_energy(p, q, xs, QuadratureWeight.COORDINATE)
-    assert abs(weighted - 0.5) < 1e-12
-
-
 def test_momentum_balance_on_exact_solution():
     """d/dt of the windowed momentum equals the boundary flux difference."""
     sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=0.2)
@@ -83,37 +73,41 @@ def test_momentum_balance_on_exact_solution():
     assert abs(rate - (float(flux[-1]) - float(flux[0]))) <= 1e-5
 
 
+LOG_MEMBER = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=0.3)
+
+
+def halved_energy_ratios(sol, t0, window):
+    """E / E_half for the quadratic energy density (p^2 + q^2)/2 of sol's
+    slopes at t0, unweighted and with the |x| weight, where E_half is the
+    energy of the member u(2t, 2x)/2 on the halved window at t0/2: its
+    slopes at (t0/2, x/2) are those of u at (t0, x), so it is the same
+    integrand over halved abscissae."""
+    xs = np.linspace(*window, 2001)
+    p, q = evaluate_jet(sol, (t0, xs)).d1
+    density = 0.5 * (p * p + q * q)
+    halved = xs / 2
+    return (trapezoid(density, xs) / trapezoid(density, halved),
+            trapezoid(density * np.abs(xs), xs)
+            / trapezoid(density * np.abs(halved), halved))
+
+
 def test_scaling_exponent_unweighted():
-    sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=0.3)
-    m = measure_scaling_exponent(sol, t0=0.5, window=(-0.2, 0.3))
-    assert abs(m.exponent + 1.0) <= 1e-10
-    assert m.r_squared >= 0.999999
-    assert m.matches_claim is False
-    assert len(m.energies) == 4
-    d = m.to_json_dict()
-    assert d["weight"] == "unweighted"
-    assert d["claimed_exponent"] == 1.0
+    """Halving the window halves the energy exactly: lambda^-1."""
+    assert halved_energy_ratios(LOG_MEMBER, 0.5, (-0.2, 0.3))[0] == 2.0
+    scaling = measure_scaling_exponent()
+    assert scaling.exponent == -1.0
+    assert scaling.claimed_exponent == CLAIMED_ENERGY_SCALING_EXPONENT == 1.0
+    assert scaling.matches_claim is False
 
 
 def test_scaling_exponent_coordinate_weight():
-    sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=0.3)
-    m = measure_scaling_exponent(
-        sol, t0=0.5, window=(-0.2, 0.3), weight=QuadratureWeight.COORDINATE
-    )
-    assert abs(m.exponent + 2.0) <= 1e-10
-    assert m.matches_claim is False
-
-
-def test_scaling_exponent_guards():
-    sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=0.3)
-    with pytest.raises(DomainError):
-        measure_scaling_exponent(sol, 0.5, (0.2, -0.2))
+    """The |x| weight adds one power: exactly a quarter, lambda^-2."""
+    assert halved_energy_ratios(LOG_MEMBER, 0.5, (-0.2, 0.3))[1] == 4.0
+    assert measure_scaling_exponent().coordinate_weighted_exponent == -2.0
 
 
 def test_scaling_family_membrane_cap():
-    """The rescaled sphere caps reproduce the same covariant power law."""
-    sol = ClosedFormSolution(Family.MEMBRANE_SPHERE_MINUS, T=1.0)
-    m = measure_scaling_exponent(
-        sol, t0=0.4, window=(0.05, 0.4), weight=QuadratureWeight.COORDINATE
-    )
-    assert abs(m.exponent + 2.0) <= 1e-10
+    """The substitution holds whatever the slopes: a sphere cap's energy
+    halves and quarters exactly too."""
+    cap = ClosedFormSolution(Family.MEMBRANE_SPHERE_MINUS, T=1.0)
+    assert halved_energy_ratios(cap, 0.4, (0.05, 0.4)) == (2.0, 4.0)
