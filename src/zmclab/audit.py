@@ -31,7 +31,7 @@ from .stability import directional_linearization_check, mode_growth_probe, solve
 MATCH = "match"
 MISMATCH = "mismatch"
 QUALITATIVE = "qualitative-match"
-MEASURED = "measured-no-claim"
+STATED = "stated-no-claim"
 
 # (n_time, n_space) of every residual sweep in the audit. The acceptance gate
 # runs the same residuals.certify at 100 x 100; at that size the audit would
@@ -286,8 +286,8 @@ def _claim_energy_scaling() -> AuditClaim:
         computed=f"exponent {scaling.exponent!r} unweighted and "
         f"{scaling.coordinate_weighted_exponent!r} with coordinate weight, exactly: "
         "the substitution x -> x/lambda fixes them for any field on covariant windows",
-        verdict=MEASURED,
-        expected_verdict=MEASURED,
+        verdict=STATED,
+        expected_verdict=STATED,
         note="the quantity the stated exponent refers to is defined only "
         "through underdetermined antiderivatives, so the audit states the "
         "exponents without adjudicating",

@@ -20,6 +20,10 @@ from .errors import ArityError, DomainError
 
 NONFINITE_REASON = "non-finite value replaced"
 
+# rows formatted and joined into one string per file write: few writes per
+# table, and bounded memory for a long one
+CSV_CHUNK_ROWS = 4096
+
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float, np.floating, np.integer)) and not isinstance(
@@ -73,7 +77,10 @@ def write_csv(path, header, columns) -> None:
     cells in shortest round-trip form. The table is checked whole before the
     path is opened, so a refused table leaves the path untouched: a ragged
     table is a bug in the caller, and a non-finite value a measurement that
-    should have stopped the run before reaching the writer."""
+    should have stopped the run before reaching the writer. The rows are
+    formatted and written CSV_CHUNK_ROWS at a time, each chunk one string of
+    CRLF-terminated rows in one write, so a table with no rows writes the
+    header alone."""
     header = [str(h) for h in header]
     columns = [np.asarray(c, dtype=float) for c in columns]
     shapes = [c.shape for c in columns]
@@ -88,14 +95,17 @@ def write_csv(path, header, columns) -> None:
         raise DomainError(f"cannot format non-finite value {float(bad[0])!r} into CSV")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
-        cells = zip(*map(_column_cells, columns))
-        fh.writelines(",".join(row) + "\r\n" for row in cells)
+        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            chunk = [_column_cells(c[start:start + CSV_CHUNK_ROWS]) for c in columns]
+            rows = list(map(",".join, zip(*chunk)))
+            rows.append("")  # a CRLF after the chunk's last row too
+            fh.write("\r\n".join(rows))
 
 
 def _column_cells(column):
-    """The cells of a column in shortest round-trip form. A column holding
-    one value throughout (bit for bit, so 0.0 and -0.0 differ), such as a
-    profile's phi and phi', is formatted once."""
+    """The cells of a column, or of a chunk of one, in shortest round-trip
+    form. A column holding one value throughout (bit for bit, so 0.0 and
+    -0.0 differ), such as a profile's phi and phi', is formatted once."""
     bits = column.view(np.int64)
     if bits.size and (bits == bits[0]).all():
         return itertools.repeat(repr(float(column[0])), bits.size)

@@ -3,8 +3,9 @@
 This is the straightforward form of `reporting.write_csv`: the columns are
 zipped into rows, every cell is formatted as repr(float(cell)) and each row
 goes through csv.writer. The package's form checks the table whole, converts
-each column once, formats a column of one repeated value once and joins each
-row itself; tests require the two to write the same bytes.
+each column once, formats a column of one repeated value once per chunk of
+rows and writes each chunk of rows as one joined string; tests require the
+two to write the same bytes.
 """
 from __future__ import annotations
 

@@ -27,7 +27,7 @@ EXPECTED_VERDICTS = (
     "mismatch",
     "match",
     "mismatch",
-    "measured-no-claim",
+    "stated-no-claim",
 )
 
 
@@ -43,7 +43,7 @@ def test_audit_claims_carry_both_sides_of_each_comparison(audit_report):
         assert claim.computed
         assert claim.source_location
         assert claim.verdict in ("match", "mismatch", "qualitative-match",
-                                 "measured-no-claim")
+                                 "stated-no-claim")
 
 
 def test_gradient_amplitude_claim_shows_the_factor_two(audit_report):
@@ -93,7 +93,7 @@ def test_audit_json_shape(audit_report):
     assert doc["all_as_expected"] is True
     assert doc["verdict_counts"]["match"] == 3
     assert doc["verdict_counts"]["mismatch"] == 5
-    assert doc["verdict_counts"]["measured-no-claim"] == 1
+    assert doc["verdict_counts"]["stated-no-claim"] == 1
     assert len(doc["claims"]) == 9
     for claim in doc["claims"]:
         assert claim["as_expected"] is True

@@ -268,16 +268,46 @@ def _reference_cases(seed, count):
         yield height, rho_max, drho, tolerance
 
 
+def _cut_cases(seed, count):
+    """Seeded fixed shoots at the places where the march's running sum of
+    full steps is cut, at most 21 steps from the start: rho_max within
+    1e-13 (on either side, or on it) of a full step's end, summed in order
+    as the march sums it; rho_max a non-whole number of steps past the
+    start, so the last step clips; a height whose gap reaches
+    EPS_DEGENERATE_GAP between the start and the first step's end, so the
+    first gap test fails; and steps shorter than the 1e-13 stop margin,
+    where that margin and not the clip decides the last full step."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        height = rng.uniform(-0.5, 0.5)
+        drho = 10.0 ** rng.uniform(-4.0, -2.0)
+        start = RHO_START_FACTOR * drho
+        end = start
+        for _ in range(rng.randint(1, 20)):
+            end += drho
+        yield height, end + rng.choice((-1e-13, -5e-14, -1e-15, 0.0, 1e-15, 5e-14, 1e-13)), drho, None
+        yield height, start + drho * (rng.randint(1, 20) + rng.uniform(0.05, 0.95)), drho, None
+        # the gap falls to EPS_DEGENERATE_GAP at this radius
+        edge = start + drho * rng.uniform(0.05, 0.95)
+        yield math.sqrt(1.0 - EPS_DEGENERATE_GAP - edge * edge), rng.uniform(edge, 2.0), drho, None
+        # steps shorter than the 1e-13 stop margin
+        tiny = 10.0 ** rng.uniform(-15.0, -13.0)
+        yield height, RHO_START_FACTOR * tiny + tiny * rng.uniform(1.0, 20.0), tiny, None
+
+
 def test_shoot_matches_the_rk4_march_bit_for_bit():
     """shoot_profile takes the RK4 march's step ends without stepping the
     constant: rows (signbits too), termination and stop point agree to the
     bit with the march in profile_reference over a seeded sweep that ends
-    in each termination, fixed and adaptive. A start on or past the circle,
-    where the march would stop at once and report the start, is refused."""
+    in each termination, fixed and adaptive, and over fixed shoots at each
+    place where the running sum of full steps is cut. A start on or past
+    the circle, where the march would stop at once and report the start,
+    is refused."""
     ends = set()
-    refused = 0
+    refused = first_step_stops = 0
     for height, rho_max, drho, tolerance in (*HALF_STEP_END_CASES,
-                                             *_reference_cases(1, 200)):
+                                             *_reference_cases(1, 200),
+                                             *_cut_cases(2, 20)):
         start = RHO_START_FACTOR * drho
         if 1.0 - start * start - height * height <= EPS_DEGENERATE_GAP:
             with pytest.raises(DomainError, match=rf"^drho={drho!r} starts the shoot"):
@@ -294,5 +324,9 @@ def test_shoot_matches_the_rk4_march_bit_for_bit():
         assert run.termination is termination, case
         assert run.degeneracy_location == location, case
         ends.add((termination, tolerance is None))
+        # a fixed march whose first step is refused at the circle
+        first_step_stops += (tolerance is None and run.rhos.size == 1
+                             and termination is Termination.DEGENERACY_HIT)
     assert len(ends) == 5  # a fixed march never reaches the step floor
     assert refused
+    assert first_step_stops

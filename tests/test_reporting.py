@@ -15,6 +15,7 @@ from zmclab.errors import ArityError, DomainError
 from zmclab.evolution import EvolutionConfig, initial_state_from_solution, run_evolution
 from zmclab.numerics import Grid1D
 from zmclab.reporting import (
+    CSV_CHUNK_ROWS,
     DIAGNOSTICS_HEADER,
     dumps_json,
     sanitize_for_json,
@@ -114,6 +115,11 @@ ADVERSARIAL_COLUMNS = {
     "zero-then-negative-zero": [0.0, -0.0, -0.0],
     "one-row": [0.1],
     "strided-constant": np.full(8, 1.5)[::2],
+    # the rows go to the file in chunks: one whole chunk, and one row past
+    # one and two chunks
+    "one-chunk": np.arange(CSV_CHUNK_ROWS) / 7.0,
+    "chunk-plus-one": np.arange(CSV_CHUNK_ROWS + 1) / 7.0,
+    "two-chunks-plus-one": np.arange(2 * CSV_CHUNK_ROWS + 1) / 7.0,
 }
 
 
