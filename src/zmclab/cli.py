@@ -85,7 +85,7 @@ def cmd_verify(args) -> int:
 
     sol = ClosedFormSolution(family=family, T=args.T, k=args.k)
     side = max(2, int(args.samples**0.5))
-    [(report, within)] = certify((equation,), sol, side, side)
+    [(report, within)] = certify((equation,), (sol,), side, side)
     _emit({
         "equation": args.equation,
         "family": args.family,

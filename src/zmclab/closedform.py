@@ -16,8 +16,12 @@ Derivatives are hand-derived, hard-coded expressions -- never finite
 differences -- because the residual certification needs machine precision.
 The same expression tree evaluates on scalars or whole arrays, in double
 precision or in double-double arithmetic (DoubleDouble, about 32 significant
-digits), so one call serves a single point, an evolution grid or a whole
-extended-precision certification sweep.
+digits). The value u itself is the double formula in both, since no residual
+reads it, so double-double needs no log, atan or asinh. Members sharing T
+and one formula (the log members, which differ in k; the two caps, which
+differ in the sign s) evaluate as one batch whose constants broadcast
+against the points. So one call serves a single point, an evolution grid or
+a whole extended-precision certification sweep of several members.
 """
 from __future__ import annotations
 
@@ -45,6 +49,7 @@ _K_REQUIRED = {
     Family.SPACELIKE_LOG_CLAIMED,
     Family.SPACELIKE_ARCTAN_CORRECTED,
 }
+_CAPS = (Family.MEMBRANE_SPHERE_PLUS, Family.MEMBRANE_SPHERE_MINUS)
 
 
 _SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a 53-bit significand
@@ -157,19 +162,6 @@ class DoubleDouble:
         return DoubleDouble(*_quick_two_sum(s, ((self.hi - p) - e + self.lo) / (2.0 * s)))
 
 
-def _in_double(f):
-    return lambda v: DoubleDouble(f(v.hi), np.zeros_like(v.hi))
-
-
-# backend functions (log, sqrt, atan, asinh): numpy ufuncs in double
-# precision. In double-double only sqrt keeps the extra digits; the others
-# serve the value term alone, which no residual reads
-_DOUBLE_FUNCS = (np.log, np.sqrt, np.arctan, np.arcsinh)
-_DOUBLE_DOUBLE_FUNCS = (
-    _in_double(np.log), DoubleDouble.sqrt, _in_double(np.arctan), _in_double(np.arcsinh)
-)
-
-
 @dataclass(frozen=True)
 class ClosedFormSolution:
     """One member of an explicit solution family.
@@ -210,7 +202,7 @@ def _check_interior(sol: ClosedFormSolution, a: np.ndarray, b: np.ndarray) -> No
     ]
     if fam is Family.BORN_INFELD_LOG:
         checks = time_checks + [(abs(b) < T - a, "|x| < T-t violated: |{b}| >= {gap}")]
-    elif fam in (Family.MEMBRANE_SPHERE_PLUS, Family.MEMBRANE_SPHERE_MINUS):
+    elif fam in _CAPS:
         checks = time_checks + [
             (0.0 <= b, "0 <= r violated: r={b}"),
             (b < T - a, "r < T-t violated: r={b} >= {gap}"),
@@ -227,42 +219,70 @@ def _check_interior(sol: ClosedFormSolution, a: np.ndarray, b: np.ndarray) -> No
         raise DomainError(message.format(a=a_i, b=b_i, T=T, gap=T - a_i))
 
 
-def _jet_terms(sol: ClosedFormSolution, a, b, extended: bool):
-    """(value, d_a, d_b, d_aa, d_ab, d_bb) as 1-D arrays in the backend's
-    arithmetic; in extended precision a and b are DoubleDouble arrays."""
-    log, sqrt, atan, asinh = _DOUBLE_DOUBLE_FUNCS if extended else _DOUBLE_FUNCS
-    number = (lambda v: DoubleDouble(float(v), 0.0)) if extended else float
-    T = number(sol.T)
-    k = number(sol.k)
-    fam = sol.family
+def _batch(sol) -> tuple:
+    """sol as a tuple of members: sol itself, or the members of a sequence,
+    which must share T and one jet formula."""
+    members = (sol,) if isinstance(sol, ClosedFormSolution) else tuple(sol)
+    # the caps are one formula, u = s sqrt(A^2 - r^2) with sign s = +/-1
+    if len({(m.T, _CAPS if m.family in _CAPS else m.family) for m in members}) != 1:
+        raise DomainError(
+            "a batch needs members sharing T and one jet formula, got "
+            + (", ".join(f"{m.family.value} at T={m.T}" for m in members) or "none")
+        )
+    return members
 
+
+def _coefficient(sol: ClosedFormSolution) -> float:
+    """The constant of sol's formula: the cap's sign s, else k."""
+    if sol.family in _CAPS:
+        return 1.0 if sol.family is Family.MEMBRANE_SPHERE_PLUS else -1.0
+    return float(sol.k)
+
+
+def _value(fam: Family, T, k, a, b):
+    """u itself, in double precision: the value entry of both backends."""
+    if fam is Family.BORN_INFELD_LOG:
+        A = T - a
+        return k * np.log((A + b) / (A - b))
+    if fam in _CAPS:
+        A = T - a
+        return k * np.sqrt(A * A - b * b)
+    if fam is Family.SPACELIKE_LOG_CLAIMED:
+        return k * np.arcsinh(b / (T - a))
+    if fam is Family.SPACELIKE_ARCTAN_CORRECTED:
+        return k * np.arctan(b / (T - a))
+    return k * (T - a)
+
+
+def _jet_terms(fam: Family, T, k, a, b, sqrt):
+    """(d_a, d_b, d_aa, d_ab, d_bb) in the arithmetic of T, k, a and b, with
+    sqrt the backend's root; k is the formula's constant (the sign s for the
+    caps) and broadcasts against a and b."""
     if fam is Family.BORN_INFELD_LOG:
         # u = k log((A+x)/(A-x)), A = T-t
         A = T - a
         x = b
         D = A * A - x * x
         D2 = D * D
-        value = k * log((A + x) / (A - x))
         ut = 2 * k * x / D
         ux = 2 * k * A / D
         utt = 4 * k * A * x / D2
         utx = 2 * k * (A * A + x * x) / D2
-        return value, ut, ux, utt, utx, utt  # u_xx = u_tt on this family
+        return ut, ux, utt, utx, utt  # u_xx = u_tt on this family
 
-    if fam in (Family.MEMBRANE_SPHERE_PLUS, Family.MEMBRANE_SPHERE_MINUS):
+    if fam in _CAPS:
         # u = s sqrt(A^2 - r^2), A = T-t
-        s = number(1.0 if fam is Family.MEMBRANE_SPHERE_PLUS else -1.0)
+        s = k
         A = T - a
         r = b
         S = sqrt(A * A - r * r)
         S3 = S * S * S
-        value = s * S
         ut = -s * A / S
         ur = -s * r / S
         utt = -s * r * r / S3
         utr = -s * A * r / S3
         urr = -s * A * A / S3
-        return value, ut, ur, utt, utr, urr
+        return ut, ur, utt, utr, urr
 
     if fam is Family.SPACELIKE_LOG_CLAIMED:
         # u = k asinh(y/B), B = T-x   (the printed family; not a solution)
@@ -270,13 +290,12 @@ def _jet_terms(sol: ClosedFormSolution, a, b, extended: bool):
         y = b
         Q = sqrt(B * B + y * y)
         Q3 = Q * Q * Q
-        value = k * asinh(y / B)
         ux = k * y / (B * Q)
         uy = k / Q
         uxx = k * y * (Q * Q + B * B) / (B * B * Q3)
         uxy = k * B / Q3
         uyy = -k * y / Q3
-        return value, ux, uy, uxx, uxy, uyy
+        return ux, uy, uxx, uxy, uyy
 
     if fam is Family.SPACELIKE_ARCTAN_CORRECTED:
         # u = k arctan(y/B), B = T-x
@@ -284,29 +303,42 @@ def _jet_terms(sol: ClosedFormSolution, a, b, extended: bool):
         y = b
         P = B * B + y * y
         P2 = P * P
-        value = k * atan(y / B)
         ux = k * y / P
         uy = k * B / P
         uxx = 2 * k * B * y / P2
         uxy = k * (B * B - y * y) / P2
         uyy = -2 * k * B * y / P2
-        return value, ux, uy, uxx, uxy, uyy
+        return ux, uy, uxx, uxy, uyy
 
     # constant profile u = c (T - t); k carries c
-    ones = 0 * a + 1  # full-shape ones in either arithmetic
-    return (k * (T - a), -k * ones, *(number(0.0) * ones for _ in range(4)))
+    ut = -k * (0 * a + 1)
+    zero = ut - ut  # +0.0 in the full shape, in either arithmetic
+    return ut, zero, zero, zero, zero
 
 
-def _evaluate(sol: ClosedFormSolution, point, extended: bool) -> Jet2:
+def _evaluate(sol, point, extended: bool) -> Jet2:
+    members = _batch(sol)
+    first = members[0]
     a, b = np.broadcast_arrays(
         np.asarray(point[0], dtype=float), np.asarray(point[1], dtype=float)
     )
-    shape = a.shape
+    shape = a.shape if isinstance(sol, ClosedFormSolution) else (len(members), *a.shape)
     a, b = a.ravel(), b.ravel()
-    _check_interior(sol, a, b)
+    _check_interior(first, a, b)
+    # one row per member, broadcast against the points, so the terms without
+    # the constant are formed once for the whole batch; a lone member's
+    # constant stays a scalar, which numpy combines with an array faster
+    ks = [_coefficient(m) for m in members]
+    k = ks[0] if len(ks) == 1 else np.array(ks)[:, None]
+    T = float(first.T)
+    value = _value(first.family, T, k, a, b)
     if extended:
-        a, b = DoubleDouble(a, np.zeros_like(a)), DoubleDouble(b, np.zeros_like(b))
-    terms = [t.reshape(shape) for t in _jet_terms(sol, a, b, extended)]
+        value = DoubleDouble(value, np.zeros_like(value))
+        T = DoubleDouble(T, 0.0)
+        k, a, b = (DoubleDouble(v, np.zeros_like(v)) for v in (k, a, b))
+    # the backend root: in double-double the one function the slopes need
+    sqrt = DoubleDouble.sqrt if extended else np.sqrt
+    terms = [t.reshape(shape) for t in (value, *_jet_terms(first.family, T, k, a, b, sqrt))]
     if not shape:
         terms = [t.item() for t in terms]
     value, d_a, d_b, d_aa, d_ab, d_bb = terms
@@ -320,18 +352,23 @@ def evaluate_jet(sol: ClosedFormSolution, point) -> Jet2:
     of floats; arrays give a Jet2 whose entries are arrays of the broadcast
     shape. Boundary evaluation (|x| = T-t, r = T-t) is a DomainError;
     derivative formulas are singular there.
+
+    sol may also be a sequence of members sharing T and one jet formula (the
+    two sphere caps are one formula, with sign s = +/-1): each entry then
+    gains a leading axis with one row per member, all at the same points.
     """
     return _evaluate(sol, point, extended=False)
 
 
 def evaluate_jet_extended(sol: ClosedFormSolution, point) -> Jet2:
-    """Same jet, computed in double-double arithmetic.
+    """Same jet, with its slopes computed in double-double arithmetic.
 
-    Entries are DoubleDouble scalars, or DoubleDouble arrays for array input.
-    Arithmetic on them stays in double-double, which is how the certification
-    sweeps hold residuals of true solutions some 16 digits below the double
-    rounding floor. The value entry alone is only double-accurate: it is the
-    one term that needs log, atan or asinh, and no residual reads it.
+    Entries are DoubleDouble scalars, or DoubleDouble arrays for array input
+    or a batch of members. Arithmetic on them stays in double-double, which
+    is how the certification sweeps hold residuals of true solutions some
+    16 digits below the double rounding floor. The value entry, the one term
+    that needs log, atan or asinh and that no residual reads, is
+    evaluate_jet's value to the bit, with a zero low part.
     """
     return _evaluate(sol, point, extended=True)
 

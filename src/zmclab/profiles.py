@@ -37,8 +37,8 @@ EPS_DEGENERATE_GAP = 1e-8
 RHO_START_FACTOR = 10.0
 
 # cap of a fixed march: a step costs about 0.013 us and 24 B in the march,
-# and about 1.5 us and 63 B through `zmclab profile` with its CSV row, so
-# 10**6 steps stay near 1.5 s and 0.07 GB
+# and about 1.5 us and 34 B through `zmclab profile` with its CSV row, so
+# 10**6 steps stay near 1.5 s and 0.04 GB
 MAX_FIXED_STEPS = 10**6
 
 

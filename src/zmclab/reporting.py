@@ -89,10 +89,16 @@ def write_csv(path, header, columns) -> None:
             "CSV needs one 1-D column per header name, all of one length: "
             f"header {header}, column shapes {shapes}"
         )
-    table = np.column_stack(columns)
-    bad = table[~np.isfinite(table)]  # row order, as the rows are written
-    if bad.size:
-        raise DomainError(f"cannot format non-finite value {float(bad[0])!r} into CSV")
+    # each column's first non-finite row; the first of those in row order
+    # (then column order), as the rows are written, is the one named
+    bad = [
+        (int(np.argmin(finite)), j)
+        for j, finite in enumerate(np.isfinite(c) for c in columns)
+        if not finite.all()
+    ]
+    if bad:
+        row, j = min(bad)
+        raise DomainError(f"cannot format non-finite value {float(columns[j][row])!r} into CSV")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):

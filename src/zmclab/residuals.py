@@ -12,9 +12,11 @@ residual then sits near 1e-32 times its largest term (1e-23 for the steepest
 log family) instead of the double rounding floor, which for steep parameter
 choices is all that separates "solution" from "not obviously a solution".
 
-The certification policy lives here too: certify sweeps a family over its
-sample set and judges it by its (equation, family) pairing, for `zmclab
-verify`, the audit and the acceptance gate alike, each at its own grid size.
+The certification policy lives here too: certify sweeps a batch of members
+sharing T and one jet formula over their sample set, from one jet, and
+judges each sweep by its (equation, family) pairing, for `zmclab verify` (a
+batch of one), the audit and the acceptance gate alike, each at its own
+grid size.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .closedform import ClosedFormSolution, Family, evaluate_jet_extended
+from .closedform import Family, evaluate_jet_extended
 from .errors import DomainError
 from .numerics import Jet2, double_range
 
@@ -149,24 +151,28 @@ def sweep_residual(eq: EquationId, jet: Jet2, points: np.ndarray) -> ResidualRep
 
     jet holds one entry per row of points, as evaluate_jet_extended returns
     it for (points[:, 0], points[:, 1]), so one jet serves every equation
-    swept over the same points. The residual arithmetic runs in the jet's
-    precision; the aggregate magnitudes are returned as doubles, and
-    worst_point is the first point attaining max_abs.
+    swept over the same points; a batch's jet holds one such row of entries
+    per member, and the sweep covers each member at every point, member
+    after member. The residual arithmetic runs in the jet's precision; the
+    aggregate magnitudes are returned as doubles, n_points counts the
+    residuals swept, and worst_point is the point of the first residual
+    attaining max_abs.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] == 0:
         raise DomainError("points must be a non-empty (N, 2) array")
     a, b = points[:, 0], points[:, 1]
-    mag = np.abs(np.asarray(residual_at(eq, jet, (a, b)), dtype=float))
+    mag = np.abs(np.asarray(residual_at(eq, jet, (a, b)), dtype=float)).ravel()
     worst = int(np.argmax(mag))
-    n = points.shape[0]
+    n = mag.size
+    row = worst % points.shape[0]
     return ResidualReport(
         equation=eq.value,
         n_points=int(n),
         max_abs=float(mag[worst]),
         # summed in point order: a pairwise sum would move the last digit
         rms=math.sqrt(np.cumsum(mag * mag)[-1] / n),
-        worst_point=(float(a[worst]), float(b[worst])),
+        worst_point=(float(a[row]), float(b[row])),
     )
 
 
@@ -203,19 +209,28 @@ def sample_points(family: Family, T, n_time, n_space) -> np.ndarray:
     return backward_cone_points(T, n_time, n_space)
 
 
-def certify(
-    equations, sol: ClosedFormSolution, n_time, n_space
-) -> list[tuple[ResidualReport, bool]]:
-    """Sweep sol's residual against each of equations over its sample set,
-    from one double-double jet, and judge each sweep by its pairing's entry
-    in VERIFY_PAIRINGS: returns one (report, within) per equation. Domain
-    errors from the jet propagate: the sampler stays inside the validity
-    region; a sweep whose jet, residual or rms overflows is refused naming
-    k and T."""
-    pairings = [VERIFY_PAIRINGS[(equation, sol.family)] for equation in equations]
-    points = sample_points(sol.family, sol.T, n_time, n_space)
-    with double_range(f"the {sol.family.value} sweep at k={sol.k}, T={sol.T}"):
-        jet = evaluate_jet_extended(sol, (points[:, 0], points[:, 1]))
+def certify(equations, members, n_time, n_space) -> list[tuple[ResidualReport, bool]]:
+    """Sweep the residual of members against each of equations over their
+    sample set, from one double-double jet, and judge each sweep by its
+    pairing's entry in VERIFY_PAIRINGS: returns one (report, within) per
+    equation. members share T and one jet formula (the two sphere caps are
+    one, with the same pairings), as evaluate_jet_extended batches them, so
+    each report covers every member's sweep: its max_abs is the worst
+    member's, and a batch is within a solution's bound when each member is.
+    A non-solution is certified one member at a time, since each must fail.
+    Domain errors from the jet propagate: the sampler stays inside the
+    validity region; a sweep whose jet, residual or rms overflows is refused
+    naming k and T."""
+    members = tuple(members)
+    first = members[0]
+    pairings = [VERIFY_PAIRINGS[(equation, first.family)] for equation in equations]
+    if len(members) > 1 and any(expectation is NON_SOLUTION for expectation, _ in pairings):
+        raise DomainError("a non-solution is certified one member at a time")
+    points = sample_points(first.family, first.T, n_time, n_space)
+    families = "/".join(dict.fromkeys(m.family.value for m in members))
+    ks = "/".join(dict.fromkeys(str(m.k) for m in members))
+    with double_range(f"the {families} sweep at k={ks}, T={first.T}"):
+        jet = evaluate_jet_extended(members, (points[:, 0], points[:, 1]))
         reports = [sweep_residual(equation, jet, points) for equation in equations]
     judged = []
     for report, (expectation, threshold) in zip(reports, pairings):

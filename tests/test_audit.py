@@ -69,8 +69,9 @@ def test_audit_is_byte_deterministic():
 
 
 def test_audit_evaluates_each_sweep_jet_once(monkeypatch):
-    """Eight sweeps from six jets: each sphere cap's jet serves both the
-    membrane equation and the eikonal identity."""
+    """Four sweeps from three jets: the log members share one jet, and the
+    two sphere caps share one that serves both the membrane equation and the
+    eikonal identity."""
     calls = {"evaluate_jet_extended": 0, "sweep_residual": 0}
 
     def counted(name):
@@ -84,7 +85,7 @@ def test_audit_evaluates_each_sweep_jet_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(residuals, name, counted(name))
     run_audit()
-    assert calls == {"evaluate_jet_extended": 6, "sweep_residual": 8}
+    assert calls == {"evaluate_jet_extended": 3, "sweep_residual": 4}
 
 
 def test_audit_json_shape(audit_report):

@@ -199,6 +199,16 @@ def _interior_points(sol, rng, n=30):
     return t, rng.uniform(-2.0, 2.0, n)
 
 
+ALL_FAMILIES = (
+    bi(k=-3.0),
+    sphere(+1),
+    sphere(-1),
+    ClosedFormSolution(Family.SPACELIKE_LOG_CLAIMED, T=1.0, k=0.7),
+    ClosedFormSolution(Family.SPACELIKE_ARCTAN_CORRECTED, T=1.0, k=-1.3),
+    ClosedFormSolution(Family.CONSTANT_PROFILE, T=1.0, k=0.3),
+)
+
+
 def test_extended_precision_agrees_with_double():
     sol = bi(k=-3.0)
     jd = evaluate_jet(sol, (0.4, 0.3))
@@ -212,16 +222,8 @@ def test_extended_precision_agrees_with_double():
     # one array call equals the per-point scalar calls exactly, for every
     # family in both precisions
     rng = np.random.default_rng(11)
-    families = [
-        bi(k=-3.0),
-        sphere(+1),
-        sphere(-1),
-        ClosedFormSolution(Family.SPACELIKE_LOG_CLAIMED, T=1.0, k=0.7),
-        ClosedFormSolution(Family.SPACELIKE_ARCTAN_CORRECTED, T=1.0, k=-1.3),
-        ClosedFormSolution(Family.CONSTANT_PROFILE, T=1.0, k=0.3),
-    ]
-    assert {s.family for s in families} == set(Family)
-    for sol in families:
+    assert {s.family for s in ALL_FAMILIES} == set(Family)
+    for sol in ALL_FAMILIES:
         a, b = _interior_points(sol, rng)
         for evaluate, parts in BACKENDS:
             arrays = [p for e in _entries(evaluate(sol, (a, b))) for p in parts(e)]
@@ -231,6 +233,63 @@ def test_extended_precision_agrees_with_double():
                 scalars = [p for e in _entries(evaluate(sol, (a[i], b[i]))) for p in parts(e)]
                 assert all(isinstance(p, float) for p in scalars)
                 assert [p[i] for p in arrays] == scalars, (sol.family, evaluate, i)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_extended_value_is_the_double_value_bit_for_bit():
+    """The double-double jet takes its value from the double formula: for
+    every family, at one point and over an array, its high part has the
+    bits of evaluate_jet's value and its low part is zero."""
+    rng = np.random.default_rng(38)
+    for sol in ALL_FAMILIES:
+        a, b = _interior_points(sol, rng)
+        for point in [(a, b), *((a[i], b[i]) for i in range(3))]:
+            value = evaluate_jet_extended(sol, point).value
+            assert np.array_equal(_bits(value.hi), _bits(evaluate_jet(sol, point).value))
+            assert not np.any(value.lo)
+            assert isinstance(value.hi, float) == np.isscalar(point[0])
+
+
+# members that share T and one jet formula: the log members of the audit,
+# the two caps (one formula, sign s = +/-1), and members of the others
+BATCHES = (
+    [bi(k=k) for k in (0.2, 1.0, -3.0)],
+    [sphere(+1), sphere(-1), sphere(-1)],
+    [ClosedFormSolution(Family.SPACELIKE_LOG_CLAIMED, T=1.0, k=k) for k in (0.7, -2.0)],
+    [ClosedFormSolution(Family.SPACELIKE_ARCTAN_CORRECTED, T=1.0, k=k) for k in (-1.3, 4.0)],
+    [ClosedFormSolution(Family.CONSTANT_PROFILE, T=1.0, k=k) for k in (0.3, 0.0, -2.5)],
+)
+
+
+@pytest.mark.parametrize("members", BATCHES, ids=lambda m: m[0].family.value)
+def test_a_batch_is_its_members_jets_stacked_bit_for_bit(members):
+    """A batch's jet has one row per member, each with the bits of that
+    member's own jet at the same points, in both precisions."""
+    a, b = _interior_points(members[0], np.random.default_rng(9))
+    for evaluate, parts in BACKENDS:
+        batch = _entries(evaluate(members, (a, b)))
+        for i, sol in enumerate(members):
+            alone = _entries(evaluate(sol, (a, b)))
+            for stacked, single in zip(batch, alone):
+                for row, want in zip(parts(stacked), parts(single)):
+                    assert row.shape == (len(members), a.size)
+                    assert np.array_equal(_bits(row[i]), _bits(want)), (sol, evaluate)
+    # a scalar point gives one entry per member
+    assert evaluate_jet_extended(members, (a[0], b[0])).d1[0].hi.shape == (len(members),)
+
+
+def test_a_batch_shares_T_and_one_formula():
+    for members, named in (([], "none"), ([bi(), bi(T=2.0)], "log at T=1.0, log at T=2.0"),
+                           ([sphere(+1), bi()], "sphere-plus at T=1.0, log at T=1.0")):
+        for evaluate in (evaluate_jet, evaluate_jet_extended):
+            with pytest.raises(DomainError) as exc:
+                evaluate(members, (0.1, 0.2))
+            assert str(exc.value) == (
+                f"a batch needs members sharing T and one jet formula, got {named}"
+            )
 
 
 def test_error_free_transformations_are_exact():

@@ -132,7 +132,7 @@ def test_axis_regularity_guard():
 
 def test_sweep_born_infeld_certifies():
     sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=1.0)
-    [(rep, within)] = certify((EquationId.BORN_INFELD,), sol, 20, 20)
+    [(rep, within)] = certify((EquationId.BORN_INFELD,), [sol], 20, 20)
     assert rep.n_points == 400
     assert within and rep.max_abs <= 1e-9
     assert rep.rms <= rep.max_abs
@@ -140,14 +140,14 @@ def test_sweep_born_infeld_certifies():
 
 def test_sweep_membrane_certifies():
     sol = ClosedFormSolution(Family.MEMBRANE_SPHERE_MINUS, T=1.0)
-    [(rep, within)] = certify((EquationId.RADIAL_MEMBRANE,), sol, 20, 20)
+    [(rep, within)] = certify((EquationId.RADIAL_MEMBRANE,), [sol], 20, 20)
     assert within and rep.max_abs <= 1e-9
 
 
 def test_sweep_flags_non_solution():
     sol = ClosedFormSolution(Family.SPACELIKE_LOG_CLAIMED, T=1.0, k=1.0)
     pts = sample_points(sol.family, 1.0, 15, 15)  # [0, 0.5]^2
-    [(rep, within)] = certify((EquationId.SPACELIKE_GRAPH,), sol, 15, 15)
+    [(rep, within)] = certify((EquationId.SPACELIKE_GRAPH,), [sol], 15, 15)
     assert within and rep.max_abs >= 0.1
     # worst point is attained where the report says it is
     worst = rep.worst_point
@@ -165,7 +165,7 @@ def test_sweep_flags_non_solution():
 
 def test_sweep_report_serializes():
     sol = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=0.2)
-    [(rep, _)] = certify((EquationId.BORN_INFELD,), sol, 5, 5)
+    [(rep, _)] = certify((EquationId.BORN_INFELD,), [sol], 5, 5)
     d = json.loads(dumps_json(rep))
     assert set(d) == {"equation", "n_points", "max_abs", "rms", "worst_point"}
 
@@ -194,10 +194,60 @@ def test_certify_sweeps_one_jet_against_each_equation(family):
     identity from one jet reports what two one-equation calls report."""
     sol = ClosedFormSolution(family, T=1.0)
     equations = (EquationId.RADIAL_MEMBRANE, EquationId.EIKONAL)
-    both = certify(equations, sol, *SWEEP_GRID)
-    alone = [certify((eq,), sol, *SWEEP_GRID)[0] for eq in equations]
+    both = certify(equations, [sol], *SWEEP_GRID)
+    alone = [certify((eq,), [sol], *SWEEP_GRID)[0] for eq in equations]
     assert both == alone
     assert [rep.equation for rep, _ in both] == ["membrane", "eikonal"]
+
+
+AUDIT_BATCHES = (
+    ((EquationId.BORN_INFELD,),
+     [ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=k) for k in (0.2, 1.0, -3.0)]),
+    ((EquationId.RADIAL_MEMBRANE, EquationId.EIKONAL),
+     [ClosedFormSolution(f, T=1.0) for f in (Family.MEMBRANE_SPHERE_PLUS,
+                                             Family.MEMBRANE_SPHERE_MINUS)]),
+)
+
+
+@pytest.mark.parametrize("equations, members", AUDIT_BATCHES, ids=["log", "caps"])
+def test_batched_certify_reproduces_the_worst_single_member_sweep(equations, members):
+    """The audit's batched sweeps report, per equation, the worst of the
+    members' own max |residual| bit for bit, at the first member's worst
+    point attaining it, over all their points, with the same verdict."""
+    batch = certify(equations, members, *SWEEP_GRID)
+    alone = [certify(equations, [sol], *SWEEP_GRID) for sol in members]
+    for (report, within), singles in zip(batch, zip(*alone)):
+        worst = max(singles, key=lambda judged: judged[0].max_abs)[0]
+        assert report.max_abs == worst.max_abs
+        assert report.worst_point == worst.worst_point
+        assert report.n_points == sum(single.n_points for single, _ in singles)
+        assert within == all(ok for _, ok in singles)
+        assert within
+
+
+def test_certify_judges_a_batch_as_a_solution_only():
+    """A non-solution must fail member by member, which one worst residual
+    cannot show: a batch of them is refused."""
+    claimed = [ClosedFormSolution(Family.SPACELIKE_LOG_CLAIMED, T=1.0, k=k) for k in (1.0, 2.0)]
+    with pytest.raises(DomainError, match="^a non-solution is certified one member at a time$"):
+        certify((EquationId.SPACELIKE_GRAPH,), claimed, 5, 5)
+    assert certify((EquationId.SPACELIKE_GRAPH,), claimed[:1], 5, 5)[0][1]
+
+
+def test_a_batch_of_one_keeps_verifys_refusal_text():
+    """verify certifies a batch of one, so its refusal reads as
+    tests/test_cli.py pins it; a batch names each family and k once."""
+    args = build_parser().parse_args(["verify", "--equation", "born-infeld", "--family", "log"])
+    side = max(2, int(args.samples**0.5))
+    overflow = " leaves double range (overflow encountered in multiply)"
+    steep = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=1e100)
+    with pytest.raises(DomainError) as exc:
+        certify((EquationId.BORN_INFELD,), [steep], side, side)
+    assert str(exc.value) == "the log sweep at k=1e+100, T=1.0" + overflow
+    mild = ClosedFormSolution(Family.BORN_INFELD_LOG, T=1.0, k=0.2)
+    with pytest.raises(DomainError) as exc:
+        certify((EquationId.BORN_INFELD,), [mild, steep, mild], side, side)
+    assert str(exc.value) == "the log sweep at k=0.2/1e+100, T=1.0" + overflow
 
 
 # --- double-double against a 40-digit oracle ----------------------------------
@@ -247,7 +297,7 @@ def test_double_double_sweeps_match_mpmath_oracle():
     rng = np.random.default_rng(20261018)
     for label, eq, sol, grid in _certification_sweeps():
         points = sample_points(sol.family, sol.T, *grid)
-        assert certify((eq,), sol, *grid)[0][0] == swept(eq, sol, points), label
+        assert certify((eq,), [sol], *grid)[0][0] == swept(eq, sol, points), label
         pick = points[np.sort(rng.choice(len(points), size=200, replace=False))]
         a, b = pick[:, 0], pick[:, 1]
         dd = residual_at(eq, evaluate_jet_extended(sol, (a, b)), (a, b))
