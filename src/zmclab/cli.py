@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 import numpy as np
@@ -317,9 +318,23 @@ def _positive(kind, most=None):
     return parse
 
 
+# every word float() reads as a negative number; argparse on Python 3.10
+# and 3.11 knows only -3 and -0.5, and takes -1e6 or -inf for a flag
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$|^-(inf(inity)?|nan)$", re.I)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and its subcommands' parsers, that reads a negative
+    number after a flag as the flag's value: --k -1e6 as --k=-1e6."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = NEGATIVE_NUMBER
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zmclab",
         description="Numerical laboratory for self-similar blow-up in "
         "zero-mean-curvature wave equations.",

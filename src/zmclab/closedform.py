@@ -16,12 +16,16 @@ Derivatives are hand-derived, hard-coded expressions -- never finite
 differences -- because the residual certification needs machine precision.
 The same expression tree evaluates on scalars or whole arrays, in double
 precision or in double-double arithmetic (DoubleDouble, about 32 significant
-digits). The value u itself is the double formula in both, since no residual
-reads it, so double-double needs no log, atan or asinh. Members sharing T
-and one formula (the log members, which differ in k; the two caps, which
-differ in the sign s) evaluate as one batch whose constants broadcast
-against the points. So one call serves a single point, an evolution grid or
-a whole extended-precision certification sweep of several members.
+digits), and forms each repeated subexpression once. The value u itself is
+the double formula in both, since no residual reads it, so double-double
+needs no log, atan or asinh. In double-double the sample coordinates, T, k
+and the value are exact doubles (no low part), so the sums and products
+they enter take the shorter formulas, with the bits of the general ones.
+Members sharing T and one formula (the log members, which differ in k; the
+two caps, which differ in the sign s) evaluate as one batch whose constants
+broadcast against the points. So one call serves a single point, an
+evolution grid or a whole extended-precision certification sweep of several
+members.
 """
 from __future__ import annotations
 
@@ -53,6 +57,8 @@ _CAPS = (Family.MEMBRANE_SPHERE_PLUS, Family.MEMBRANE_SPHERE_MINUS)
 
 
 _SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a 53-bit significand
+# the int factors of the formulas that a product scales by exactly, unsplit
+_SCALES = frozenset({2, 4, -1, -2})
 
 
 def two_sum(a, b):
@@ -62,95 +68,146 @@ def two_sum(a, b):
     return s, (a - (s - v)) + (b - v)
 
 
+def two_diff(a, b):
+    """two_sum(a, -b) to the bit, without forming -b. Its error can come out
+    -0.0 (a = -0.0) where two_sum's is never negative zero; + 0.0 makes it
+    +0.0."""
+    s = a - b
+    v = s - a
+    return s, ((a - (s - v)) - (b + v)) + 0.0
+
+
 def _quick_two_sum(a, b):
     """two_sum for |a| >= |b|, in three operations (Dekker)."""
     s = a + b
     return s, b - (s - a)
 
 
-def two_prod(a, b):
-    """(p, e) with p = fl(a * b) and p + e = a * b exactly (Dekker) for |a|, |b|
-    below 2^996, each factor split into two 26-bit halves (Veltkamp)."""
+def split(a):
+    """Veltkamp's split of a into two 26-bit halves (hi, lo), hi + lo = a."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def two_prod(a, b, a_halves, b_halves):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly (Dekker), from the
+    factors' halves split(a) and split(b). The split bounds the factors
+    below 2^996, where 2^27 + 1 times them stays in double range; the
+    products that scale by 2, 4 or -1 form no split and are exempt. A square
+    (one halves tuple for both factors) forms its cross term once, which
+    gives the same bits."""
     p = a * b
-    t, u = _SPLITTER * a, _SPLITTER * b
-    a_hi, b_hi = t - (t - a), u - (u - b)
-    a_lo, b_lo = a - a_hi, b - b_hi
+    a_hi, a_lo = a_halves
+    if b_halves is a_halves:
+        cross = a_hi * a_lo
+        return p, ((a_hi * a_hi - p) + cross + cross) + a_lo * a_lo
+    b_hi, b_lo = b_halves
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def two_square(a):
-    """two_prod(a, a) with a split once and its cross term a_hi * a_lo formed
-    once: the same operations on the same values, so the same bits."""
-    p = a * a
-    t = _SPLITTER * a
-    a_hi = t - (t - a)
-    a_lo = a - a_hi
-    cross = a_hi * a_lo
-    return p, ((a_hi * a_hi - p) + cross + cross) + a_lo * a_lo
+def _exact(x):
+    """x as a DoubleDouble operand: x itself, or the exact double(s) x."""
+    return x if isinstance(x, DoubleDouble) else DoubleDouble(x)
 
 
 class DoubleDouble:
     """The unevaluated sum hi + lo of two doubles, or of two arrays of them,
     with |lo| <= ulp(hi)/2: about 32 significant digits (the algorithms of
-    Hida, Li and Bailey, ARITH-15, 2001). Other operands are exact doubles."""
+    Hida, Li and Bailey, ARITH-15, 2001).
 
-    __slots__ = ("hi", "lo")
+    lo None marks an exact double (a sample coordinate, T, k, the value), and
+    a plain number or array operand is one too. An operation with an exact
+    operand takes a shorter formula with the bits the general formulas get
+    on a zero low part, zero signs included: exact +- exact is one two_sum
+    or two_diff; exact x exact is one two_prod and its renormalisation,
+    which two_prod's inexact error in the subnormal range needs; a
+    double-double plus, minus or times an exact double drops the terms of
+    the zero low part (Hida, Li and Bailey's double-double by double); and a
+    product by the int 2, 4, -1 or -2 scales hi and lo exactly, with no
+    split. Where the general formulas turn a -0.0 result into +0.0, the
+    shortcuts add 0.0 to do the same. hi's Veltkamp split is formed at its
+    first product and kept for the others.
+    """
+
+    __slots__ = ("hi", "lo", "_halves")
     # numpy ufuncs refuse the type, so ndarray and numpy-scalar operands fall
     # back to its reflected operators instead of building object arrays
     __array_ufunc__ = None
 
-    def __init__(self, hi, lo):
-        self.hi, self.lo = hi, lo
+    def __init__(self, hi, lo=None):
+        self.hi, self.lo, self._halves = hi, lo, None
+
+    def halves(self):
+        """split(hi), formed at the first call and kept."""
+        if self._halves is None:
+            self._halves = split(self.hi)
+        return self._halves
 
     def reshape(self, shape):
-        return DoubleDouble(self.hi.reshape(shape), self.lo.reshape(shape))
+        lo = None if self.lo is None else self.lo.reshape(shape)
+        return DoubleDouble(self.hi.reshape(shape), lo)
 
     def item(self):
-        return DoubleDouble(self.hi.item(), self.lo.item())
+        return DoubleDouble(self.hi.item(), None if self.lo is None else self.lo.item())
 
     def __float__(self):
-        return float(self.hi + self.lo)
+        return float(self.hi if self.lo is None else self.hi + self.lo)
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.hi + self.lo, dtype=dtype)
+        return np.asarray(self.hi if self.lo is None else self.hi + self.lo, dtype=dtype)
 
     def __neg__(self):
-        return DoubleDouble(-self.hi, -self.lo)
+        return DoubleDouble(-self.hi, None if self.lo is None else -self.lo)
+
+    def _sum(self, other, subtract):
+        """self + other, or self - other by two_diff when subtract."""
+        s, e = (two_diff if subtract else two_sum)(self.hi, other.hi)
+        if other.lo is None:
+            if self.lo is None:
+                return DoubleDouble(s + 0.0, e)
+            return DoubleDouble(*_quick_two_sum(s, e + self.lo))
+        if self.lo is None:
+            return DoubleDouble(*_quick_two_sum(s, e - other.lo if subtract else e + other.lo))
+        t, f = (two_diff if subtract else two_sum)(self.lo, other.lo)
+        s, e = _quick_two_sum(s, e + t)
+        return DoubleDouble(*_quick_two_sum(s, e + f))
 
     def __add__(self, other):
-        if isinstance(other, DoubleDouble):
-            s, e = two_sum(self.hi, other.hi)
-            t, f = two_sum(self.lo, other.lo)
-            s, e = _quick_two_sum(s, e + t)
-            return DoubleDouble(*_quick_two_sum(s, e + f))
-        s, e = two_sum(self.hi, other)
-        return DoubleDouble(*_quick_two_sum(s, e + self.lo))
+        return self._sum(_exact(other), False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + -other
+        return self._sum(_exact(other), True)
 
     def __rsub__(self, other):
-        return -self + other
+        return DoubleDouble(other)._sum(self, True)
 
     def __mul__(self, other):
-        if other is self:
+        if type(other) is int and other in _SCALES:
+            lo = None if self.lo is None else self.lo * other + 0.0
+            return DoubleDouble(self.hi * other + 0.0, lo)
+        other = _exact(other)
+        p, e = two_prod(self.hi, other.hi, self.halves(), other.halves())
+        if self.lo is None:
+            if other.lo is not None:
+                e = e + self.hi * other.lo
+        elif other.lo is None:
+            e = e + self.lo * other.hi
+        elif other is self:
             # hi * lo is lo * hi exactly, so the cross term is formed once
-            p, e = two_square(self.hi)
             cross = self.hi * self.lo
-            return DoubleDouble(*_quick_two_sum(p, e + (cross + cross)))
-        if not isinstance(other, DoubleDouble):
-            other = DoubleDouble(other, 0.0)
-        p, e = two_prod(self.hi, other.hi)
-        return DoubleDouble(*_quick_two_sum(p, e + (self.hi * other.lo + self.lo * other.hi)))
+            e = e + (cross + cross)
+        else:
+            e = e + (self.hi * other.lo + self.lo * other.hi)
+        return DoubleDouble(*_quick_two_sum(p, e))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         # the double quotient, corrected by the exact remainder it leaves
-        if not isinstance(other, DoubleDouble):
-            other = DoubleDouble(other, 0.0)
+        other = _exact(other)
         q = self.hi / other.hi
         r = self - other * q
         return DoubleDouble(*_quick_two_sum(q, r.hi / other.hi))
@@ -158,8 +215,10 @@ class DoubleDouble:
     def sqrt(self):
         # one Newton correction of the double root: (x - s^2) / (2 s)
         s = np.sqrt(self.hi)
-        p, e = two_prod(s, s)
-        return DoubleDouble(*_quick_two_sum(s, ((self.hi - p) - e + self.lo) / (2.0 * s)))
+        halves = split(s)
+        p, e = two_prod(s, s, halves, halves)
+        lo = 0.0 if self.lo is None else self.lo
+        return DoubleDouble(*_quick_two_sum(s, ((self.hi - p) - e + lo) / (2.0 * s)))
 
 
 @dataclass(frozen=True)
@@ -262,12 +321,13 @@ def _jet_terms(fam: Family, T, k, a, b, sqrt):
         # u = k log((A+x)/(A-x)), A = T-t
         A = T - a
         x = b
-        D = A * A - x * x
+        AA, xx, k2 = A * A, x * x, 2 * k
+        D = AA - xx
         D2 = D * D
-        ut = 2 * k * x / D
-        ux = 2 * k * A / D
+        ut = k2 * x / D
+        ux = k2 * A / D
         utt = 4 * k * A * x / D2
-        utx = 2 * k * (A * A + x * x) / D2
+        utx = k2 * (AA + xx) / D2
         return ut, ux, utt, utx, utt  # u_xx = u_tt on this family
 
     if fam in _CAPS:
@@ -277,22 +337,24 @@ def _jet_terms(fam: Family, T, k, a, b, sqrt):
         r = b
         S = sqrt(A * A - r * r)
         S3 = S * S * S
-        ut = -s * A / S
-        ur = -s * r / S
-        utt = -s * r * r / S3
-        utr = -s * A * r / S3
-        urr = -s * A * A / S3
+        sA, sr = -s * A, -s * r
+        ut = sA / S
+        ur = sr / S
+        utt = sr * r / S3
+        utr = sA * r / S3
+        urr = sA * A / S3
         return ut, ur, utt, utr, urr
 
     if fam is Family.SPACELIKE_LOG_CLAIMED:
         # u = k asinh(y/B), B = T-x   (the printed family; not a solution)
         B = T - a
         y = b
-        Q = sqrt(B * B + y * y)
+        BB, ky = B * B, k * y
+        Q = sqrt(BB + y * y)
         Q3 = Q * Q * Q
-        ux = k * y / (B * Q)
+        ux = ky / (B * Q)
         uy = k / Q
-        uxx = k * y * (Q * Q + B * B) / (B * B * Q3)
+        uxx = ky * (Q * Q + BB) / (BB * Q3)
         uxy = k * B / Q3
         uyy = -k * y / Q3
         return ux, uy, uxx, uxy, uyy
@@ -301,12 +363,13 @@ def _jet_terms(fam: Family, T, k, a, b, sqrt):
         # u = k arctan(y/B), B = T-x
         B = T - a
         y = b
-        P = B * B + y * y
+        BB, yy = B * B, y * y
+        P = BB + yy
         P2 = P * P
         ux = k * y / P
         uy = k * B / P
         uxx = 2 * k * B * y / P2
-        uxy = k * (B * B - y * y) / P2
+        uxy = k * (BB - yy) / P2
         uyy = -2 * k * B * y / P2
         return ux, uy, uxx, uxy, uyy
 
@@ -333,9 +396,8 @@ def _evaluate(sol, point, extended: bool) -> Jet2:
     T = float(first.T)
     value = _value(first.family, T, k, a, b)
     if extended:
-        value = DoubleDouble(value, np.zeros_like(value))
-        T = DoubleDouble(T, 0.0)
-        k, a, b = (DoubleDouble(v, np.zeros_like(v)) for v in (k, a, b))
+        # exact doubles: no zero low parts, and each split formed once
+        value, T, k, a, b = (DoubleDouble(v) for v in (value, T, k, a, b))
     # the backend root: in double-double the one function the slopes need
     sqrt = DoubleDouble.sqrt if extended else np.sqrt
     terms = [t.reshape(shape) for t in (value, *_jet_terms(first.family, T, k, a, b, sqrt))]

@@ -648,6 +648,27 @@ def test_sampling_flags_are_unrecognized(capsys, command, flag, value):
     assert f"unrecognized arguments: {flag}={value}\n" in err
 
 
+def test_negative_numbers_in_any_notation_are_flag_values(tmp_path, capsys):
+    """A negative number after a flag is the flag's value, in scientific
+    notation too, as it is after '=': argparse on Python 3.10 and 3.11 reads
+    only -3 and -0.5 so, and took -2.5e-1 for a flag of its own."""
+    verify = ("verify", "--equation", "born-infeld", "--family", "log")
+    spaced = run_cli(capsys, *verify, "--k", "-2.5e-1")
+    assert spaced[0] == 0 and spaced == run_cli(capsys, *verify, "--k=-2.5e-1")
+    assert json.loads(spaced[1])["k"] == -0.25
+    csv_path = tmp_path / "p.csv"
+    profiles = []
+    for a in ("-5e-1", "-0.5"):
+        profiles.append((run_cli(capsys, "profile", "--a", a, "--csv", str(csv_path)),
+                         csv_path.read_bytes()))
+    assert profiles[0][0][0] == 0 and profiles[0] == profiles[1]
+    # a negative value refused on its merits names its own rule
+    code, _, err = run_cli(capsys, "profile", "--a", "0.5", "--drho", "-1e-3")
+    assert code == 2
+    assert "argument --drho: must be a positive finite number, got '-1e-3'" in err
+    assert run_cli(capsys, *verify, "--k", "-inf") == (2, "", "error: k must be finite, got -inf\n")
+
+
 def test_calls_sharing_the_parser_stay_independent(tmp_path, capsys):
     """main builds its parser once per process: a flag given to one call
     leaves no trace in the next, and a refused flag leaves none either."""

@@ -12,10 +12,12 @@ from zmclab.closedform import (
     derivative_blowup_amplitude,
     evaluate_jet,
     evaluate_jet_extended,
+    split,
     two_prod,
     two_sum,
 )
 from zmclab.errors import DomainError
+from zmclab.numerics import double_range
 
 LN3 = 1.0986122886681098
 
@@ -183,8 +185,11 @@ def _entries(jet):
 
 
 # each evaluator with the float parts of one jet entry: double-double entries
-# are compared on both hi and lo
-BACKENDS = ((evaluate_jet, lambda e: (e,)), (evaluate_jet_extended, lambda e: (e.hi, e.lo)))
+# are compared on both hi and lo, an exact one (lo None, the value) on hi
+BACKENDS = (
+    (evaluate_jet, lambda e: (e,)),
+    (evaluate_jet_extended, lambda e: (e.hi,) if e.lo is None else (e.hi, e.lo)),
+)
 
 
 def _interior_points(sol, rng, n=30):
@@ -242,14 +247,14 @@ def _bits(x):
 def test_extended_value_is_the_double_value_bit_for_bit():
     """The double-double jet takes its value from the double formula: for
     every family, at one point and over an array, its high part has the
-    bits of evaluate_jet's value and its low part is zero."""
+    bits of evaluate_jet's value and it is an exact double (lo None)."""
     rng = np.random.default_rng(38)
     for sol in ALL_FAMILIES:
         a, b = _interior_points(sol, rng)
         for point in [(a, b), *((a[i], b[i]) for i in range(3))]:
             value = evaluate_jet_extended(sol, point).value
             assert np.array_equal(_bits(value.hi), _bits(evaluate_jet(sol, point).value))
-            assert not np.any(value.lo)
+            assert value.lo is None
             assert isinstance(value.hi, float) == np.isscalar(point[0])
 
 
@@ -296,32 +301,131 @@ def test_error_free_transformations_are_exact():
     rng = np.random.default_rng(5)
     a = rng.uniform(-1.0, 1.0, 200) * 10.0 ** rng.integers(-8, 8, 200)
     b = rng.uniform(-1.0, 1.0, 200) * 10.0 ** rng.integers(-8, 8, 200)
-    for (s, e), exact in ((two_sum(a, b), Fraction.__add__), (two_prod(a, b), Fraction.__mul__)):
+    for (s, e), exact in ((two_sum(a, b), Fraction.__add__),
+                          (two_prod(a, b, split(a), split(b)), Fraction.__mul__)):
         for i in range(a.size):
             assert Fraction(s[i]) + Fraction(e[i]) == exact(Fraction(a[i]), Fraction(b[i]))
             assert s[i] + e[i] == s[i]  # s is the rounded result, e what it lost
 
 
+def _fraction(x, i):
+    """The Fraction a DoubleDouble stands for at index i; an exact double
+    (lo None) has no low part."""
+    return Fraction(x.hi[i]) + (0 if x.lo is None else Fraction(x.lo[i]))
+
+
 def test_double_double_arithmetic_keeps_about_32_digits():
+    """Each operation rounds only past about 32 digits, with double-double
+    operands, an exact double on either side, and exact with exact."""
     rng = np.random.default_rng(6)
     x = DoubleDouble(*two_sum(rng.uniform(0.5, 2.0, 50), rng.uniform(-1e-17, 1e-17, 50)))
     y = DoubleDouble(*two_sum(rng.uniform(0.5, 2.0, 50), rng.uniform(-1e-17, 1e-17, 50)))
-    results = {
-        "add": (x + y, Fraction.__add__),
-        "sub": (x - y, Fraction.__sub__),
-        "mul": (x * y, Fraction.__mul__),
-        "div": (x / y, Fraction.__truediv__),
-    }
-    for name, (got, op) in results.items():
-        for i in range(50):
-            want = op(Fraction(x.hi[i]) + Fraction(x.lo[i]), Fraction(y.hi[i]) + Fraction(y.lo[i]))
-            err = abs(Fraction(got.hi[i]) + Fraction(got.lo[i]) - want)
-            assert err <= 1e-30 * abs(want), (name, i, float(err / abs(want)))
+    u = DoubleDouble(rng.uniform(-2.0, 2.0, 50))
+    v = DoubleDouble(rng.uniform(0.5, 2.0, 50) * rng.choice([-1.0, 1.0], 50))
+    ops = {"add": Fraction.__add__, "sub": Fraction.__sub__,
+           "mul": Fraction.__mul__, "div": Fraction.__truediv__}
+    for left, right in ((x, y), (x, v), (u, y), (u, v)):
+        results = {"add": left + right, "sub": left - right,
+                   "mul": left * right, "div": left / right}
+        for name, got in results.items():
+            for i in range(50):
+                want = ops[name](_fraction(left, i), _fraction(right, i))
+                err = abs(_fraction(got, i) - want)
+                assert err <= 1e-30 * abs(want), (name, left.lo is None, right.lo is None, i)
     root = x.sqrt()
     for i in range(50):
         square = (Fraction(root.hi[i]) + Fraction(root.lo[i])) ** 2
         want = Fraction(x.hi[i]) + Fraction(x.lo[i])
         assert abs(square - want) <= 1e-30 * want
+
+
+# exact doubles for the shortcut test: signed zeros, +-1e+-150, subnormals,
+# values just below the 2^996 split bound and plain ones
+SHORTCUT_DOUBLES = (
+    0.0, -0.0, 1.0, -1.0, 1e150, -1e150, 1e-150, -1e-150,
+    5e-324, -5e-324, 2.5e-310, -3.1e-312, 1.75 * 2.0**995, -1.3 * 2.0**995,
+    3.0 * 2.0**-1020, 1.0 / 3.0, -2.0 / 7.0, 0.1, 12345.678, -6.02e23,
+)
+
+
+def _outcome(operation):
+    """The bits of operation()'s (hi, lo), an exact result's lo read as
+    +0.0, or the refusal double_range makes of its floating-point error."""
+    try:
+        with double_range("the operation"):
+            got = operation()
+    except DomainError as exc:
+        return str(exc)
+    lo = 0.0 if got.lo is None else got.lo
+    return tuple(int(np.float64(part).view(np.int64)) for part in (got.hi, lo))
+
+
+def test_exact_operand_paths_match_the_general_path_bit_for_bit():
+    """Every shortcut gets the bits (zero signs included) or the refusal
+    that the general formulas get on the same operands with a zero low
+    part: exact +- exact, double-double +- exact, exact x exact,
+    double-double x exact, x 2 / 4 / -1 / -2, a - b by two_diff
+    against a + (-b), and division with an exact double on either side."""
+    rng = np.random.default_rng(39)
+    doubles = [np.float64(v) for v in SHORTCUT_DOUBLES]
+    doubles += [np.float64(v) for v in rng.uniform(-1.0, 1.0, 6) * 10.0 ** rng.integers(-20, 20, 6)]
+    dds = []
+    for h in doubles:
+        dd = DoubleDouble(*two_sum(h, h * np.float64(rng.uniform(-1e-17, 1e-17))))
+        dds += [dd, -dd]  # the negation carries a -0.0 low part where lo is +0.0
+    dds.append(DoubleDouble(np.float64(1.5), np.float64(-0.0)))
+
+    def general(v):
+        return v if isinstance(v, DoubleDouble) else DoubleDouble(v, np.float64(0.0))
+
+    pairs = 0
+    for y in doubles:
+        Y = general(y)
+        for x in doubles:
+            X = general(x)
+            for fast, slow in (
+                (lambda: DoubleDouble(x) + DoubleDouble(y), lambda: X + Y),
+                (lambda: DoubleDouble(x) - DoubleDouble(y), lambda: X + -Y),
+                (lambda: DoubleDouble(x) * DoubleDouble(y), lambda: X * Y),
+                (lambda: DoubleDouble(x) * y, lambda: X * Y),
+                (lambda: DoubleDouble(x) / y, lambda: X / Y),
+                (lambda: DoubleDouble(x) / DoubleDouble(y), lambda: X / Y),
+            ):
+                assert _outcome(fast) == _outcome(slow), (x, y)
+                pairs += 1
+        exact = DoubleDouble(y)
+        assert _outcome(lambda: exact * exact) == _outcome(lambda: Y * Y), y
+        for x in dds:
+            for fast, slow in (
+                (lambda: x + y, lambda: x + Y),
+                (lambda: y + x, lambda: Y + x),
+                (lambda: x - y, lambda: x + -Y),
+                (lambda: y - x, lambda: Y + -x),
+                (lambda: x * y, lambda: x * Y),
+                (lambda: DoubleDouble(y) * x, lambda: Y * x),
+                (lambda: x / y, lambda: x / Y),
+                (lambda: DoubleDouble(y) / x, lambda: Y / x),
+            ):
+                assert _outcome(fast) == _outcome(slow), (x.hi, x.lo, y)
+                pairs += 1
+    for x in dds:
+        for y in dds:
+            assert _outcome(lambda: x - y) == _outcome(lambda: x + -y), (x.hi, x.lo, y.hi, y.lo)
+        for c in (2, 4, -1, -2):
+            C = DoubleDouble(np.float64(c), np.float64(0.0))
+            assert _outcome(lambda: x * c) == _outcome(lambda: x * C), (x.hi, x.lo, c)
+            assert _outcome(lambda: c * x) == _outcome(lambda: x * C), (x.hi, x.lo, c)
+            exact = DoubleDouble(x.hi)
+            assert _outcome(lambda: exact * c) == _outcome(lambda: general(x.hi) * C)
+    # the cases meet refusals as well as values (numpy names the scalar
+    # operation differently across versions)
+    refusals = {_outcome(lambda: DoubleDouble(x) * y) for x in doubles for y in doubles}
+    assert any(isinstance(o, str) and "overflow encountered" in o for o in refusals)
+    assert pairs > 3000
+    # a scaling forms no split, so it is exempt from the 2^996 bound
+    big = np.float64(2.0**1020)
+    assert _outcome(lambda: DoubleDouble(big) * 2) == _outcome(lambda: DoubleDouble(big * 2, None))
+    assert "overflow" in _outcome(lambda: general(big) * DoubleDouble(np.float64(2.0), 0.0))
 
 
 def test_square_matches_the_general_product_bit_for_bit():
