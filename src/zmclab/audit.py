@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .closedform import (
     ClosedFormSolution,
@@ -60,7 +60,7 @@ class AuditClaim:
         return self.verdict == self.expected_verdict
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "as_expected": self.as_expected}
+        return {**vars(self), "as_expected": self.as_expected}
 
 
 @dataclass(frozen=True)
@@ -315,7 +315,7 @@ def _measure_branch_linearization() -> dict:
     return {
         "base": "degenerate circle profile, upper sign",
         "direction": "e^(tau/2) times the quartic bump supported on [0.1, 0.9]",
-        **asdict(check),
+        **vars(check),
         "flagged_inconsistent": bool(check.max_abs_difference > 1e-3),
     }
 

@@ -18,7 +18,8 @@ The same expression tree evaluates on scalars or whole arrays, in double
 precision or in double-double arithmetic (DoubleDouble, about 32 significant
 digits), and forms each repeated subexpression once. The value u itself is
 the double formula in both, since no residual reads it, so double-double
-needs no log, atan or asinh. In double-double the sample coordinates, T, k
+needs no log, atan or asinh; evaluate_value forms it alone, for the steady
+families' comparison. In double-double the sample coordinates, T, k
 and the value are exact doubles (no low part), so the sums and products
 they enter take the shorter formulas, with the bits of the general ones.
 Members sharing T and one formula (the log members, which differ in k; the
@@ -127,7 +128,9 @@ class DoubleDouble:
     product by the int 2, 4, -1 or -2 scales hi and lo exactly, with no
     split. Where the general formulas turn a -0.0 result into +0.0, the
     shortcuts add 0.0 to do the same. hi's Veltkamp split is formed at its
-    first product and kept for the others.
+    first product and kept for the others. A quotient corrects the double
+    quotient q by the remainder self - other * q, of which it reads only the
+    high word, so the remainder's last low part is never formed.
     """
 
     __slots__ = ("hi", "lo", "_halves")
@@ -160,18 +163,24 @@ class DoubleDouble:
     def __neg__(self):
         return DoubleDouble(-self.hi, None if self.lo is None else -self.lo)
 
-    def _sum(self, other, subtract):
-        """self + other, or self - other by two_diff when subtract."""
+    def _sum_words(self, other, subtract):
+        """(s, e) whose _quick_two_sum is self + other, or self - other by
+        two_diff when subtract: the sum before its last renormalisation."""
         s, e = (two_diff if subtract else two_sum)(self.hi, other.hi)
         if other.lo is None:
-            if self.lo is None:
-                return DoubleDouble(s + 0.0, e)
-            return DoubleDouble(*_quick_two_sum(s, e + self.lo))
+            return s, (e if self.lo is None else e + self.lo)
         if self.lo is None:
-            return DoubleDouble(*_quick_two_sum(s, e - other.lo if subtract else e + other.lo))
+            return s, (e - other.lo if subtract else e + other.lo)
         t, f = (two_diff if subtract else two_sum)(self.lo, other.lo)
         s, e = _quick_two_sum(s, e + t)
-        return DoubleDouble(*_quick_two_sum(s, e + f))
+        return s, e + f
+
+    def _sum(self, other, subtract):
+        """self + other, or self - other when subtract."""
+        s, e = self._sum_words(other, subtract)
+        if self.lo is None and other.lo is None:
+            return DoubleDouble(s + 0.0, e)  # two_sum's words need no renormalising
+        return DoubleDouble(*_quick_two_sum(s, e))
 
     def __add__(self, other):
         return self._sum(_exact(other), False)
@@ -206,11 +215,12 @@ class DoubleDouble:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        # the double quotient, corrected by the exact remainder it leaves
+        # the double quotient, corrected by the remainder it leaves, of which
+        # only the high word, s + e of the renormalisation, is read
         other = _exact(other)
         q = self.hi / other.hi
-        r = self - other * q
-        return DoubleDouble(*_quick_two_sum(q, r.hi / other.hi))
+        s, e = self._sum_words(other * q, True)
+        return DoubleDouble(*_quick_two_sum(q, (s + e) / other.hi))
 
     def sqrt(self):
         # one Newton correction of the double root: (x - s^2) / (2 s)
@@ -379,7 +389,10 @@ def _jet_terms(fam: Family, T, k, a, b, sqrt):
     return ut, zero, zero, zero, zero
 
 
-def _evaluate(sol, point, extended: bool) -> Jet2:
+def _points(sol, point):
+    """(family, shape, T, k, a, b) of an evaluation: the entries' shape, T,
+    the formula's constant per member and the raveled points, checked
+    strictly inside the members' validity region."""
     members = _batch(sol)
     first = members[0]
     a, b = np.broadcast_arrays(
@@ -393,18 +406,30 @@ def _evaluate(sol, point, extended: bool) -> Jet2:
     # constant stays a scalar, which numpy combines with an array faster
     ks = [_coefficient(m) for m in members]
     k = ks[0] if len(ks) == 1 else np.array(ks)[:, None]
-    T = float(first.T)
-    value = _value(first.family, T, k, a, b)
+    return first.family, shape, float(first.T), k, a, b
+
+
+def _evaluate(sol, point, extended: bool) -> Jet2:
+    fam, shape, T, k, a, b = _points(sol, point)
+    value = _value(fam, T, k, a, b)
     if extended:
         # exact doubles: no zero low parts, and each split formed once
         value, T, k, a, b = (DoubleDouble(v) for v in (value, T, k, a, b))
     # the backend root: in double-double the one function the slopes need
     sqrt = DoubleDouble.sqrt if extended else np.sqrt
-    terms = [t.reshape(shape) for t in (value, *_jet_terms(first.family, T, k, a, b, sqrt))]
+    terms = [t.reshape(shape) for t in (value, *_jet_terms(fam, T, k, a, b, sqrt))]
     if not shape:
         terms = [t.item() for t in terms]
     value, d_a, d_b, d_aa, d_ab, d_bb = terms
     return Jet2(value=value, d1=(d_a, d_b), d2=(d_aa, d_ab, d_bb))
+
+
+def evaluate_value(sol: ClosedFormSolution, point):
+    """u alone, evaluate_jet's value to the bit, at the same points and with
+    the same domain check, without forming the derivatives."""
+    fam, shape, T, k, a, b = _points(sol, point)
+    value = _value(fam, T, k, a, b).reshape(shape)
+    return value.item() if not shape else value
 
 
 def evaluate_jet(sol: ClosedFormSolution, point) -> Jet2:

@@ -75,8 +75,11 @@ class Jet2:
 
     Entries are Python floats or double-double values
     (closedform.DoubleDouble), or arrays of either sharing one shape;
-    finiteness is checked on floats directly and on the others' conversion
-    to float.
+    finiteness is checked on floats directly, on arrays through the sum of
+    their squares, and on a double-double value through its words, hi and
+    (unless it is an exact double) lo, whose products sum to a finite value
+    only if each word is finite. Where such a sum is not finite, each entry
+    is checked as a float, and a bad one is named by that value.
     """
 
     value: float
@@ -89,6 +92,13 @@ class Jet2:
             raise DomainError("Jet2 wants d1 of length 2 and d2 of length 3")
         for v in entries:
             if isinstance(v, float) and math.isfinite(v):  # np.float64 too
+                continue
+            # one np.vdot (which raises no floating-point error) of a
+            # double-double value's words, or of an array with itself, is
+            # finite only if every word is; only a sum that is not checks
+            # entry by entry, on hi + lo, which also names a bad entry
+            hi, lo = getattr(v, "hi", v), getattr(v, "lo", None)
+            if math.isfinite(np.vdot(hi, hi if lo is None else lo)):
                 continue
             values = np.asarray(v, dtype=float)
             finite = np.isfinite(values)

@@ -31,13 +31,19 @@ def _is_number(x) -> bool:
     )
 
 
+# values copied as they are (their container nulls a non-finite float)
+_AS_IS = frozenset({str, int, float, bool, type(None)})
+
+
 def sanitize_for_json(obj):
     """Deep copy with numpy scalars unwrapped, dataclass instances written
-    as their asdict, and non-finite numbers nulled.
+    as dicts of their fields, and non-finite numbers nulled.
 
     Dict entries that lose a value grow a '<key>_reason' sibling; bare list
     elements just become null (their position is the identification).
     """
+    if type(obj) in _AS_IS:
+        return obj
     if isinstance(obj, dict):
         out = {}
         for key, value in obj.items():
@@ -61,7 +67,8 @@ def sanitize_for_json(obj):
     if isinstance(obj, np.floating):
         return float(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return sanitize_for_json(dataclasses.asdict(obj))
+        # the fields as they are: this copy makes the nested ones JSON values
+        return sanitize_for_json({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
     return obj
 
 

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .closedform import Family, evaluate_jet_extended
+from .closedform import DoubleDouble, Family, evaluate_jet_extended
 from .errors import DomainError
 from .numerics import Jet2, double_range
 
@@ -78,6 +78,8 @@ def residual_at(eq: EquationId, jet: Jet2, point) -> float:
                 "the radial membrane residual has 1/r terms; residual_at needs r != 0"
             )
         ut, ur, utt, utr, urr = da, db, daa, dab, dbb
+        if isinstance(ur, DoubleDouble):
+            r = DoubleDouble(r)  # one exact operand, split once for the three divisions
         return (
             utt
             - urr
@@ -139,11 +141,10 @@ def backward_cone_points(T: float, n_time: int, n_space: int) -> np.ndarray:
 
 
 def rectangle_points(a_range, b_range, n_a: int, n_b: int) -> np.ndarray:
-    """Plain tensor grid on a rectangle."""
+    """Plain tensor grid on a rectangle, a the slow coordinate."""
     a = np.linspace(a_range[0], a_range[1], n_a)
     b = np.linspace(b_range[0], b_range[1], n_b)
-    A, B = np.meshgrid(a, b, indexing="ij")
-    return np.column_stack([A.ravel(), B.ravel()])
+    return np.column_stack([np.repeat(a, n_b), np.tile(b, n_a)])
 
 
 def sweep_residual(eq: EquationId, jet: Jet2, points: np.ndarray) -> ResidualReport:

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .closedform import ClosedFormSolution, Family, evaluate_jet
+from .closedform import ClosedFormSolution, Family, evaluate_value
 from .errors import ArityError, DomainError, NonFiniteError
 from .numerics import Jet2, libm_pow
 
@@ -156,7 +156,7 @@ def steady_family_errors(k: float, drho: float) -> tuple[float, float, float]:
     spacelike = steady_ode_integrate(SteadyOdeId.SPACELIKE_STEADY, (0.0, k), (0.0, 2.0), drho)
     return tuple(
         float(np.max(np.abs(
-            run.v - evaluate_jet(ClosedFormSolution(family, 1.0, k), (0.0, run.rhos)).value
+            run.v - evaluate_value(ClosedFormSolution(family, 1.0, k), (0.0, run.rhos))
         )))
         for run, family in (
             (timelike, Family.BORN_INFELD_LOG),

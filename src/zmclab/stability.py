@@ -122,12 +122,15 @@ BRANCH_RADII = np.linspace(0.01, 0.95, 50)
 BRANCH_TOLERANCE = 1e-12
 
 
-def _branch_samples():
-    """(cap, profile, coefficients) on each cap of the circle branch, as
+def _branch_samples(sign, cap):
+    """(cap, profile, coefficients) on one cap of the circle branch, as
     arrays over BRANCH_RADII."""
-    for sign, cap in ((1, "upper"), (-1, "lower")):
-        profile = degenerate_branch(sign, BRANCH_RADII)
-        yield cap, profile, linearized_coefficients(*profile, BRANCH_RADII)
+    profile = degenerate_branch(sign, BRANCH_RADII)
+    return cap, profile, linearized_coefficients(*profile, BRANCH_RADII)
+
+
+# both caps' samples, formed once: the pencil and the symmetry mode read them
+BRANCH_SAMPLES = (_branch_samples(1, "upper"), _branch_samples(-1, "lower"))
 
 
 def solve_mode_quadratic() -> ModeReport:
@@ -135,7 +138,7 @@ def solve_mode_quadratic() -> ModeReport:
     integer triple at every branch radius on both caps, against the claim."""
     gap = 1.0 - BRANCH_RADII * BRANCH_RADII
     samples = [(cap, np.array([c.c_tau_tau, c.c_tau, c.c_value]) * gap)
-               for cap, _, c in _branch_samples()]
+               for cap, _, c in BRANCH_SAMPLES]
     pencil = np.rint(samples[0][1][:, 0])
     for cap, scaled in samples:
         off = np.abs(scaled - pencil[:, None]).max(axis=0) > BRANCH_TOLERANCE
@@ -180,7 +183,7 @@ def mode_growth_probe() -> SymmetryMode:
     on the branch radii. The name stays because the benchmark harness
     traces this function and reads its exponent."""
     worst = 0.0
-    for _, (phi, dphi, d2phi), c in _branch_samples():
+    for _, (phi, dphi, d2phi), c in BRANCH_SAMPLES:
         w, dw, d2w = 1.0 / phi, -dphi / phi ** 2, (2.0 * dphi * dphi / phi - d2phi) / phi ** 2
         lw = c.apply(Jet2(w, (w, dw), (w, dw, d2w)))
         worst = max(worst, float((np.abs(lw) / np.maximum(np.abs(w), 1.0)).max()))

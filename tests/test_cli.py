@@ -77,6 +77,23 @@ def test_verify_eikonal_sphere(capsys, family):
     assert json.loads(out)["report"]["max_abs"] <= 1e-12
 
 
+# verify's stdout at the defaults of every pairing, in VERIFY_PAIRINGS order
+VERIFY_DEFAULTS = Path(__file__).with_name("verify_defaults.txt")
+
+
+def test_verify_defaults_print_the_pinned_bytes(capsys):
+    """Every digit of the certification is pinned: the sweeps take only
+    IEEE +, -, x, / and sqrt on np.linspace points, so any reordering of
+    the double-double arithmetic moves some residual's last bits."""
+    outputs = []
+    for equation, family in zmclab.cli.VERIFY_PAIRINGS:
+        code, out, err = run_cli(capsys, "verify", "--equation", equation.value,
+                                 "--family", family.value)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert "".join(outputs) == VERIFY_DEFAULTS.read_text()
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "verify judges a solution by the absolute bound 1e-9, while the sweep's "
     "rounding floor grows about as k^3 for the log family: a bound relative "

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from division_reference import full_remainder_quotient
 from fd_oracles import central_diff_jet2, observed_orders
 from zmclab.closedform import (
     ClosedFormSolution,
@@ -426,6 +427,36 @@ def test_exact_operand_paths_match_the_general_path_bit_for_bit():
     big = np.float64(2.0**1020)
     assert _outcome(lambda: DoubleDouble(big) * 2) == _outcome(lambda: DoubleDouble(big * 2, None))
     assert "overflow" in _outcome(lambda: general(big) * DoubleDouble(np.float64(2.0), 0.0))
+
+
+def test_division_matches_the_full_remainder_quotient_bit_for_bit():
+    """The quotient reads only the high word of its remainder; its hi and
+    lo bits, zero signs included, or its refusal, are those of the quotient
+    that forms the whole remainder (tests/division_reference.py), on exact
+    and double-double operands, signed zeros, subnormal magnitudes and
+    magnitudes near 2^-900 and 2^900."""
+    rng = np.random.default_rng(40)
+    magnitudes = np.concatenate((
+        [0.0, 5e-324, 2.5e-310, 3.1e-312],  # zero and subnormals
+        2.0 ** rng.uniform(-910.0, -890.0, 4),
+        2.0 ** rng.uniform(890.0, 910.0, 4),
+        rng.uniform(0.5, 2.0, 4) * 10.0 ** rng.integers(-20, 20, 4),
+    ))
+    doubles = [np.float64(sign * m) for m in magnitudes for sign in (1.0, -1.0)]
+    dds = []
+    for h in doubles:
+        dd = DoubleDouble(*two_sum(h, h * np.float64(rng.uniform(-1e-17, 1e-17))))
+        dds += [dd, -dd]  # the negation carries a -0.0 low part where lo is +0.0
+    numerators = [DoubleDouble(x) for x in doubles] + dds
+    denominators = doubles + [DoubleDouble(y) for y in doubles] + dds
+    values = 0
+    for x in numerators:
+        for y in denominators:
+            got = _outcome(lambda: x / y)
+            assert got == _outcome(lambda: full_remainder_quotient(x, y)), (x.hi, x.lo, y)
+            values += not isinstance(got, str)
+    # most pairs give a quotient, and the rest a refusal
+    assert 0.5 * len(numerators) * len(denominators) < values < len(numerators) * len(denominators)
 
 
 def test_square_matches_the_general_product_bit_for_bit():

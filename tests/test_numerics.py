@@ -9,6 +9,7 @@ from fd_oracles import BoundaryError, central_diff_jet2, observed_orders
 from profile_forms import phi_second_derivative
 from steady_reference import reference_march
 from zmclab import numerics
+from zmclab.closedform import DoubleDouble
 from zmclab.errors import ArityError, DomainError, NonFiniteError
 from zmclab.numerics import (
     Grid1D,
@@ -60,6 +61,35 @@ def test_jet2_rejects_non_finite(slot, bad):
         Jet2(entries[0], tuple(entries[1:3]), tuple(entries[3:]))
     shown = bad if np.ndim(bad) == 0 else bad[1]
     assert str(exc.value) == f"non-finite jet entry {shown!r}"
+
+
+@pytest.mark.parametrize("hi, lo", [
+    ([1.0, np.inf, 2.0], [0.0, 0.0, 0.0]),
+    ([1.0, 2.0, -3.0], [1e-17, 0.0, np.nan]),
+], ids=["inf-hi", "nan-lo"])
+@pytest.mark.parametrize("slot", [0, 2, 5], ids=["value", "d1[1]", "d2[2]"])
+def test_jet2_rejects_a_non_finite_double_double_word(slot, hi, lo):
+    """A double-double entry is checked through both its words: a
+    non-finite hi and a NaN lo under a finite hi are refused alike, named
+    by the entry's value as a float."""
+    hi, lo = np.array(hi), np.array(lo)
+    entries = [0.0] * 6
+    entries[slot] = DoubleDouble(hi, lo)
+    with pytest.raises(NonFiniteError) as exc:
+        Jet2(entries[0], tuple(entries[1:3]), tuple(entries[3:]))
+    shown = (hi + lo)[np.argmin(np.isfinite(hi + lo))]
+    assert str(exc.value) == f"non-finite jet entry {shown!r}"
+
+
+def test_jet2_accepts_double_double_words_whose_products_overflow():
+    """The one-call check sums the products of a double-double entry's
+    words, which overflow past |hi * lo| ~ 1e308: such an entry is checked
+    as a float and accepted, with no floating-point error even where
+    double_range makes one a refusal."""
+    big = DoubleDouble(np.full(3, 1e200), np.full(3, 1e184))
+    with numerics.double_range("the jet"):
+        jet = Jet2(big, (big, DoubleDouble(np.full(3, 1e300))), (big, big, big))
+    assert jet.value is big
 
 
 # --- finite differences -----------------------------------------------------

@@ -12,7 +12,7 @@ from frame_transport import (
     transform_jet_unscaled,
     wave_reduction_residual,
 )
-from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet
+from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet, evaluate_value
 from zmclab.errors import DomainError
 from zmclab.numerics import Jet2
 from zmclab.residuals import EquationId, residual_at
@@ -120,6 +120,34 @@ def test_steady_family_errors_match_scalar_closed_forms():
     )
     for got, want in zip(steady_family_errors(k, drho), scalar):
         assert abs(got - want) <= 1e-15, (got, want)
+
+
+def test_steady_family_errors_read_the_jets_value_entries():
+    """steady_family_errors reads each family's value alone: on its three
+    grids (901, 2002 and 2002 radii) that is evaluate_jet's value entry bit
+    for bit, the errors are those the entries give, and a point outside the
+    family's domain is refused as evaluate_jet refuses it."""
+    k, drho = 0.7, 1e-3
+    timelike = steady_ode_integrate(SteadyOdeId.BORN_INFELD_STEADY, (0.0, 2 * k), (0.0, 0.9), drho)
+    spacelike = steady_ode_integrate(SteadyOdeId.SPACELIKE_STEADY, (0.0, k), (0.0, 2.0), drho)
+    errors = []
+    for run, family in ((timelike, Family.BORN_INFELD_LOG),
+                        (spacelike, Family.SPACELIKE_LOG_CLAIMED),
+                        (spacelike, Family.SPACELIKE_ARCTAN_CORRECTED)):
+        sol = ClosedFormSolution(family, 1.0, k)
+        value = evaluate_value(sol, (0.0, run.rhos))
+        entry = evaluate_jet(sol, (0.0, run.rhos)).value
+        assert np.array_equal(value.view(np.int64), entry.view(np.int64)), family
+        errors.append(float(np.max(np.abs(run.v - entry))))
+    assert [r.rhos.size for r in (timelike, spacelike)] == [901, 2002]
+    assert steady_family_errors(k, drho) == tuple(errors)
+    outside = (0.0, np.array([0.5, 1.0]))
+    log = ClosedFormSolution(Family.BORN_INFELD_LOG, 1.0, k)
+    with pytest.raises(DomainError) as exc:
+        evaluate_value(log, outside)
+    with pytest.raises(DomainError) as jet_exc:
+        evaluate_jet(log, outside)
+    assert str(exc.value) == str(jet_exc.value) == "|x| < T-t violated: |1.0| >= 1.0"
 
 
 def steady_jet(v, vp, vpp):

@@ -270,10 +270,27 @@ def coefficients_without_phi_in_c_tau(phi, dphi, d2phi, rho):
 
 
 def test_pencil_and_symmetry_mode_read_the_operator(monkeypatch):
-    """Both are computed from linearized_coefficients, so a wrong c_tau
-    breaks the uniform pencil and the time-translation mode."""
+    """Both read the branch samples built from linearized_coefficients, so
+    samples built from a wrong c_tau break the uniform pencil and the
+    time-translation mode."""
     monkeypatch.setattr(stability, "linearized_coefficients", coefficients_without_phi_in_c_tau)
+    monkeypatch.setattr(stability, "BRANCH_SAMPLES", (
+        stability._branch_samples(1, "upper"), stability._branch_samples(-1, "lower")))
     with pytest.raises(ConsistencyError, match="cap at rho"):
         solve_mode_quadratic()
     with pytest.raises(ConsistencyError, match="e\\^tau/phi"):
         mode_growth_probe()
+
+
+def test_pencil_and_symmetry_mode_do_not_rebuild_the_branch(monkeypatch):
+    """The branch profile and coefficients depend on BRANCH_RADII alone, so
+    they are built once, at import: neither reader calls the profile or the
+    operator again, and both give the reports they gave before."""
+    reports = solve_mode_quadratic(), mode_growth_probe()
+
+    def rebuilt(*args):
+        raise AssertionError("the branch samples were rebuilt")
+
+    monkeypatch.setattr(stability, "degenerate_branch", rebuilt)
+    monkeypatch.setattr(stability, "linearized_coefficients", rebuilt)
+    assert (solve_mode_quadratic(), mode_growth_probe()) == reports
