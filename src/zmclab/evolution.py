@@ -34,7 +34,15 @@ from .errors import (
     DomainError,
     NonFiniteError,
 )
-from .numerics import Grid1D, double_range, log_log_fit, rk4_step, trapezoid_terms
+from .numerics import (
+    Grid1D,
+    _check_stage_finite,
+    double_range,
+    log_log_fit,
+    trapezoid_terms,
+)
+# rk4_step stays bound here for bench/selftest.py's binding test
+from .numerics import rk4_step  # noqa: F401
 from .residuals import EquationId
 
 # smallest window the edge ghosts can still close over
@@ -207,56 +215,136 @@ def _ghosts(rows, axis):
     return ghosts
 
 
-def _derivative(equation, xs, y, h):
-    """d/dt of the (3, n) state y = (u, p, q), as the rows of one (3, n) array.
+class _Workspace:
+    """The buffers of one RK4 step on a window of n nodes, and every view of
+    them that the step's stages read, built once per step.
 
-    A numpy call costs about a microsecond here, and a strided 2-D one
-    twice that, so each pass runs once over p and q as one flat run of 2n
-    values (entries straddling the two rows are overwritten before they
-    are read): the centred differences d = [p_x | q_x], the squares
-    [p^2 | q^2], and the product [2pq | 1 - p^2] * d of both terms of p_t,
-    which then takes one sum and one division. The ghosts of the edge
-    differences, the values that reach past the window, are _ghosts' sums
-    of Python floats. Every node gets tests/rhs_reference.py's operations
-    in the same order.
+    y is the (3, n) stage state (u, p, q), and f its p and q rows as one
+    flat run. slopes holds the two (4, n) slope buffers, each as the views
+    (k, c, d, udot, pdot, inner): k is the first three rows, the stage's
+    (udot, pdot, qdot); c is rows 0 and 1 as one flat run, the factors of
+    p_t; d is rows 2 and 3 as one flat run, the centred differences
+    [p_x | q_x], and inner is d without its two end entries. A membrane
+    window adds disc and ratio, and quotient = (q, r, ratio) at the nodes
+    off the axis, the arguments of ratio's division.
     """
-    membrane = equation is _MEMBRANE
-    axis = membrane and xs[0] == 0.0
-    n = xs.size
-    f, p, q = y[1:].ravel(), y[1], y[2]
-    # rows 0 and 1 hold the factors c of p_t and rows 2 and 3 the
-    # differences d; the first three rows are returned as udot, pdot, qdot
-    out = np.empty((4, n))
-    c, d = out[:2].ravel(), out[2:].ravel()
-    np.subtract(f[2:], f[:-2], out=d[1:-1])
-    m = n if n < 4 else 4
-    rows = y[1:, :m].tolist() + y[1:, :-m - 1:-1].tolist()
-    (hp, hq, ep, eq), (lp, lq, rp, rq) = rows, _ghosts(rows, axis)
-    d[0], d[n - 1], d[n], d[-1] = hp[1] - lp, rp - ep[1], hq[1] - lq, rq - eq[1]
-    d /= 2.0 * h
-    sq = f * f
-    qq = sq[n:]
-    udot, pdot = out[0], out[1]
-    np.add(p, p, out=udot)  # 2p, as 2.0 * p to the bit
-    udot *= q
-    np.subtract(1.0, sq[:n], out=pdot)
-    # the membrane term's 1 - p^2 + q^2, before the product overwrites 1 - p^2
-    disc = pdot + qq if membrane else None
-    qq += 1.0  # from here on the denominator 1 + q^2
-    c *= d
-    np.add(udot, pdot, out=pdot)
-    pdot /= qq
-    if membrane:
-        ratio = np.empty(n)
-        nz = slice(1, None) if axis else slice(None)
-        np.divide(q[nz], xs[nz], out=ratio[nz])
-        if axis:
-            ratio[0] = d[n]  # q/r -> q_r at the axis
-        ratio *= disc
-        ratio /= qq
-        pdot += ratio
-    udot[:] = p
-    return out[:3]
+
+    def __init__(self, equation, xs, h):
+        n = xs.size
+        self.membrane = equation is _MEMBRANE
+        self.axis = self.membrane and xs[0] == 0.0
+        self.n, self.scale = n, 2.0 * h
+        self.y = y = np.empty((3, n))
+        f, p, q = y[1:].ravel(), y[1], y[2]
+        self.f, self.p, self.q = f, p, q
+        self.upper, self.lower = f[2:], f[:-2]
+        m = n if n < 4 else 4
+        self.ends = y[1:, :m], y[1:, :-m - 1:-1]
+        self.sq = sq = np.empty(2 * n)
+        self.psq, self.qq = sq[:n], sq[n:]
+        self.slopes = []
+        for _ in range(2):
+            k = np.empty((4, n))
+            d = k[2:].ravel()
+            self.slopes.append((k[:3], k[:2].ravel(), d, k[0], k[1], d[1:-1]))
+        if self.membrane:
+            self.disc, self.ratio = np.empty(n), np.empty(n)
+            nz = slice(1, None) if self.axis else slice(None)
+            self.quotient = q[nz], xs[nz], self.ratio[nz]
+
+    def rates(self, slope):
+        """d/dt of the stage state y into the slope buffer slope (one of
+        slopes), as its first three rows k; returns k.
+
+        A numpy call costs about a microsecond here, and a strided 2-D one
+        twice that, so each pass runs once over p and q as one flat run of
+        2n values (entries straddling the two rows are overwritten before
+        they are read): the centred differences d = [p_x | q_x], the
+        squares [p^2 | q^2], and the product [2pq | 1 - p^2] * d of both
+        terms of p_t, which then takes one sum and one division. The ghosts
+        of the edge differences, the values that reach past the window, are
+        _ghosts' sums of Python floats. Every node gets
+        tests/rhs_reference.py's operations in the same order.
+        """
+        k, c, d, udot, pdot, inner = slope
+        n, f, p, q, sq, qq = self.n, self.f, self.p, self.q, self.sq, self.qq
+        np.subtract(self.upper, self.lower, out=inner)
+        head, tail = self.ends
+        rows = head.tolist() + tail.tolist()
+        (hp, hq, ep, eq), (lp, lq, rp, rq) = rows, _ghosts(rows, self.axis)
+        d[0], d[n - 1], d[n], d[-1] = hp[1] - lp, rp - ep[1], hq[1] - lq, rq - eq[1]
+        d /= self.scale
+        np.multiply(f, f, out=sq)
+        np.add(p, p, out=udot)  # 2p, as 2.0 * p to the bit
+        udot *= q
+        np.subtract(1.0, self.psq, out=pdot)
+        if self.membrane:
+            # 1 - p^2 + q^2, before the product overwrites 1 - p^2
+            disc, ratio = self.disc, self.ratio
+            np.add(pdot, qq, out=disc)
+        qq += 1.0  # from here on the denominator 1 + q^2
+        c *= d
+        np.add(udot, pdot, out=pdot)
+        pdot /= qq
+        if self.membrane:
+            np.divide(*self.quotient)
+            if self.axis:
+                ratio[0] = d[n]  # q/r -> q_r at the axis
+            ratio *= disc
+            ratio /= qq
+            pdot += ratio
+        udot[:] = p
+        return k
+
+
+def _rk4_step(equation, xs, state, h, t, dt, center):
+    """One classical RK4 step of the (3, n) state, which may be a strided
+    window of the previous step's; returns the new state, as a (3, n) view
+    of a new buffer, and the four stage values of q_t at node center.
+
+    The stages share one _Workspace. Each stage state is c * k formed in
+    the stage buffer, then += state (both products and sums commute
+    exactly); the first stage slope buffer takes k1 and keeps the sum
+    ((2 k2 + k1) + 2 k3) + k4, and the second takes k2, k3 and k4 in turn,
+    k2 and k3 doubled in place once the next stage state is formed.
+    A stage is checked finite by one np.vdot (a sum of squares is finite
+    only if every entry is, and np.vdot raises no overflow warning); only a
+    sum that is not finite checks entry by entry, which names the stage,
+    its t and the (row, node) in NonFiniteError, and passes a finite stage
+    whose squares overflow.
+    """
+    # a run passes a strided window, which each of the step's four adds
+    # would read at about twice the cost of one contiguous copy
+    state = np.ascontiguousarray(state)
+    work = _Workspace(equation, xs, h)
+    y, (first, later) = work.y, work.slopes
+    half = 0.5 * dt
+
+    def stage(slope, name, tau):
+        k = work.rates(slope)
+        if not math.isfinite(np.vdot(k, k)):
+            _check_stage_finite(k, name, tau)
+        return k, float(k[2, center])
+
+    y[...] = state
+    total, s1 = stage(first, "stage 1", t)
+    np.multiply(total, half, out=y)
+    y += state
+    k, s2 = stage(later, "stage 2", t + half)
+    np.multiply(k, half, out=y)
+    y += state
+    k *= 2.0
+    total += k
+    k, s3 = stage(later, "stage 3", t + half)
+    np.multiply(k, dt, out=y)
+    y += state
+    k *= 2.0
+    total += k
+    k, s4 = stage(later, "stage 4", t + dt)
+    total += k
+    total *= dt / 6.0
+    total += state
+    return total, (s1, s2, s3, s4)
 
 
 def _quadratic_tail(row, d):
@@ -379,8 +467,6 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
     status = RunStatus.COMPLETED
     rows = []
     mid_times, mid_center = [], []
-    # the centre column's rate at each RK4 stage of the current step
-    stage_slopes = []
 
     def record(t, q, momentum, invariant, disc):
         # one value per diagnostics field of EvolutionRun, in field order;
@@ -396,19 +482,13 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
             q.size,
         ))
 
-    def rhs(_, y):
-        rates = _derivative(config.equation, xs, y, h)
-        stage_slopes.append(float(rates[2, center]))
-        return rates
-
     record(t, state.q, momentum, momentum, disc)
     while t < config.t_end - 1e-13:
         # lambda- <= lambda+ at every node: this is max(lambda+, -lambda-)
         fastest = float(np.maximum.reduce(np.abs(speeds), axis=None))
         dt = min(CFL * h / max(fastest, 1e-30), config.t_end - t)
 
-        stage_slopes.clear()
-        y_new = rk4_step(y, rhs, t, dt)
+        y_new, (k1, k2, k3, k4) = _rk4_step(config.equation, xs, y, h, t, dt, center)
         p_new, q_new = y_new[1], y_new[2]
         try:
             speeds_new, disc, root = characteristic_speeds(p_new, q_new)
@@ -451,7 +531,6 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
         # the centre at t + dt/2 by RK4's continuous extension (Hairer,
         # Norsett and Wanner, Solving ODEs I, II.6): b(1/2) = (5/24, 1/6,
         # 1/6, -1/24) on the stage slopes of the centre column
-        k1, k2, k3, k4 = stage_slopes
         mid = float(y[2, center]) + dt * (5.0 / 24.0 * k1 + (k2 + k3) / 6.0 - k4 / 24.0)
         mid_times.append(t + 0.5 * dt)
         mid_center.append(mid / h if axis_pinned else mid)

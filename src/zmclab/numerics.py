@@ -5,13 +5,14 @@ Uniform 1D grids, the 2-jet container, the classical RK4 integrator
 per-interval terms, and least-squares fits in log-log coordinates.
 
 All arithmetic here is IEEE double precision. rk4_step steps an array
-(the evolution state) in numpy; rk4_integrate steps a pair of floats,
-written out as two scalar expressions per stage. No package caller
-marches with rk4_integrate or rk4_adaptive_step: the steady ODEs march in
-product form (similarity.steady_ode_integrate) and the profile shoot
-takes its steps without a stepper. Each RK4 entry refuses a step, an end
-or a tolerance that is not finite with DomainError, once, before it
-steps.
+in numpy, and rk4_adaptive_step steps through it; rk4_integrate steps a
+pair of floats, written out as two scalar expressions per stage. No
+other module steps with any of the three: the evolution takes its steps
+through evolution._rk4_step, whose four stages share one workspace, the
+steady ODEs march in product form (similarity.steady_ode_integrate) and
+the profile shoot takes its steps without a stepper. Each RK4 entry
+refuses a step, an end or a tolerance that is not finite with
+DomainError, once, before it steps.
 """
 from __future__ import annotations
 
@@ -79,7 +80,8 @@ class Jet2:
     their squares, and on a double-double value through its words, hi and
     (unless it is an exact double) lo, whose products sum to a finite value
     only if each word is finite. Where such a sum is not finite, each entry
-    is checked as a float, and a bad one is named by that value.
+    is checked as a float, and a bad one is named by that value's repr as a
+    Python float.
     """
 
     value: float
@@ -103,7 +105,9 @@ class Jet2:
             values = np.asarray(v, dtype=float)
             finite = np.isfinite(values)
             if not finite.all():
-                bad = v if finite.ndim == 0 else values.flat[np.argmin(finite)]
+                # named as a Python float, whose repr is the same on every
+                # numpy and for every kind of entry
+                bad = float(values.flat[np.argmin(finite)])
                 raise NonFiniteError(f"non-finite jet entry {bad!r}")
 
 
@@ -159,9 +163,8 @@ def _stage_slope(k, shape, stage: str, t: float):
 
 
 def rk4_step(state, derivative, t: float, dt: float):
-    """One classical fourth-order Runge-Kutta step on an array state, such
-    as the (3, n) evolution state; a float or any array-like steps through
-    numpy too.
+    """One classical fourth-order Runge-Kutta step on an array state; a
+    float or any array-like steps through numpy too.
 
     derivative(t, state) returns an array of the state's shape. Local error
     is O(dt^5) on smooth systems. A derivative of another shape raises

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from exact_error import sup_error_against
 from rhs_reference import reference_rhs
-from step_reference import reference_step
+from step_reference import reference_stages, reference_step
 
 import zmclab.evolution
 from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet
@@ -36,8 +36,9 @@ from zmclab.evolution import (
     initial_state_from_solution,
     run_evolution,
     _advance_edge,
-    _derivative,
     _ghosts,
+    _rk4_step,
+    _Workspace,
 )
 from zmclab.numerics import Grid1D, rk4_step
 from zmclab.residuals import EquationId
@@ -47,6 +48,14 @@ SPEED_LO_AT_0P6_0P8 = -0.9825432011576074
 SPEED_HI_AT_0P6_0P8 = 0.39717734749907085
 
 STRING_LOG = ClosedFormSolution(family=Family.BORN_INFELD_LOG, T=1.0, k=0.2)
+
+
+def _derivative(equation, xs, y, h):
+    """d/dt of the (3, n) state y as one (3, n) array: one stage of the
+    evolution's step, on a workspace of its own."""
+    work = _Workspace(equation, xs, h)
+    work.y[...] = y
+    return work.rates(work.slopes[0])
 
 
 def string_state(n, lo=-0.5, hi=0.5, t0=0.0):
@@ -199,6 +208,34 @@ def test_rk4_step_matches_reference_bit_for_bit(window, size, dt):
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert np.array_equal(y, before)
+
+
+@pytest.mark.parametrize("layout", ("contiguous", "strided"))
+@pytest.mark.parametrize("dt", (1e-3, 3.7e-4, 2.5e-2))
+@pytest.mark.parametrize("size", (3, 4, 5, 6, 201))
+@pytest.mark.parametrize("window", sorted(RHS_WINDOWS))
+def test_evolution_step_matches_reference_bit_for_bit(window, size, dt, layout):
+    """_rk4_step, the step run_evolution takes, is tests/step_reference.py's
+    plain step to the last bit, signs of zero included, and its centre
+    values are the reference's stage values of q_t there.  The state is
+    passed whole or, as a run passes it, as a strided window of a wider
+    array; either comes back unchanged."""
+    equation, xs, fields, h = rhs_window_state(window, size)
+    y = np.stack(fields)
+    wide = np.zeros((3, size + 5))
+    wide[:, 2:2 + size] = y
+    given = wide[:, 2:2 + size] if layout == "strided" else y
+    before = wide.copy(), y.copy()
+    center = size // 2
+    got, slopes = _rk4_step(equation, xs, given, h, 0.25, dt, center)
+    want = reference_step(equation, xs, y, h, dt)
+    assert got.shape == want.shape == (3, size)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    stages = reference_stages(equation, xs, y, h, dt)
+    assert slopes == tuple(float(k[2, center]) for k in stages)
+    assert np.array_equal(wide, before[0])
+    assert np.array_equal(y, before[1])
 
 
 def perturbed_sphere_state(n):
@@ -668,6 +705,20 @@ def test_non_finite_stage_names_row_and_node():
     with pytest.raises(NonFiniteError) as exc:
         rk4_step(y, lambda t, s: _derivative(EquationId.BORN_INFELD, state.xs, s,
                                               state.spacing), 0.0, 1e-3)
+    assert str(exc.value) == (
+        "non-finite derivative at RK4 stage 1, t=0.0 "
+        "((row, node) [(0, 7), (1, 6), (1, 7), (1, 8), (2, 6)])"
+    )
+
+
+def test_evolution_step_non_finite_stage_names_row_and_node():
+    """test_non_finite_stage_names_row_and_node for the evolution's own
+    step: the same message, naming the stage, its t and the (row, node)."""
+    state = string_state(40)
+    y = np.stack([state.u, state.p, state.q])
+    y[1, 7] = math.nan
+    with pytest.raises(NonFiniteError) as exc:
+        _rk4_step(EquationId.BORN_INFELD, state.xs, y, state.spacing, 0.0, 1e-3, 20)
     assert str(exc.value) == (
         "non-finite derivative at RK4 stage 1, t=0.0 "
         "((row, node) [(0, 7), (1, 6), (1, 7), (1, 8), (2, 6)])"

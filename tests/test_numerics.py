@@ -48,37 +48,39 @@ def test_grid_validation():
         Grid1D(0.0, 1.0, 12.5)
 
 
-@pytest.mark.parametrize("bad", [
-    float("nan"), float("inf"), np.float64("nan"), np.array([0.0, np.nan]),
+@pytest.mark.parametrize("bad, shown", [
+    (float("nan"), "nan"), (float("inf"), "inf"), (np.float64("nan"), "nan"),
+    (np.array([0.0, np.nan]), "nan"),
 ], ids=["float-nan", "float-inf", "float64-nan", "array-nan"])
 @pytest.mark.parametrize("slot", [0, 2, 5], ids=["value", "d1[1]", "d2[2]"])
-def test_jet2_rejects_non_finite(slot, bad):
+def test_jet2_rejects_non_finite(slot, bad, shown):
     """Floats take the math.isfinite path, arrays the numpy one; both name
-    the bad entry the same way."""
+    the bad entry by its repr as a Python float, the same on every numpy."""
     entries = [0.0] * 6
     entries[slot] = bad
     with pytest.raises(NonFiniteError) as exc:
         Jet2(entries[0], tuple(entries[1:3]), tuple(entries[3:]))
-    shown = bad if np.ndim(bad) == 0 else bad[1]
-    assert str(exc.value) == f"non-finite jet entry {shown!r}"
+    assert str(exc.value) == f"non-finite jet entry {shown}"
 
 
-@pytest.mark.parametrize("hi, lo", [
-    ([1.0, np.inf, 2.0], [0.0, 0.0, 0.0]),
-    ([1.0, 2.0, -3.0], [1e-17, 0.0, np.nan]),
-], ids=["inf-hi", "nan-lo"])
+@pytest.mark.parametrize("hi, lo, shown", [
+    (np.array([1.0, np.inf, 2.0]), np.zeros(3), "inf"),
+    (np.array([1.0, 2.0, -3.0]), np.array([1e-17, 0.0, np.nan]), "nan"),
+    (math.nan, 0.0, "nan"),
+    (1.0, -math.inf, "-inf"),
+    (math.inf, None, "inf"),
+], ids=["inf-hi", "nan-lo", "scalar-nan-hi", "scalar-inf-lo", "scalar-exact-inf"])
 @pytest.mark.parametrize("slot", [0, 2, 5], ids=["value", "d1[1]", "d2[2]"])
-def test_jet2_rejects_a_non_finite_double_double_word(slot, hi, lo):
-    """A double-double entry is checked through both its words: a
-    non-finite hi and a NaN lo under a finite hi are refused alike, named
-    by the entry's value as a float."""
-    hi, lo = np.array(hi), np.array(lo)
+def test_jet2_rejects_a_non_finite_double_double_word(slot, hi, lo, shown):
+    """A double-double entry, an array or a scalar, is checked through both
+    its words: a non-finite hi and a non-finite lo under a finite hi are
+    refused alike, named by the entry's value hi + lo as a Python float (a
+    scalar entry by that value too, not by the object)."""
     entries = [0.0] * 6
     entries[slot] = DoubleDouble(hi, lo)
     with pytest.raises(NonFiniteError) as exc:
         Jet2(entries[0], tuple(entries[1:3]), tuple(entries[3:]))
-    shown = (hi + lo)[np.argmin(np.isfinite(hi + lo))]
-    assert str(exc.value) == f"non-finite jet entry {shown!r}"
+    assert str(exc.value) == f"non-finite jet entry {shown}"
 
 
 def test_jet2_accepts_double_double_words_whose_products_overflow():
