@@ -255,12 +255,12 @@ def _claim_steady_families() -> AuditClaim:
     return AuditClaim(
         id="steady-reduction-families",
         description="closed-form families printed for the two linear steady "
-        "reductions, checked against direct integration from matching "
-        "initial slopes",
+        "reductions, checked against each reduction's first integral, "
+        "(1 -+ rho^2) v' constant, from matching initial slopes",
         source_location="similarity module, steady reductions",
         claimed="timelike: k*ln((1+rho)/(1-rho)); spacelike: "
         "k*ln(rho+sqrt(1+rho^2))",
-        computed=f"timelike family matches integration to {_fmt(err_t)} on "
+        computed=f"timelike family matches the integral to {_fmt(err_t)} on "
         f"[0, 0.9]; printed spacelike family deviates by {_fmt(err_claimed)} "
         f"(>= 0.09k = {_fmt(0.09 * k)}) on [0, 2] while k*arctan(rho) "
         f"matches to {_fmt(err_corrected)}",

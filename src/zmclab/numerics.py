@@ -9,7 +9,7 @@ in numpy, and rk4_adaptive_step steps through it; rk4_integrate steps a
 pair of floats, written out as two scalar expressions per stage. No
 other module steps with any of the three: the evolution takes its steps
 through evolution._rk4_step, whose four stages share one workspace, the
-steady ODEs march in product form (similarity.steady_ode_integrate) and
+steady ODEs integrate in closed form (similarity.steady_ode_integrate) and
 the profile shoot takes its steps without a stepper. Each RK4 entry
 refuses a step, an end or a tolerance that is not finite with
 DomainError, once, before it steps.
@@ -213,10 +213,11 @@ def rk4_integrate(derivative, t0: float, state0, t_end: float, dt: float):
     component; the derivative's own errors pass through, as does the
     unpacking error of a return that is no pair.
 
-    No caller in the package marches with it: similarity.steady_ode_integrate
-    takes the same steps on the steady ODEs in product form, and the tests
-    hold it to this march. It is kept because bench/run.py's trace list
-    names it, until the benchmark drops that trace.
+    No caller in the package marches with it: the steady ODEs it would
+    march integrate in closed form (similarity.steady_ode_integrate), and
+    the tests hold this march to that integral at fourth order. It is kept
+    because bench/run.py's trace list names it, until the benchmark drops
+    that trace.
     """
     if not 0.0 < dt < math.inf:
         raise DomainError(f"rk4_integrate needs a finite dt > 0, got {dt}")

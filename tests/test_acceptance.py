@@ -5,8 +5,8 @@ so a verbose run reads as a checklist. Shared evolution runs live in a
 session fixture, and criteria 5 and 10 read the shared audit report from
 conftest.py. Criteria 1-4 compute through the functions the audit calls
 (residuals.certify at 100 x 100 instead of the audit's 20 x 25, and
-similarity.steady_family_errors at a finer step), while stating their own
-bounds; everything else is computed inline.
+similarity.steady_family_errors on a finer sample grid), while stating
+their own bounds; everything else is computed inline.
 
 Criterion 7 starts its runs from the window |x| <= 0.8, whose exact domain
 of dependence still holds the t = 0.8 slice; its docstring gives the

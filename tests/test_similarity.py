@@ -14,7 +14,7 @@ from frame_transport import (
 )
 from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet, evaluate_value
 from zmclab.errors import DomainError
-from zmclab.numerics import Jet2
+from zmclab.numerics import Jet2, rk4_integrate
 from zmclab.residuals import EquationId, residual_at
 from zmclab.similarity import (
     SteadyOdeId,
@@ -124,7 +124,7 @@ def test_steady_family_errors_match_scalar_closed_forms():
 
 def test_steady_family_errors_read_the_jets_value_entries():
     """steady_family_errors reads each family's value alone: on its three
-    grids (901, 2002 and 2002 radii) that is evaluate_jet's value entry bit
+    grids (901, 2001 and 2001 radii) that is evaluate_jet's value entry bit
     for bit, the errors are those the entries give, and a point outside the
     family's domain is refused as evaluate_jet refuses it."""
     k, drho = 0.7, 1e-3
@@ -139,7 +139,7 @@ def test_steady_family_errors_read_the_jets_value_entries():
         entry = evaluate_jet(sol, (0.0, run.rhos)).value
         assert np.array_equal(value.view(np.int64), entry.view(np.int64)), family
         errors.append(float(np.max(np.abs(run.v - entry))))
-    assert [r.rhos.size for r in (timelike, spacelike)] == [901, 2002]
+    assert [r.rhos.size for r in (timelike, spacelike)] == [901, 2001]
     assert steady_family_errors(k, drho) == tuple(errors)
     outside = (0.0, np.array([0.5, 1.0]))
     log = ClosedFormSolution(Family.BORN_INFELD_LOG, 1.0, k)
@@ -214,14 +214,55 @@ def test_integrate_range_guard():
 
 
 def test_integrate_rk4_order():
+    """numerics.rk4_integrate's march of the Born-Infeld steady ODE converges
+    to its integral at fourth order."""
+    exact = steady_ode_integrate(
+        SteadyOdeId.BORN_INFELD_STEADY, (0.0, 2.0), (0.0, 0.5), drho=0.01
+    ).v[-1]
+
+    def slope(rho, s):
+        return (s[1], 2.0 * rho * s[1] / (1.0 - rho * rho))
+
     errs = []
     for drho in (0.02, 0.01, 0.005):
-        sol = steady_ode_integrate(
-            SteadyOdeId.BORN_INFELD_STEADY, (0.0, 2.0), (0.0, 0.5), drho=drho
-        )
-        exact = math.log(3.0)  # log((1+0.5)/(1-0.5))
-        errs.append(abs(float(sol.v[-1]) - exact))
+        _, states = rk4_integrate(slope, 0.0, (0.0, 2.0), 0.5, drho)
+        errs.append(abs(float(states[-1, 0]) - exact))
     assert np.all(observed_orders(errs) >= 3.9)
+
+
+# seeded ranges: Born-Infeld on each side of |rho| = 1 and inside it, and
+# spacelike ranges that cross zero or lie on one side of it
+STEADY_RANGES = [
+    (SteadyOdeId.BORN_INFELD_STEADY, -4.0, -1.05),
+    (SteadyOdeId.BORN_INFELD_STEADY, -0.95, 0.95),
+    (SteadyOdeId.BORN_INFELD_STEADY, 1.05, 4.0),
+    (SteadyOdeId.SPACELIKE_STEADY, -4.0, 4.0),
+    (SteadyOdeId.SPACELIKE_STEADY, 0.5, 4.0),
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("ode, lo, hi", STEADY_RANGES, ids=[
+    "born-infeld-below", "born-infeld-inside", "born-infeld-above",
+    "spacelike-across", "spacelike-positive"])
+def test_integrate_is_the_first_integral(ode, lo, hi, seed):
+    """(1 -+ rho^2) v' holds its initial value to rounding, and v matches an
+    mpmath quadrature of that constant over 1 -+ rho^2 to 1e-13."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(seed)
+    rho0, rho1 = np.sort(rng.uniform(lo, hi, 2)).tolist()
+    v0, vp0 = rng.uniform(-2.0, 2.0, 2).tolist()
+    sol = steady_ode_integrate(ode, (v0, vp0), (rho0, rho1), drho=1e-3)
+    sign = -1.0 if ode is SteadyOdeId.BORN_INFELD_STEADY else 1.0
+    constant = vp0 * (1.0 + sign * rho0 * rho0)
+    held = sol.vp * (1.0 + sign * sol.rhos * sol.rhos)
+    assert np.max(np.abs(held - constant)) <= 8.0 * np.finfo(float).eps * abs(constant)
+    with mpmath.workdps(30):
+        c = mpmath.mpf(vp0) * (1 + sign * mpmath.mpf(rho0) ** 2)
+        for i in np.linspace(0, sol.rhos.size - 1, 7).astype(int):
+            rho = mpmath.mpf(float(sol.rhos[i]))
+            want = v0 + mpmath.quad(lambda r: c / (1 + sign * r * r), [rho0, rho])
+            assert abs(float(want) - sol.v[i]) <= 1e-13, (rho, sol.v[i], want)
 
 
 # --- transformed equation residuals -------------------------------------------
