@@ -15,17 +15,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .closedform import (
-    ClosedFormSolution,
-    Family,
-    derivative_blowup_amplitude,
-    evaluate_jet,
-)
+from .closedform import ClosedFormSolution, Family, evaluate_jet
 from .conserved import measure_scaling_exponent
 from .numerics import Jet2, libm_pow
 from .residuals import RHO_MAX, EquationId, certify, residual_at
 from .profiles import degenerate_branch
-from .similarity import steady_family_errors
+from .similarity import steady_residual_ratios
 from .stability import directional_linearization_check, mode_growth_probe, solve_mode_quadratic
 
 MATCH = "match"
@@ -158,10 +153,9 @@ def _claim_spacelike_solution() -> AuditClaim:
     )
 
 
-def _claim_blowup_rate(sol, entry, exact_rate, **text) -> AuditClaim:
+def _claim_blowup_rate(sol, entry, exact_rate, analytic, **text) -> AuditClaim:
     """A stated on-axis blow-up rate, 1/(T-t) = 2 at T = 1, t = 0.5, against
-    the exact amplitude there and the jet entry entry(jet) that carries it."""
-    analytic = derivative_blowup_amplitude(sol, 0.5)
+    the exact one there, analytic, and the jet entry entry(jet) carrying it."""
     sampled = entry(evaluate_jet(sol, (0.5, 0.0)))
     stated = 1.0 / (1.0 - 0.5)
     agree = abs(analytic - sampled) <= 1e-12
@@ -182,6 +176,7 @@ def _claim_gradient_amplitude() -> AuditClaim:
         ClosedFormSolution(family=Family.BORN_INFELD_LOG, T=1.0, k=1.0),
         lambda jet: jet.d1[1],
         "2k/(T-t)",
+        2.0 * 1.0 / (1.0 - 0.5),
         id="gradient-blowup-amplitude",
         description="on-axis spatial gradient of the logarithmic family as "
         "t approaches the blow-up time",
@@ -196,6 +191,7 @@ def _claim_axis_curvature_sign() -> AuditClaim:
         ClosedFormSolution(family=Family.MEMBRANE_SPHERE_PLUS, T=1.0),
         lambda jet: jet.d2[2],
         "-1/(T-t) for the upper cap",
+        -1.0 / (1.0 - 0.5),
         id="axis-curvature-sign",
         description="second radial derivative of the sphere caps on the "
         "axis as t approaches the blow-up time",
@@ -242,28 +238,21 @@ def _claim_sphere_lightlike(worst, within) -> AuditClaim:
 
 
 def _claim_steady_families() -> AuditClaim:
-    k = 0.7
-    err_t, err_claimed, err_corrected = steady_family_errors(k, 1e-3)
-    timelike_ok = err_t <= 1e-8
-    spacelike_printed_fails = err_claimed >= 0.09 * k
-    spacelike_arctan_ok = err_corrected <= 1e-8
-    verdict = (
-        MISMATCH
-        if timelike_ok and spacelike_printed_fails and spacelike_arctan_ok
-        else QUALITATIVE
-    )
+    r_t, r_claimed, r_corrected = steady_residual_ratios()
+    solutions_ok = r_t <= 1e-12 and r_corrected <= 1e-12
+    verdict = MISMATCH if solutions_ok and abs(r_claimed - 1.0 / 3.0) <= 1e-12 else QUALITATIVE
     return AuditClaim(
         id="steady-reduction-families",
         description="closed-form families printed for the two linear steady "
-        "reductions, checked against each reduction's first integral, "
-        "(1 -+ rho^2) v' constant, from matching initial slopes",
+        "reductions, (rho^2 -+ 1) v'' + 2 rho v' = 0, judged at k = 0.7 by "
+        "sup |residual| / sup (|rho^2 v''| + |v''| + |2 rho v'|) from their jets",
         source_location="similarity module, steady reductions",
         claimed="timelike: k*ln((1+rho)/(1-rho)); spacelike: "
         "k*ln(rho+sqrt(1+rho^2))",
-        computed=f"timelike family matches the integral to {_fmt(err_t)} on "
-        f"[0, 0.9]; printed spacelike family deviates by {_fmt(err_claimed)} "
-        f"(>= 0.09k = {_fmt(0.09 * k)}) on [0, 2] while k*arctan(rho) "
-        f"matches to {_fmt(err_corrected)}",
+        computed=f"timelike family reads {_fmt(r_t)} on [0, 0.9]; printed "
+        f"spacelike family reads {_fmt(r_claimed)} on [0, 2], its residual "
+        f"k*rho/sqrt(1+rho^2) being a third of its terms, while k*arctan(rho) "
+        f"reads {_fmt(r_corrected)}",
         verdict=verdict,
         expected_verdict=MISMATCH,
         note="the printed spacelike function solves the timelike-signature "

@@ -16,12 +16,14 @@ Derivatives are hand-derived, hard-coded expressions -- never finite
 differences -- because the residual certification needs machine precision.
 The same expression tree evaluates on scalars or whole arrays, in double
 precision or in double-double arithmetic (DoubleDouble, about 32 significant
-digits), and forms each repeated subexpression once. The value u itself is
-the double formula in both, since no residual reads it, so double-double
-needs no log, atan or asinh; evaluate_value forms it alone, for the steady
-families' comparison. In double-double the sample coordinates, T, k
-and the value are exact doubles (no low part), so the sums and products
-they enter take the shorter formulas, with the bits of the general ones.
+digits), and forms each repeated subexpression once: evaluate_jet and
+evaluate_jet_extended are the module's two evaluators. The value u itself
+is the double formula in both, since no residual reads it, so double-double
+needs no log, atan or asinh, and a check that reads only the slopes (every
+residual, the steady families' among them) passes through none of them.
+In double-double the sample coordinates, T, k and the value are exact
+doubles (no low part), so the sums and products they enter take the
+shorter formulas, with the bits of the general ones.
 Members sharing T and one formula (the log members, which differ in k; the
 two caps, which differ in the sign s) evaluate as one batch whose constants
 broadcast against the points. So one call serves a single point, an
@@ -389,12 +391,12 @@ def _jet_terms(fam: Family, T, k, a, b, sqrt):
     return ut, zero, zero, zero, zero
 
 
-def _points(sol, point):
-    """(family, shape, T, k, a, b) of an evaluation: the entries' shape, T,
-    the formula's constant per member and the raveled points, checked
+def _evaluate(sol, point, extended: bool) -> Jet2:
+    """The jet of sol, or of a batch of members, at the points, checked
     strictly inside the members' validity region."""
     members = _batch(sol)
     first = members[0]
+    fam, T = first.family, float(first.T)
     a, b = np.broadcast_arrays(
         np.asarray(point[0], dtype=float), np.asarray(point[1], dtype=float)
     )
@@ -406,11 +408,6 @@ def _points(sol, point):
     # constant stays a scalar, which numpy combines with an array faster
     ks = [_coefficient(m) for m in members]
     k = ks[0] if len(ks) == 1 else np.array(ks)[:, None]
-    return first.family, shape, float(first.T), k, a, b
-
-
-def _evaluate(sol, point, extended: bool) -> Jet2:
-    fam, shape, T, k, a, b = _points(sol, point)
     value = _value(fam, T, k, a, b)
     if extended:
         # exact doubles: no zero low parts, and each split formed once
@@ -422,14 +419,6 @@ def _evaluate(sol, point, extended: bool) -> Jet2:
         terms = [t.item() for t in terms]
     value, d_a, d_b, d_aa, d_ab, d_bb = terms
     return Jet2(value=value, d1=(d_a, d_b), d2=(d_aa, d_ab, d_bb))
-
-
-def evaluate_value(sol: ClosedFormSolution, point):
-    """u alone, evaluate_jet's value to the bit, at the same points and with
-    the same domain check, without forming the derivatives."""
-    fam, shape, T, k, a, b = _points(sol, point)
-    value = _value(fam, T, k, a, b).reshape(shape)
-    return value.item() if not shape else value
 
 
 def evaluate_jet(sol: ClosedFormSolution, point) -> Jet2:
@@ -458,26 +447,3 @@ def evaluate_jet_extended(sol: ClosedFormSolution, point) -> Jet2:
     evaluate_jet's value to the bit, with a zero low part.
     """
     return _evaluate(sol, point, extended=True)
-
-
-def derivative_blowup_amplitude(sol: ClosedFormSolution, t: float) -> float:
-    """The analytically evaluated on-axis derivative that blows up as t -> T.
-
-    For the log family this is the spatial gradient at x=0, equal to
-    2k/(T-t) -- direct differentiation of the closed form gives
-    k*(1/(T-t+x) + 1/(T-t-x)). For the sphere caps it is the second radial
-    derivative at r=0, equal to -sign/(T-t). The audit compares both against
-    the rates stated in the source material.
-    """
-    fam = sol.family
-    if fam not in (Family.BORN_INFELD_LOG, Family.MEMBRANE_SPHERE_PLUS,
-                   Family.MEMBRANE_SPHERE_MINUS):
-        raise DomainError(
-            "blow-up amplitude is defined for the log and sphere families only, "
-            f"not {fam.value}"
-        )
-    t = float(t)
-    _check_interior(sol, np.array([t]), np.array([0.0]))
-    if fam is Family.BORN_INFELD_LOG:
-        return 2.0 * sol.k / (sol.T - t)
-    return (-1.0 if fam is Family.MEMBRANE_SPHERE_PLUS else 1.0) / (sol.T - t)

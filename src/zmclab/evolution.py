@@ -14,7 +14,8 @@ blow-up that domain closes up shortly after the last time it can still
 certify, so a run may end with an exhausted window rather than at its
 requested final time; the run's status says which happened.  A radial
 window keeps its axis edge pinned at r = 0, where parity ghosts close
-the stencils.
+the stencils; they take q odd, so an axis window refuses data with
+q(0) != 0.
 """
 
 from __future__ import annotations
@@ -436,12 +437,15 @@ def run_evolution(state: EvolutionState, config: EvolutionConfig) -> EvolutionRu
     radial = config.equation is EquationId.RADIAL_MEMBRANE
     if radial and state.xs[0] < 0.0:
         raise DomainError(f"a radial window needs lo >= 0, got lo = {state.xs[0]}")
+    axis_pinned = radial and state.xs[0] == 0.0
+    # the axis's parity ghosts take q odd, so q(0) = 0
+    if axis_pinned and state.q[0] != 0.0:
+        raise DomainError(f"an axis window needs q = 0 at r = 0, got q[0] = {state.q[0]}")
     check_state(state)
     # the initial floor; per-node quantities are computed once, on the full
     # post-step arrays, and their kept slices serve as the next step's old values
     speeds, disc, root = characteristic_speeds(state.p, state.q)
     track_momentum = config.equation is EquationId.BORN_INFELD
-    axis_pinned = radial and state.xs[0] == 0.0
 
     t = state.t
     xs, y, h = state.xs, np.stack([state.u, state.p, state.q]), state.spacing

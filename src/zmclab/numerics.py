@@ -9,8 +9,9 @@ in numpy, and rk4_adaptive_step steps through it; rk4_integrate steps a
 pair of floats, written out as two scalar expressions per stage. No
 other module steps with any of the three: the evolution takes its steps
 through evolution._rk4_step, whose four stages share one workspace, the
-steady ODEs integrate in closed form (similarity.steady_ode_integrate) and
-the profile shoot takes its steps without a stepper. Each RK4 entry
+steady ODEs integrate in closed form (similarity.steady_ode_integrate), the
+audit judges their families by residual (similarity.steady_residual_ratios),
+and the profile shoot takes its steps without a stepper. Each RK4 entry
 refuses a step, an end or a tolerance that is not finite with
 DomainError, once, before it steps.
 """

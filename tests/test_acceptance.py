@@ -3,10 +3,12 @@
 Each test prints a single PASS/FAIL line for its criterion before asserting,
 so a verbose run reads as a checklist. Shared evolution runs live in a
 session fixture, and criteria 5 and 10 read the shared audit report from
-conftest.py. Criteria 1-4 compute through the functions the audit calls
-(residuals.certify at 100 x 100 instead of the audit's 20 x 25, and
-similarity.steady_family_errors on a finer sample grid), while stating
-their own bounds; everything else is computed inline.
+conftest.py. Criteria 1-3 compute through the function the audit calls
+(residuals.certify at 100 x 100 instead of the audit's 20 x 25), while
+stating their own bounds; everything else is computed inline. Criterion 4
+compares the steady families with their reductions' first integral
+(similarity.steady_ode_integrate), a check independent of the audit's,
+which judges them by their residual.
 
 Criterion 7 starts its runs from the window |x| <= 0.8, whose exact domain
 of dependence still holds the t = 0.8 slice; its docstring gives the
@@ -37,7 +39,7 @@ from zmclab.evolution import (
 from zmclab.numerics import Grid1D, Jet2
 from zmclab.profiles import degenerate_branch
 from zmclab.residuals import EquationId, certify, residual_at
-from zmclab.similarity import steady_family_errors
+from zmclab.similarity import SteadyOdeId, steady_ode_integrate
 from zmclab.stability import (
     directional_linearization_check,
     linearized_coefficients,
@@ -114,10 +116,26 @@ def test_criterion_03_spacelike_audit_values():
 
 
 def test_criterion_04_steady_ode_reproduction():
-    """The asinh gap is the printed spacelike family's largest deviation,
-    which k(asinh rho - arctan rho), increasing on [0, 2], takes at rho = 2."""
+    """Largest deviations of the steady families (the closed forms at T = 1
+    on the slice t = 0, or x = 0) from the first integrals of their ODEs,
+    sampled 1e-4 apart from the families' data at rho = 0. The asinh gap is
+    the printed spacelike family's, which k(asinh rho - arctan rho),
+    increasing on [0, 2], takes at rho = 2."""
     k = 0.7
-    err_t, gap_asinh, err_arctan = steady_family_errors(k, 1e-4)
+    timelike = steady_ode_integrate(
+        SteadyOdeId.BORN_INFELD_STEADY, (0.0, 2.0 * k), (0.0, 0.9), 1e-4
+    )
+    spacelike = steady_ode_integrate(SteadyOdeId.SPACELIKE_STEADY, (0.0, k), (0.0, 2.0), 1e-4)
+    err_t, gap_asinh, err_arctan = (
+        float(np.max(np.abs(
+            run.v - evaluate_jet(ClosedFormSolution(family, 1.0, k), (0.0, run.rhos)).value
+        )))
+        for run, family in (
+            (timelike, Family.BORN_INFELD_LOG),
+            (spacelike, Family.SPACELIKE_LOG_CLAIMED),
+            (spacelike, Family.SPACELIKE_ARCTAN_CORRECTED),
+        )
+    )
     ok = err_t <= 1e-8 and err_arctan <= 1e-8 and gap_asinh >= 0.09 * k
     verdict(4, "steady-ode-reproduction", ok,
             f"log family {err_t:.2e}, arctan {err_arctan:.2e}, "

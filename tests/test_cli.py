@@ -94,6 +94,20 @@ def test_verify_defaults_print_the_pinned_bytes(capsys):
     assert "".join(outputs) == VERIFY_DEFAULTS.read_text()
 
 
+# audit's stdout, every claim and the measurement
+AUDIT_STDOUT = Path(__file__).with_name("audit_stdout.json")
+
+
+def test_audit_prints_the_pinned_bytes(capsys):
+    """Every digit of the audit is pinned: its claims and its measurement
+    pass only through IEEE +, -, x, / and sqrt and the C library's pow
+    (numerics.libm_pow), and never read a value of numpy's log, atan or
+    asinh, whose last bits can differ between numpy builds and CPUs."""
+    code, out, err = run_cli(capsys, "audit")
+    assert (code, err) == (0, "")
+    assert out == AUDIT_STDOUT.read_text()
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "verify judges a solution by the absolute bound 1e-9, while the sweep's "
     "rounding floor grows about as k^3 for the log family: a bound relative "
@@ -621,6 +635,11 @@ def test_evolve_refuses_method_keys_as_unknown(tmp_path, capsys, override):
 @pytest.mark.parametrize("overrides, message", [
     (("t_end=-0.1",), "need 0 < t_end < blowup_time, got t_end=-0.1, blowup_time=1.0"),
     (("equation=membrane", "family=constant"), "a radial window needs lo >= 0, got lo = -0.5"),
+    # the axis's parity ghosts take q odd: data with q(0) != 0 would evolve a cone
+    (("equation=membrane", "lo=0", "hi=0.5"),
+     "an axis window needs q = 0 at r = 0, got q[0] = 0.4"),
+    (("equation=membrane", "family=arctan-corrected", "lo=0", "hi=0.5"),
+     "an axis window needs q = 0 at r = 0, got q[0] = 0.2"),
     (("k=1e155",), "need slopes max(|p|, |q|) <= 1e+50, got 2.667e+155"),
     (("k=1e200",), "need slopes max(|p|, |q|) <= 1e+50, got 2.667e+200"),
     (("k=1e300",), "need slopes max(|p|, |q|) <= 1e+50, got 2.667e+300"),
@@ -633,14 +652,16 @@ def test_evolve_refuses_method_keys_as_unknown(tmp_path, capsys, override):
     (("T=1e-300", "lo=-1e-301", "hi=1e-301", "t_end=1e-301"),
      "initial data at k=0.2, T=1e-300 (slopes <= 1e+50) leaves double range "
      "(divide by zero encountered in divide)"),
-], ids=["t_end-below-start", "membrane-negative-lo", "slope-1e155", "slope-1e200",
+], ids=["t_end-below-start", "membrane-negative-lo", "membrane-axis-log",
+        "membrane-axis-arctan", "slope-1e155", "slope-1e200",
         "slope-1e300", "data-overflow", "data-infinite", "spacing-below-floor",
         "data-divide-by-zero"])
 def test_evolve_refuses_a_run_it_cannot_start(tmp_path, capsys, overrides, message):
     """Refused before the first step, exit 2 naming the violated bound and
     with no RuntimeWarning (pytest turns one into an error): slopes the
     right-hand side would square and multiply past double range, data
-    whose evaluation overflows or divides by zero, and a spacing whose CFL step is below the
+    whose evaluation overflows or divides by zero, axis data that is not
+    odd in r, and a spacing whose CFL step is below the
     floor (the speeds are at most 1, so no later step can be)."""
     assert message in refused_override_error(tmp_path, capsys, *overrides)
 

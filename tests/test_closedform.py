@@ -10,7 +10,6 @@ from zmclab.closedform import (
     ClosedFormSolution,
     DoubleDouble,
     Family,
-    derivative_blowup_amplitude,
     evaluate_jet,
     evaluate_jet_extended,
     split,
@@ -95,22 +94,11 @@ def test_evaluate_rejects_boundary_and_exterior():
             evaluate(sphere(), (t[:4], x[:4]))
 
 
-def test_blowup_amplitudes():
-    assert derivative_blowup_amplitude(bi(k=1.0), 0.5) == 4.0  # 2k/(T-t)
-    assert derivative_blowup_amplitude(sphere(+1), 0.5) == -2.0  # -1/(T-t)
-    assert derivative_blowup_amplitude(sphere(-1), 0.5) == 2.0
-    with pytest.raises(DomainError):
-        derivative_blowup_amplitude(bi(), 1.0)
-    with pytest.raises(DomainError):
-        derivative_blowup_amplitude(
-            ClosedFormSolution(Family.SPACELIKE_LOG_CLAIMED, T=1.0, k=1.0), 0.5
-        )
-
-
 def test_blowup_amplitude_grows_like_inverse_gap():
+    """The log family's on-axis gradient is 2k/(T-t)."""
     sol = bi(k=0.3)
     gaps = [0.1, 0.01, 0.001]
-    amps = [derivative_blowup_amplitude(sol, 1.0 - g) for g in gaps]
+    amps = [evaluate_jet(sol, (1.0 - g, 0.0)).d1[1] for g in gaps]
     for g, amp in zip(gaps, amps):
         assert abs(amp * g - 0.6) < 1e-12
     assert amps[0] < amps[1] < amps[2]

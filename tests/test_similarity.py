@@ -12,15 +12,15 @@ from frame_transport import (
     transform_jet_unscaled,
     wave_reduction_residual,
 )
-from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet, evaluate_value
+from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet
 from zmclab.errors import DomainError
 from zmclab.numerics import Jet2, rk4_integrate
 from zmclab.residuals import EquationId, residual_at
 from zmclab.similarity import (
     SteadyOdeId,
     membrane_reduction_residual,
-    steady_family_errors,
     steady_ode_integrate,
+    steady_residual_ratios,
 )
 
 TWO_LN3 = 2.1972245773362196
@@ -108,46 +108,33 @@ def test_steady_closed_forms():
         steady(Family.BORN_INFELD_LOG, 1.0, 1.0)
 
 
-def test_steady_family_errors_match_scalar_closed_forms():
-    """The array closed forms give the errors the printed scalar formulas give."""
-    k, drho = 0.7, 1e-3
-    timelike = steady_ode_integrate(SteadyOdeId.BORN_INFELD_STEADY, (0.0, 2 * k), (0.0, 0.9), drho)
-    spacelike = steady_ode_integrate(SteadyOdeId.SPACELIKE_STEADY, (0.0, k), (0.0, 2.0), drho)
+def test_steady_residual_ratios_match_scalar_closed_forms():
+    """Each ratio recomputed point by point in floats, from the printed
+    families' hand-written slopes at k = 0.7 on the same radii: the two
+    solutions sit at rounding, and the printed k*asinh(rho), whose residual
+    k rho/sqrt(1 + rho^2) is a third of its terms, at 1/3."""
+    k = 0.7
+
+    def ratio(sign, rho_max, slopes):
+        worst = scale = 0.0
+        for i in range(round(rho_max * 1e3) + 1):
+            rho = rho_max * i / round(rho_max * 1e3)
+            vp, vpp = slopes(rho)
+            terms = (rho * rho * vpp, sign * vpp, 2.0 * rho * vp)
+            worst = max(worst, abs(sum(terms)))
+            scale = max(scale, sum(map(abs, terms)))
+        return worst / scale
+
     scalar = (
-        max(abs(v - k * math.log((1 + r) / (1 - r))) for r, v in zip(timelike.rhos, timelike.v)),
-        max(abs(v - k * math.asinh(r)) for r, v in zip(spacelike.rhos, spacelike.v)),
-        max(abs(v - k * math.atan(r)) for r, v in zip(spacelike.rhos, spacelike.v)),
+        ratio(-1.0, 0.9, lambda r: (2 * k / (1 - r * r), 4 * k * r / (1 - r * r) ** 2)),
+        ratio(1.0, 2.0, lambda r: (k / math.sqrt(1 + r * r), -k * r / (1 + r * r) ** 1.5)),
+        ratio(1.0, 2.0, lambda r: (k / (1 + r * r), -2 * k * r / (1 + r * r) ** 2)),
     )
-    for got, want in zip(steady_family_errors(k, drho), scalar):
-        assert abs(got - want) <= 1e-15, (got, want)
-
-
-def test_steady_family_errors_read_the_jets_value_entries():
-    """steady_family_errors reads each family's value alone: on its three
-    grids (901, 2001 and 2001 radii) that is evaluate_jet's value entry bit
-    for bit, the errors are those the entries give, and a point outside the
-    family's domain is refused as evaluate_jet refuses it."""
-    k, drho = 0.7, 1e-3
-    timelike = steady_ode_integrate(SteadyOdeId.BORN_INFELD_STEADY, (0.0, 2 * k), (0.0, 0.9), drho)
-    spacelike = steady_ode_integrate(SteadyOdeId.SPACELIKE_STEADY, (0.0, k), (0.0, 2.0), drho)
-    errors = []
-    for run, family in ((timelike, Family.BORN_INFELD_LOG),
-                        (spacelike, Family.SPACELIKE_LOG_CLAIMED),
-                        (spacelike, Family.SPACELIKE_ARCTAN_CORRECTED)):
-        sol = ClosedFormSolution(family, 1.0, k)
-        value = evaluate_value(sol, (0.0, run.rhos))
-        entry = evaluate_jet(sol, (0.0, run.rhos)).value
-        assert np.array_equal(value.view(np.int64), entry.view(np.int64)), family
-        errors.append(float(np.max(np.abs(run.v - entry))))
-    assert [r.rhos.size for r in (timelike, spacelike)] == [901, 2001]
-    assert steady_family_errors(k, drho) == tuple(errors)
-    outside = (0.0, np.array([0.5, 1.0]))
-    log = ClosedFormSolution(Family.BORN_INFELD_LOG, 1.0, k)
-    with pytest.raises(DomainError) as exc:
-        evaluate_value(log, outside)
-    with pytest.raises(DomainError) as jet_exc:
-        evaluate_jet(log, outside)
-    assert str(exc.value) == str(jet_exc.value) == "|x| < T-t violated: |1.0| >= 1.0"
+    got = steady_residual_ratios()
+    for g, want in zip(got, scalar):
+        assert abs(g - want) <= 1e-15, (got, scalar)
+    assert max(got[0], got[2]) <= 1e-15
+    assert abs(got[1] - 1.0 / 3.0) <= 1e-15
 
 
 def steady_jet(v, vp, vpp):
