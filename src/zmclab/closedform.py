@@ -247,11 +247,11 @@ class ClosedFormSolution:
     k: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.T > 0):
-            raise DomainError(f"T must be positive, got {self.T}")
         for name, value in (("T", self.T), ("k", self.k)):
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
+        if not (self.T > 0):
+            raise DomainError(f"T must be positive, got {self.T}")
         if self.family in _K_REQUIRED and self.k == 0.0:
             raise DomainError(f"family {self.family.value} needs k != 0")
 

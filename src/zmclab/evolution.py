@@ -39,7 +39,6 @@ from .numerics import (
     Grid1D,
     _check_stage_finite,
     double_range,
-    log_log_fit,
     trapezoid_terms,
 )
 # rk4_step stays bound here for bench/selftest.py's binding test
@@ -131,8 +130,9 @@ def check_state(state: EvolutionState):
         raise DomainError(f"need slopes max(|p|, |q|) <= {MAX_SLOPE:g}, got {steepest:.3e}")
     du = np.gradient(state.u, h, edge_order=2)
     third = np.abs(np.diff(state.u, n=3))
-    m3 = float(np.max(third)) / h ** 3 if third.size else 0.0
-    tol = 10.0 * h * h * max(m3, 1.0)
+    # 10 h^2 max(m3, 1), m3 = third / h^3, without h**3, whose float power
+    # raises OverflowError once h > 5.6e102
+    tol = 10.0 * max(float(np.max(third)) / h if third.size else 0.0, h * h)
     worst = float(np.max(np.abs(state.q - du)))
     if worst > tol:
         raise ConsistencyError(
@@ -567,21 +567,41 @@ class BlowupFit:
 
 def fit_blowup_series(times, values, blowup_time, window) -> BlowupFit:
     """Fit values ~ amplitude * (blowup_time - t)^(-exponent) over the
-    samples whose times lie in window (an exhausted run's, however few)."""
+    samples whose times lie in window (an exhausted run's, however few):
+    the least-squares line of log |value| on log 1/(blowup_time - t), its r^2
+    clamped to [0, 1]."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    if times.size != values.size:
+        raise ArityError(f"mismatched lengths {times.size} vs {values.size}")
     lo, hi = window
     if float(np.max(times, initial=-math.inf)) >= blowup_time:
         raise DomainError("all sample times must precede the blow-up time")
     mask = (times >= lo) & (times <= hi)
-    if int(np.sum(mask)) < 2:
+    n_points = int(np.sum(mask))
+    if n_points < 2:
         raise ArityError("fit window contains fewer than 2 samples")
     gaps = 1.0 / (blowup_time - times[mask])
-    fit = log_log_fit(gaps, np.abs(values[mask]))
+    sizes = np.abs(values[mask])
+    # a finite blowup_time past every sample leaves each gap > 0
+    if not (math.isfinite(blowup_time) and np.isfinite(gaps).all() and np.isfinite(sizes).all()):
+        raise DomainError("the blow-up fit's inputs must be finite")
+    if np.any(sizes == 0):
+        raise DomainError(
+            "the blow-up fit needs a centre series with no zero in its window (log scale)"
+        )
+    x, y = np.log(gaps), np.log(sizes)
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    if ss_tot == 0.0:
+        r_squared = 1.0 if ss_res <= 1e-24 * max(1, y.size) else 0.0
+    else:
+        r_squared = 1.0 - ss_res / ss_tot
     return BlowupFit(
-        exponent=fit.slope,
-        amplitude=math.exp(fit.intercept),
-        r_squared=fit.r_squared,
-        n_points=fit.n_points,
+        exponent=float(slope),
+        amplitude=math.exp(intercept),
+        r_squared=min(1.0, max(0.0, r_squared)),
+        n_points=n_points,
         window=(lo, hi),
     )

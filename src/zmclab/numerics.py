@@ -1,8 +1,8 @@
 """Shared numerical substrate.
 
 Uniform 1D grids, the 2-jet container, the classical RK4 integrator
-(fixed step and a step-halving adaptive wrapper), the trapezoid rule's
-per-interval terms, and least-squares fits in log-log coordinates.
+(fixed step and a step-halving adaptive wrapper) and the trapezoid rule's
+per-interval terms.
 
 All arithmetic here is IEEE double precision. rk4_step steps an array
 in numpy, and rk4_adaptive_step steps through it; rk4_integrate steps a
@@ -47,6 +47,8 @@ class Grid1D:
             raise DomainError(f"cell count must satisfy n >= {MIN_CELLS}, got n={self.n}")
         if not (-math.inf < self.lo < self.hi < math.inf):
             raise DomainError(f"grid needs finite lo < hi, got lo={self.lo}, hi={self.hi}")
+        if not math.isfinite(self.spacing):  # hi - lo overflows past 1.8e308
+            raise DomainError(f"grid needs a finite spacing, got lo={self.lo}, hi={self.hi}")
 
     @property
     def spacing(self) -> float:
@@ -54,14 +56,6 @@ class Grid1D:
 
     def nodes(self) -> np.ndarray:
         return self.lo + self.spacing * np.arange(self.n + 1)
-
-
-@dataclass(frozen=True)
-class FitResult:
-    slope: float
-    intercept: float
-    r_squared: float
-    n_points: int
 
 
 @dataclass(frozen=True)
@@ -285,41 +279,6 @@ def rk4_adaptive_step(derivative, t: float, state, dt: float, abs_tol: float):
             dt_next = 2.0 * dt if err <= abs_tol / 64.0 else dt
             return t + dt, half2, dt, dt_next
         dt = 0.5 * dt
-
-
-def log_log_fit(abscissae, ordinates) -> FitResult:
-    """Ordinary least squares on (log a_i, log b_i).
-
-    The slope is the measured power-law exponent. Inputs must be strictly
-    positive; fewer than 2 points is an arity error.
-    """
-    a = np.asarray(abscissae, dtype=float).ravel()
-    b = np.asarray(ordinates, dtype=float).ravel()
-    if a.size != b.size:
-        raise ArityError(f"mismatched lengths {a.size} vs {b.size}")
-    if a.size < 2:
-        raise ArityError(f"log_log_fit needs at least 2 points, got {a.size}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise DomainError("log_log_fit inputs must be finite")
-    if np.any(a <= 0) or np.any(b <= 0):
-        raise DomainError("log_log_fit needs strictly positive inputs (log scale)")
-    x = np.log(a)
-    y = np.log(b)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    if ss_tot == 0.0:
-        r_squared = 1.0 if ss_res <= 1e-24 * max(1, y.size) else 0.0
-    else:
-        r_squared = 1.0 - ss_res / ss_tot
-    r_squared = min(1.0, max(0.0, r_squared))
-    return FitResult(
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r_squared,
-        n_points=int(a.size),
-    )
 
 
 def trapezoid_terms(values, gaps):

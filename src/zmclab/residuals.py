@@ -12,11 +12,11 @@ residual then sits near 1e-32 times its largest term (1e-23 for the steepest
 log family) instead of the double rounding floor, which for steep parameter
 choices is all that separates "solution" from "not obviously a solution".
 
-The certification policy lives here too: certify sweeps a batch of members
-sharing T and one jet formula over their sample set, from one jet, and
-judges each sweep by its (equation, family) pairing, for `zmclab verify` (a
-batch of one), the audit and the acceptance gate alike, each at its own
-grid size.
+The certification policy lives here too: sample_points maps each family to
+its one sample set, and certify sweeps a batch of members sharing T and one
+jet formula over it, from one jet, and judges each sweep by its (equation,
+family) pairing, for `zmclab verify` (a batch of one), the audit and the
+acceptance gate alike, each at its own grid size.
 """
 from __future__ import annotations
 
@@ -30,9 +30,9 @@ from .closedform import DoubleDouble, Family, evaluate_jet_extended
 from .errors import DomainError
 from .numerics import Jet2, double_range
 
-RHO_MIN = 0.01  # innermost similarity radius of the backward-cone sampler
-# the cone samplers' margin and outermost similarity radius in every
-# certification sweep
+RHO_MIN = 0.01  # innermost similarity radius of the backward cone's samples
+# the lightcone's and the cone's margin and the cone's outermost similarity
+# radius in every certification sweep
 MARGIN = 0.02
 RHO_MAX = 0.95
 
@@ -102,51 +102,6 @@ def residual_at(eq: EquationId, jet: Jet2, point) -> float:
     raise DomainError(f"unknown equation id {eq!r}")
 
 
-# ---------------------------------------------------------------------------
-# domain samplers
-
-
-def _refuse_unresolved_margin(T, region):
-    """Refuse a T whose resolution is coarser than MARGIN: above T = 2^48,
-    T - MARGIN rounds onto T and the samples would reach the blow-up."""
-    if not T - MARGIN < T:
-        raise DomainError(
-            f"T={T:g} leaves no room inside the {region}: "
-            f"MARGIN={MARGIN:g} is below the resolution of T"
-        )
-
-
-def lightcone_interior_points(T: float, n_time: int, n_space: int) -> np.ndarray:
-    """Tensor-style sampling of the interior lightcone: n_time time slices,
-    each carrying n_space points spanning |x| <= T - t - MARGIN."""
-    if not T - 2 * MARGIN > 0:
-        raise DomainError(f"T={T} leaves no room inside the lightcone: needs T > {2 * MARGIN:g}")
-    _refuse_unresolved_margin(T, "lightcone")
-    tg = np.linspace(0.0, T - 2 * MARGIN, n_time)
-    half = T - tg - MARGIN
-    xs = np.linspace(-half, half, n_space, axis=1)
-    return np.column_stack([np.repeat(tg, n_space), xs.ravel()])
-
-
-def backward_cone_points(T: float, n_time: int, n_space: int) -> np.ndarray:
-    """Sampling of the backward lightcone at similarity radii
-    rho = r/(T-t) in [RHO_MIN, RHO_MAX]; RHO_MIN stays off the axis because
-    the expanded membrane residual has 1/r terms."""
-    if not T - 2 * MARGIN > MARGIN:
-        raise DomainError(f"T={T} leaves no room inside the cone: needs T > {3 * MARGIN:g}")
-    _refuse_unresolved_margin(T, "cone")
-    tg = np.linspace(MARGIN, T - 2 * MARGIN, n_time)
-    rhog = np.linspace(RHO_MIN, RHO_MAX, n_space)
-    return np.column_stack([np.repeat(tg, n_space), np.outer(T - tg, rhog).ravel()])
-
-
-def rectangle_points(a_range, b_range, n_a: int, n_b: int) -> np.ndarray:
-    """Plain tensor grid on a rectangle, a the slow coordinate."""
-    a = np.linspace(a_range[0], a_range[1], n_a)
-    b = np.linspace(b_range[0], b_range[1], n_b)
-    return np.column_stack([np.repeat(a, n_b), np.tile(b, n_a)])
-
-
 def sweep_residual(eq: EquationId, jet: Jet2, points: np.ndarray) -> ResidualReport:
     """Evaluate residual_at over every sample point of jet and aggregate.
 
@@ -199,15 +154,33 @@ VERIFY_PAIRINGS = {
 
 
 def sample_points(family: Family, T, n_time, n_space) -> np.ndarray:
-    """The n_time x n_space sample set that certifies family: the lightcone
-    interior for the log family, the backward cone for the radial families
-    (both at MARGIN, the cone out to RHO_MAX), and the square [0, T/2]^2 of
-    the spacelike half plane."""
-    if family is Family.BORN_INFELD_LOG:
-        return lightcone_interior_points(T, n_time, n_space)
+    """The n_time x n_space sample set that certifies family, n_time slices
+    of n_space points: the lightcone interior |x| <= T - t - MARGIN at
+    t in [0, T - 2 MARGIN] for the log family, the backward cone at radii
+    r/(T - t) in [RHO_MIN, RHO_MAX] (off the axis, where the membrane
+    residual has 1/r terms) at t in [MARGIN, T - 2 MARGIN] for the radial
+    families, and the square [0, T/2]^2 for the spacelike ones. A T too
+    small for the margins, or above 2^48, where T - MARGIN rounds onto T,
+    raises DomainError."""
     if family in (Family.SPACELIKE_LOG_CLAIMED, Family.SPACELIKE_ARCTAN_CORRECTED):
-        return rectangle_points((0.0, T / 2), (0.0, T / 2), n_time, n_space)
-    return backward_cone_points(T, n_time, n_space)
+        tg = np.linspace(0.0, T / 2, n_time)
+        xs = np.tile(np.linspace(0.0, T / 2, n_space), n_time)
+    else:
+        lightcone = family is Family.BORN_INFELD_LOG
+        region, first = ("lightcone", 0.0) if lightcone else ("cone", MARGIN)
+        if not T - 2 * MARGIN > first:
+            raise DomainError(f"T={T} leaves no room inside the {region}: "
+                              f"needs T > {2 * MARGIN + first:g}")
+        if not T - MARGIN < T:
+            raise DomainError(f"T={T:g} leaves no room inside the {region}: "
+                              f"MARGIN={MARGIN:g} is below the resolution of T")
+        tg = np.linspace(first, T - 2 * MARGIN, n_time)
+        if lightcone:
+            half = T - tg - MARGIN
+            xs = np.linspace(-half, half, n_space, axis=1).ravel()
+        else:
+            xs = np.outer(T - tg, np.linspace(RHO_MIN, RHO_MAX, n_space)).ravel()
+    return np.column_stack([np.repeat(tg, n_space), xs])
 
 
 def certify(equations, members, n_time, n_space) -> list[tuple[ResidualReport, bool]]:
@@ -219,7 +192,7 @@ def certify(equations, members, n_time, n_space) -> list[tuple[ResidualReport, b
     each report covers every member's sweep: its max_abs is the worst
     member's, and a batch is within a solution's bound when each member is.
     A non-solution is certified one member at a time, since each must fail.
-    Domain errors from the jet propagate: the sampler stays inside the
+    Domain errors from the jet propagate: the sample set stays inside the
     validity region; a sweep whose jet, residual or rms overflows is refused
     naming k and T."""
     members = tuple(members)

@@ -1,5 +1,6 @@
 """Exit-code contract and output formats of the command-line front end."""
 
+import argparse
 import csv
 import json
 import math
@@ -106,6 +107,23 @@ def test_audit_prints_the_pinned_bytes(capsys):
     code, out, err = run_cli(capsys, "audit")
     assert (code, err) == (0, "")
     assert out == AUDIT_STDOUT.read_text()
+
+
+def test_output_set_names_every_subcommand_and_pairing():
+    """tests/output_set.py's command list keeps up with the command line:
+    it runs every subcommand and every verify pairing at its defaults,
+    under names that are unique, since they name its files. The commands
+    themselves run only when the script does."""
+    from output_set import COMMANDS
+
+    [subcommands] = [action.choices for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    names = [name for name, _ in COMMANDS]
+    assert len(set(names)) == len(names)
+    assert {args[0] for _, args in COMMANDS} == set(subcommands)
+    plain_verifies = {args for _, args in COMMANDS if args[0] == "verify" and len(args) == 5}
+    for equation, family in zmclab.cli.VERIFY_PAIRINGS:
+        assert ("verify", "--equation", equation.value, "--family", family.value) in plain_verifies
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -357,9 +375,9 @@ MEMBRANE_CONFIG = "equation = membrane\nlo = 0\nhi = 0.5\n" + CONSTANT_CONFIG
 @pytest.mark.parametrize("config, sets, reason", [
     (README_CONFIG, ("--set", "t_end=0.3"), "fit window contains fewer than 2 samples"),
     ("equation = born-infeld\n" + CONSTANT_CONFIG, (),
-     "log_log_fit needs strictly positive inputs (log scale)"),
+     "the blow-up fit needs a centre series with no zero in its window (log scale)"),
     (MEMBRANE_CONFIG, (),
-     "log_log_fit needs strictly positive inputs (log scale)"),
+     "the blow-up fit needs a centre series with no zero in its window (log scale)"),
 ], ids=["short-window", "string-constant", "membrane-constant"])
 def test_evolve_reports_a_skipped_fit(tmp_path, capsys, config, sets, reason):
     """A blow-up fit that cannot be taken is reported, not refused: a run
@@ -652,18 +670,35 @@ def test_evolve_refuses_method_keys_as_unknown(tmp_path, capsys, override):
     (("T=1e-300", "lo=-1e-301", "hi=1e-301", "t_end=1e-301"),
      "initial data at k=0.2, T=1e-300 (slopes <= 1e+50) leaves double range "
      "(divide by zero encountered in divide)"),
+    # hi - lo overflows, so the spacing is inf and the nodes NaN
+    (("lo=-1e308", "hi=1e308"),
+     "grid needs a finite spacing, got lo=-1e+308, hi=1e+308"),
 ], ids=["t_end-below-start", "membrane-negative-lo", "membrane-axis-log",
         "membrane-axis-arctan", "slope-1e155", "slope-1e200",
         "slope-1e300", "data-overflow", "data-infinite", "spacing-below-floor",
-        "data-divide-by-zero"])
+        "data-divide-by-zero", "spacing-not-finite"])
 def test_evolve_refuses_a_run_it_cannot_start(tmp_path, capsys, overrides, message):
     """Refused before the first step, exit 2 naming the violated bound and
     with no RuntimeWarning (pytest turns one into an error): slopes the
     right-hand side would square and multiply past double range, data
     whose evaluation overflows or divides by zero, axis data that is not
-    odd in r, and a spacing whose CFL step is below the
-    floor (the speeds are at most 1, so no later step can be)."""
+    odd in r, a spacing whose CFL step is below the floor (the speeds are
+    at most 1, so no later step can be) and one that is not finite."""
     assert message in refused_override_error(tmp_path, capsys, *overrides)
+
+
+@pytest.mark.parametrize("width", ["1e100", "1e150", "1e200", "1e300"])
+def test_evolve_runs_a_wide_constant_window(tmp_path, capsys, width):
+    """The data check's bound 10 h^2 max(m3, 1) is formed without h^3, so
+    a window of spacing far above 5.6e102 runs as a narrow one does."""
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(REFERENCE_CONFIG)
+    code, out, err = run_cli(capsys, "evolve", str(cfg), "--set", "family=constant",
+                             "--set", f"lo=-{width}", "--set", f"hi={width}",
+                             "--set", f"diagnostics_csv={tmp_path / 'd.csv'}")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["status"], doc["t_final"], doc["active_nodes_final"]) == ("completed", 0.8, 201)
 
 
 @pytest.mark.parametrize("argv, setting", [
@@ -673,6 +708,12 @@ def test_evolve_refuses_a_run_it_cannot_start(tmp_path, capsys, overrides, messa
      "error: k must be finite, got nan\n"),
     (("verify", "--equation", "born-infeld", "--family", "log", "--T", "inf"),
      "error: T must be finite, got inf\n"),
+    # finiteness is checked before the sign, so a NaN or -inf T is named
+    # as not finite
+    (("verify", "--equation", "born-infeld", "--family", "log", "--T", "nan"),
+     "error: T must be finite, got nan\n"),
+    (("verify", "--equation", "born-infeld", "--family", "log", "--T", "-inf"),
+     "error: T must be finite, got -inf\n"),
     # a member whose sweep overflows (its jet, its residual's products or
     # the squares of its rms) is refused the same way, naming k and T
     *[(("verify", "--equation", "born-infeld", "--family", "log", "--k", k),
@@ -683,6 +724,7 @@ def test_evolve_refuses_a_run_it_cannot_start(tmp_path, capsys, overrides, messa
      "error: the arctan-corrected sweep at k=1.0, T=1e-300 leaves double range "
      "(divide by zero encountered in divide)\n"),
 ], ids=["profile-rho-max-nan", "profile-rho-max-inf", "verify-k-nan", "verify-T-inf",
+        "verify-T-nan", "verify-T-minus-inf",
         "verify-k-1e100", "verify-k-1e150", "verify-k-1e200", "verify-T-1e-300"])
 def test_non_finite_flags_exit_two_naming_the_setting(tmp_path, capsys, argv, setting):
     code, out, err = run_cli(capsys, *argv)

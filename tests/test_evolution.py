@@ -587,15 +587,64 @@ def test_fit_blowup_series_synthetic_is_exact():
     assert fit.window == (0.1, 0.9)
 
 
+def test_fit_blowup_series_fits_an_exact_square():
+    times = np.linspace(0.1, 0.9, 81)
+    fit = fit_blowup_series(times, 1.0 / (1.0 - times) ** 2, 1.0, (0.1, 0.9))
+    assert abs(fit.exponent - 2.0) <= 1e-12
+    assert (fit.r_squared, fit.n_points) == (1.0, 81)
+
+
+def test_fit_blowup_series_reads_the_intercept_as_amplitude():
+    """The intercept is the amplitude of |value|, whatever its sign."""
+    times = np.linspace(0.1, 0.9, 81)
+    for amplitude, exponent in ((3.0, 1.0), (-3.0, 2.0)):
+        series = amplitude / (1.0 - times) ** exponent
+        fit = fit_blowup_series(times, series, 1.0, (0.1, 0.9))
+        assert abs(fit.exponent - exponent) <= 1e-12
+        assert abs(math.log(fit.amplitude) - math.log(3.0)) <= 1e-12
+        assert (fit.r_squared, fit.n_points, fit.window) == (1.0, 81, (0.1, 0.9))
+
+
+def test_fit_blowup_series_recovers_a_noisy_rate():
+    rng = np.random.default_rng(20260817)
+    times = np.linspace(0.1, 0.9, 50)
+    delta = rng.uniform(-1e-3, 1e-3, size=50)
+    fit = fit_blowup_series(times, (1.0 - times) ** -1.5 * (1.0 + delta), 1.0, (0.1, 0.9))
+    assert abs(fit.exponent - 1.5) <= 5e-3
+    assert 0.99 < fit.r_squared < 1.0
+
+
 def test_fit_blowup_series_guards():
     times = np.linspace(0.1, 0.5, 11)
     series = 1.0 / (1.0 - times)
-    with pytest.raises(ArityError):
+    with pytest.raises(ArityError, match="fewer than 2 samples"):
         fit_blowup_series(times, series, 1.0, (0.6, 0.9))  # empty window
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="no zero in its window"):
         fit_blowup_series(times, 0.0 * series, 1.0, (0.1, 0.5))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="precede the blow-up time"):
         fit_blowup_series(times, series, 0.4, (0.1, 0.5))  # samples past T
+
+
+def test_fit_blowup_series_refuses_bad_input():
+    times = np.linspace(0.1, 0.5, 11)
+    series = 1.0 / (1.0 - times)
+    with pytest.raises(ArityError, match="fewer than 2 samples"):
+        fit_blowup_series(times, series, 1.0, (0.5, 0.9))  # one sample
+    with pytest.raises(ArityError, match="mismatched lengths 11 vs 10"):
+        fit_blowup_series(times, series[:-1], 1.0, (0.1, 0.5))
+    with pytest.raises(DomainError, match="no zero in its window"):
+        fit_blowup_series(times, np.where(times > 0.3, series, 0.0), 1.0, (0.1, 0.5))
+    with pytest.raises(DomainError, match="inputs must be finite"):
+        fit_blowup_series(times, np.where(times > 0.3, series, np.inf), 1.0, (0.1, 0.5))
+    with pytest.raises(DomainError, match="inputs must be finite"):
+        fit_blowup_series(times, series, math.inf, (0.1, 0.5))
+    # a zero or non-finite value outside the window is not read
+    fit = fit_blowup_series(times, np.where(times > 0.3, series, 0.0), 1.0, (0.35, 0.5))
+    assert fit.n_points == 4
+    # a constant |value| has no spread to explain: an exact fit, r^2 = 1
+    fit = fit_blowup_series([0.0, 0.5, 0.75], [3.0, -3.0, 3.0], 1.0, (0.0, 0.75))
+    assert (fit.r_squared, fit.n_points) == (1.0, 3)
+    assert abs(fit.exponent) <= 1e-15
 
 
 def test_membrane_constant_profile_evolves_exactly():

@@ -14,7 +14,6 @@ from zmclab.errors import ArityError, DomainError, NonFiniteError
 from zmclab.numerics import (
     Grid1D,
     Jet2,
-    log_log_fit,
     rk4_adaptive_step,
     rk4_integrate,
     rk4_step,
@@ -25,7 +24,6 @@ from zmclab.similarity import SteadyOdeId, steady_ode_integrate
 # frozen reference values, evaluated once in extended precision
 EXP_0P1 = 1.1051709180756477
 EXP_M1 = 0.36787944117144233
-LN3 = 1.0986122886681098
 SIN_DD_0P5 = -0.479425538604203  # second derivative of sin at 0.5 is -sin(0.5)
 
 
@@ -595,46 +593,6 @@ def test_trapezoid_matches_numpy_bit_for_bit():
         assert np.add.reduce(trapezoid_terms(ys, np.diff(xs))) == numpy_rule(ys, xs)
     ys, xs = np.array([0.0, 1.0, 4.0]), np.array([0.0, 1.0, 2.0])
     assert np.add.reduce(trapezoid_terms(ys, np.diff(xs))) == 3.0
-
-
-def test_log_log_fit_exact_square():
-    a = np.linspace(1.0, 5.0, 20)
-    fit = log_log_fit(a, a**2)
-    assert abs(fit.slope - 2.0) <= 1e-12
-    assert fit.r_squared == 1.0
-    assert fit.n_points == 20
-
-
-def test_log_log_fit_linear_intercept():
-    a = np.linspace(0.5, 4.0, 15)
-    fit = log_log_fit(a, 3.0 * a)
-    assert abs(fit.slope - 1.0) <= 1e-12
-    assert abs(fit.intercept - LN3) <= 1e-12
-
-
-def test_log_log_fit_noisy_recovery():
-    rng = np.random.default_rng(20260817)
-    a = np.linspace(1.0, 10.0, 50)
-    delta = rng.uniform(-1e-3, 1e-3, size=50)
-    fit = log_log_fit(a, a**1.5 * (1.0 + delta))
-    assert abs(fit.slope - 1.5) <= 5e-3
-
-
-def test_log_log_fit_errors():
-    with pytest.raises(DomainError):
-        log_log_fit([1.0, -2.0], [1.0, 4.0])
-    with pytest.raises(DomainError):
-        log_log_fit([1.0, 2.0], [0.0, 4.0])
-    with pytest.raises(ArityError):
-        log_log_fit([1.0], [2.0])
-    with pytest.raises(ArityError, match="mismatched lengths 3 vs 2"):
-        log_log_fit([1.0, 2.0, 4.0], [1.0, 4.0])
-    with pytest.raises(DomainError, match="inputs must be finite"):
-        log_log_fit([1.0, math.inf], [1.0, 4.0])
-    # constant ordinates have no spread to explain: an exact fit, r^2 = 1
-    fit = log_log_fit([1.0, 2.0, 4.0], [3.0, 3.0, 3.0])
-    assert (fit.r_squared, fit.n_points) == (1.0, 3)
-    assert abs(fit.slope) <= 1e-15
 
 
 @pytest.mark.parametrize("spacing", [0.1, 0.05, 0.01])

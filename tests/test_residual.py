@@ -26,9 +26,7 @@ from zmclab.residuals import (
     RHO_MIN,
     VERIFY_PAIRINGS,
     EquationId,
-    backward_cone_points,
     certify,
-    lightcone_interior_points,
     residual_at,
     sample_points,
     sweep_residual,
@@ -316,14 +314,21 @@ def test_double_double_sweeps_match_mpmath_oracle():
 
 @pytest.mark.parametrize("T, n_time, n_space", [(0.7, 3, 7), (1.0, 20, 20), (2.5, 17, 5)])
 def test_cone_samplers_match_per_slice_loop(T, n_time, n_space):
-    """The whole-array samplers give the points of one linspace per slice."""
+    """The whole-array sample sets give the points of one linspace per
+    slice: the lightcone, the backward cone and the spacelike square."""
     rhog = np.linspace(RHO_MIN, RHO_MAX, n_space)
     light = [(t, x) for t in np.linspace(0.0, T - 2 * MARGIN, n_time)
              for x in np.linspace(-(T - t - MARGIN), T - t - MARGIN, n_space)]
     cone = [(t, x) for t in np.linspace(MARGIN, T - 2 * MARGIN, n_time)
             for x in rhog * (T - t)]
-    assert np.array_equal(lightcone_interior_points(T, n_time, n_space), light)
-    assert np.array_equal(backward_cone_points(T, n_time, n_space), cone)
+    square = [(x, y) for x in np.linspace(0.0, T / 2, n_time)
+              for y in np.linspace(0.0, T / 2, n_space)]
+    for family, want in ((Family.BORN_INFELD_LOG, light),
+                         (Family.MEMBRANE_SPHERE_PLUS, cone),
+                         (Family.CONSTANT_PROFILE, cone),
+                         (Family.SPACELIKE_ARCTAN_CORRECTED, square),
+                         (Family.SPACELIKE_LOG_CLAIMED, square)):
+        assert np.array_equal(sample_points(family, T, n_time, n_space), want), family
 
 
 # --- divergence form ----------------------------------------------------------
