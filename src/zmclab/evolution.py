@@ -38,6 +38,7 @@ from .errors import (
 from .numerics import (
     Grid1D,
     _check_stage_finite,
+    _constant,
     double_range,
     trapezoid_terms,
 )
@@ -60,6 +61,8 @@ MAX_SLOPE = 1e50
 _MEMBRANE = EquationId.RADIAL_MEMBRANE  # read per call: an Enum lookup is 0.1 us on 3.11
 # the equations that are flows, the ones a run can evolve
 FLOWS = (EquationId.BORN_INFELD, EquationId.RADIAL_MEMBRANE)
+# the step's constant operands, converted once (see numerics._constant)
+_ONE, _TWO = _constant(1.0), _constant(2.0)
 
 
 class RunStatus(enum.Enum):
@@ -153,7 +156,8 @@ def characteristic_speeds(p, q):
     +inf (from an infinite q) shows only in the maximum.
     """
     qq = q * q
-    disc = 1.0 - p * p
+    disc = p * p
+    np.subtract(_ONE, disc, out=disc)
     disc += qq
     worst, top = float(np.minimum.reduce(disc)), float(np.maximum.reduce(disc))
     if not (math.isfinite(worst) and math.isfinite(top)):
@@ -166,7 +170,7 @@ def characteristic_speeds(p, q):
             f"<= floor {MIN_DISC_FLOOR:.1e}"
         )
     root = np.sqrt(disc)
-    qq += 1.0  # the denominator 1 + q^2
+    qq += _ONE  # the denominator 1 + q^2
     speeds = np.empty((2, p.size))
     slow, fast = speeds[0], speeds[1]
     np.multiply(p, q, out=fast)
@@ -234,7 +238,7 @@ class _Workspace:
         n = xs.size
         self.membrane = equation is _MEMBRANE
         self.axis = self.membrane and xs[0] == 0.0
-        self.n, self.scale = n, 2.0 * h
+        self.n, self.scale = n, np.array(2.0 * h)
         self.y = y = np.empty((3, n))
         f, p, q = y[1:].ravel(), y[1], y[2]
         self.f, self.p, self.q = f, p, q
@@ -278,12 +282,12 @@ class _Workspace:
         np.multiply(f, f, out=sq)
         np.add(p, p, out=udot)  # 2p, as 2.0 * p to the bit
         udot *= q
-        np.subtract(1.0, self.psq, out=pdot)
+        np.subtract(_ONE, self.psq, out=pdot)
         if self.membrane:
             # 1 - p^2 + q^2, before the product overwrites 1 - p^2
             disc, ratio = self.disc, self.ratio
             np.add(pdot, qq, out=disc)
-        qq += 1.0  # from here on the denominator 1 + q^2
+        qq += _ONE  # from here on the denominator 1 + q^2
         c *= d
         np.add(udot, pdot, out=pdot)
         pdot /= qq
@@ -318,28 +322,33 @@ def _rk4_step(equation, xs, state, h, t, dt, center):
     # would read at about twice the cost of one contiguous copy
     state = np.ascontiguousarray(state)
     work = _Workspace(equation, xs, h)
-    y, (first, later) = work.y, work.slopes
+    y, (first, later), rates = work.y, work.slopes, work.rates
+    vdot, isfinite = np.vdot, math.isfinite
+    # half is read twice as an operand, so it is converted once; dt and
+    # dt / 6 are read once each, where a conversion costs what it saves;
+    # the stage times stay Python floats, for NonFiniteError's text
     half = 0.5 * dt
+    by_half = np.array(half)
 
     def stage(slope, name, tau):
-        k = work.rates(slope)
-        if not math.isfinite(np.vdot(k, k)):
+        k = rates(slope)
+        if not isfinite(vdot(k, k)):
             _check_stage_finite(k, name, tau)
         return k, float(k[2, center])
 
     y[...] = state
     total, s1 = stage(first, "stage 1", t)
-    np.multiply(total, half, out=y)
+    np.multiply(total, by_half, out=y)
     y += state
     k, s2 = stage(later, "stage 2", t + half)
-    np.multiply(k, half, out=y)
+    np.multiply(k, by_half, out=y)
     y += state
-    k *= 2.0
+    k *= _TWO
     total += k
     k, s3 = stage(later, "stage 3", t + half)
     np.multiply(k, dt, out=y)
     y += state
-    k *= 2.0
+    k *= _TWO
     total += k
     k, s4 = stage(later, "stage 4", t + dt)
     total += k
@@ -593,11 +602,12 @@ def fit_blowup_series(times, values, blowup_time, window) -> BlowupFit:
     x, y = np.log(gaps), np.log(sizes)
     slope, intercept = np.polyfit(x, y, 1)
     ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    if ss_tot == 0.0:
+    # equal samples have no spread to explain, though np.mean may leave
+    # their sum of squares about it as rounding noise below ss_res
+    if (y == y[0]).all():
         r_squared = 1.0 if ss_res <= 1e-24 * max(1, y.size) else 0.0
     else:
-        r_squared = 1.0 - ss_res / ss_tot
+        r_squared = 1.0 - ss_res / float(np.sum((y - np.mean(y)) ** 2))
     return BlowupFit(
         exponent=float(slope),
         amplitude=math.exp(intercept),

@@ -29,6 +29,20 @@ DT_MIN = 1e-12  # floor of the adaptive RK4 step
 MIN_CELLS = 8  # the fewest cells of a Grid1D
 
 
+def _constant(value):
+    """value as a read-only 0-d float64 array, an operand numpy takes as it
+    is: it converts a Python float operand on every call, about 0.2 us of
+    a 0.85 us call on 800 nodes, and an np.float64 saves almost none of
+    that. The result is the same IEEE operation either way, and a shared
+    constant refuses the in-place op that would change every later call."""
+    c = np.array(value, dtype=np.float64)
+    c.flags.writeable = False
+    return c
+
+
+_HALF = _constant(0.5)
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform grid on [lo, hi] with n cells, hence n+1 nodes.
@@ -289,5 +303,5 @@ def trapezoid_terms(values, gaps):
     bits: so windows of one grid share its gaps and one pass of terms."""
     terms = values[1:] + values[:-1]
     terms *= gaps
-    terms *= 0.5  # x * 0.5 is x / 2.0 to the bit, at half the cost
+    terms *= _HALF  # x * 0.5 is x / 2.0 to the bit, at half the cost
     return terms

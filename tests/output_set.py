@@ -5,8 +5,10 @@
 runs every command of COMMANDS in DIR, each as a fresh
 `python -m zmclab.cli` process on the src/ beside this script, and writes
 per command NAME.stdout, NAME.stderr and NAME.code (the exit code). A
-refusal is an outcome to record, but a crash is not: the script exits 1,
-naming the commands, when any stderr holds a Python traceback. CSV
+refusal is an outcome to record, but a crash or a console warning is not:
+the script exits 1, naming the commands, when any stderr holds a Python
+traceback or a line of the warnings module (FAULTS), such as numpy's
+overflow and invalid-value RuntimeWarnings. CSV
 paths are relative, so each CSV lands in DIR under its command's name and
 stdout, which names it, reads the same in any DIR. The config files the
 evolve runs read (CONFIGS) are written into DIR first.
@@ -27,6 +29,7 @@ windows, a wide window, and a blow-up fit that cannot be taken.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +47,19 @@ CONFIGS = {
     "constant.cfg": "equation = born-infeld\n" + CONSTANT + "fit = true\n",
     "membrane.cfg": "equation = membrane\nlo = 0\nhi = 0.5\n" + CONSTANT,
 }
+
+
+# what fails the set when a command's stderr holds it: a Python traceback,
+# and a line the warnings module prints, <file>:<line>: <Category>: <message>
+FAULTS = {
+    "traceback": re.compile(rb"Traceback \(most recent call last\)"),
+    "warning": re.compile(rb"^[^\n]*:\d+: \w*Warning: ", re.MULTILINE),
+}
+
+
+def faults(stderr: bytes) -> list[str]:
+    """The kinds of FAULTS that a command's stderr holds, in FAULTS' order."""
+    return [kind for kind, pattern in FAULTS.items() if pattern.search(stderr)]
 
 
 def _evolve(name, config, *sets, snapshots=False):
@@ -116,19 +132,19 @@ def main(argv) -> int:
         (out / name).write_text(text)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    crashed = []
+    faulted = {kind: [] for kind in FAULTS}
     for name, args in COMMANDS:
         done = subprocess.run([sys.executable, "-m", "zmclab.cli", *args], cwd=out,
                               env=env, capture_output=True)
         (out / f"{name}.stdout").write_bytes(done.stdout)
         (out / f"{name}.stderr").write_bytes(done.stderr)
         (out / f"{name}.code").write_text(f"{done.returncode}\n")
-        if b"Traceback (most recent call last)" in done.stderr:
-            crashed.append(name)
-    if crashed:
-        sys.stderr.write(f"traceback from: {', '.join(crashed)}\n")
-        return 1
-    return 0
+        for kind in faults(done.stderr):
+            faulted[kind].append(name)
+    for kind, names in faulted.items():
+        if names:
+            sys.stderr.write(f"{kind} from: {', '.join(names)}\n")
+    return 1 if any(faulted.values()) else 0
 
 
 if __name__ == "__main__":

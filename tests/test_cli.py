@@ -126,6 +126,26 @@ def test_output_set_names_every_subcommand_and_pairing():
         assert ("verify", "--equation", equation.value, "--family", family.value) in plain_verifies
 
 
+@pytest.mark.parametrize("stderr, kinds", (
+    (b"", []),
+    (b"error: need 0 < t_end < blowup_time, got t_end=1.5, blowup_time=1.0\n", []),
+    (b"config line 3: unknown key 'warning'\n", []),
+    (b"Traceback (most recent call last):\n  File \"<x>\", line 1, in <module>\n"
+     b"ZeroDivisionError: division by zero\n", ["traceback"]),
+    (b"/src/zmclab/evolution.py:176: RuntimeWarning: overflow encountered in multiply\n"
+     b"  np.multiply(p, q, out=fast)\n", ["warning"]),
+    (b"note\n<string>:1: DeprecationWarning: old\n", ["warning"]),
+    (b"C:\\zmclab\\cli.py:9: UserWarning: shown\n  warn()\nTraceback (most recent call last):\n",
+     ["traceback", "warning"]),
+))
+def test_output_set_fails_on_tracebacks_and_warnings(stderr, kinds):
+    """tests/output_set.py fails a command whose stderr holds a Python
+    traceback or a warnings-module line, and passes a refusal message."""
+    from output_set import faults
+
+    assert faults(stderr) == kinds
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "verify judges a solution by the absolute bound 1e-9, while the sweep's "
     "rounding floor grows about as k^3 for the log family: a bound relative "

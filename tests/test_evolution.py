@@ -17,6 +17,7 @@ from rhs_reference import reference_rhs
 from step_reference import reference_stages, reference_step
 
 import zmclab.evolution
+import zmclab.numerics
 from zmclab.closedform import ClosedFormSolution, Family, evaluate_jet
 from zmclab.errors import (
     ArityError,
@@ -190,6 +191,25 @@ def rhs_window_state(window, size):
     p = amp[1] * np.cos(freq[1] * xs) - 0.1
     q = amp[2] * np.sin(freq[2] * xs)  # odd: exactly zero on the axis
     return equation, xs, (u, p, q), h
+
+
+@pytest.mark.parametrize("module, name, value", (
+    (zmclab.evolution, "_ONE", 1.0),
+    (zmclab.evolution, "_TWO", 2.0),
+    (zmclab.numerics, "_HALF", 0.5),
+))
+def test_shared_operands_are_read_only_float64_scalars(module, name, value):
+    """The step's constant operands are 0-d float64 arrays that hold their
+    value exactly and refuse a write: every call of every later run reads
+    the same object, so a stray in-place op would change them all."""
+    c = getattr(module, name)
+    assert isinstance(c, np.ndarray) and c.shape == () and c.dtype == np.float64
+    assert float(c) == value
+    with pytest.raises(ValueError, match="read-only"):
+        c[...] = 3.0
+    with pytest.raises(ValueError, match="read-only"):
+        c += 1.0
+    assert float(c) == value
 
 
 @pytest.mark.parametrize("dt", (1e-3, 3.7e-4, 2.5e-2))
@@ -645,6 +665,17 @@ def test_fit_blowup_series_refuses_bad_input():
     fit = fit_blowup_series([0.0, 0.5, 0.75], [3.0, -3.0, 3.0], 1.0, (0.0, 0.75))
     assert (fit.r_squared, fit.n_points) == (1.0, 3)
     assert abs(fit.exponent) <= 1e-15
+
+
+@pytest.mark.parametrize("n", (3, 10, 20, 81))
+def test_fit_blowup_series_reads_a_constant_series_as_exact(n):
+    """A constant |value| has no spread to explain, at any sample count:
+    np.mean leaves the sum of squares about it as rounding noise at n = 10,
+    20 and 81, where a test of that sum for zero read r^2 = 0, 0 and 0.35."""
+    times = np.linspace(0.0, 0.9, n)
+    fit = fit_blowup_series(times, np.full(n, 3.0), 1.0, (0.0, 0.9))
+    assert (fit.r_squared, fit.n_points) == (1.0, n)
+    assert abs(fit.exponent) <= 1e-12
 
 
 def test_membrane_constant_profile_evolves_exactly():
